@@ -45,6 +45,12 @@ from repro.core.cloning import (
 from repro.core.granularity import CommunicationModel
 from repro.core.placement_heap import SiteHeap
 from repro.core.resource_model import OverlapModel
+from repro.obs.names import (
+    COUNTER_CLONES_PLACED,
+    COUNTER_PLACEMENT_SCANS,
+    SPAN_LIST_PLACEMENT,
+    TIMER_LIST_SCHEDULE,
+)
 from repro.obs.tracer import current_tracer
 from repro.core.schedule import Schedule
 from repro.core.site import PlacedClone
@@ -258,8 +264,8 @@ def operator_schedule(
     # through a lazy min-heap (O(log p) amortized per clone) rather than a
     # site rescan; the key ends in the site index, so the heap minimum is
     # the exact site the linear scan would have chosen.
-    timer = metrics.timer("list_schedule") if metrics is not None else nullcontext()
-    with current_tracer().span("list_placement", clones=len(pending), p=p), timer:
+    timer = metrics.timer(TIMER_LIST_SCHEDULE) if metrics is not None else nullcontext()
+    with current_tracer().span(SPAN_LIST_PLACEMENT, clones=len(pending), p=p), timer:
         pending.sort(key=lambda item: (-item[0], item[1], item[2]))
         heap = SiteHeap(
             schedule.sites,
@@ -287,8 +293,8 @@ def operator_schedule(
             )
             heap.update(best)
         if metrics is not None:
-            metrics.count("placement_scans", heap.scans)
-            metrics.count("clones_placed", len(pending))
+            metrics.count(COUNTER_PLACEMENT_SCANS, heap.scans)
+            metrics.count(COUNTER_CLONES_PLACED, len(pending))
 
     return OperatorScheduleResult(
         schedule=schedule, degrees=chosen, makespan=schedule.makespan()

@@ -51,6 +51,16 @@ from repro.core.vector_packing import (
     _reference_site_length,
     _sorted_items,
 )
+from repro.obs.names import (
+    COUNTER_CLONES_MOVED,
+    COUNTER_PLACEMENT_SCANS,
+    COUNTER_RESCHEDULES,
+    COUNTER_SITES_DRAINED,
+    COUNTER_SITES_RESIZED,
+    COUNTER_SITES_RESTORED,
+    SPAN_RESCHEDULE_REPAIR,
+    TIMER_RESCHEDULE,
+)
 from repro.obs.tracer import current_tracer
 
 __all__ = [
@@ -370,9 +380,9 @@ def reschedule_schedule(
         wanting all-or-nothing semantics repair a copy.
     """
     _validate_delta_against(schedule, delta)
-    timer = metrics.timer("reschedule") if metrics is not None else nullcontext()
+    timer = metrics.timer(TIMER_RESCHEDULE) if metrics is not None else nullcontext()
     with current_tracer().span(
-        "reschedule_repair",
+        SPAN_RESCHEDULE_REPAIR,
         phase=delta.phase_index,
         removed=len(delta.remove_sites),
         restored=len(delta.restore_sites),
@@ -394,13 +404,13 @@ def reschedule_schedule(
             placement_scans=scans,
         )
         if metrics is not None:
-            metrics.count("reschedules")
-            metrics.count("clones_moved", stats.clones_moved)
-            metrics.count("sites_drained", stats.sites_drained)
-            metrics.count("sites_restored", stats.sites_restored)
+            metrics.count(COUNTER_RESCHEDULES)
+            metrics.count(COUNTER_CLONES_MOVED, stats.clones_moved)
+            metrics.count(COUNTER_SITES_DRAINED, stats.sites_drained)
+            metrics.count(COUNTER_SITES_RESTORED, stats.sites_restored)
             if stats.sites_resized:
-                metrics.count("sites_resized", stats.sites_resized)
-            metrics.count("placement_scans", scans)
+                metrics.count(COUNTER_SITES_RESIZED, stats.sites_resized)
+            metrics.count(COUNTER_PLACEMENT_SCANS, scans)
     return stats
 
 

@@ -42,6 +42,7 @@ from repro.engine.driver import SHELF_POLICIES, schedule_phases
 from repro.engine.metrics import MetricsRecorder
 from repro.engine.registry import ScheduleRequest, register
 from repro.engine.result import ScheduleResult
+from repro.obs.names import SPAN_TREE_SCHEDULE
 from repro.obs.tracer import current_tracer
 from repro.plans.generator import GeneratedQuery
 from repro.plans.operator_tree import OperatorTree
@@ -107,7 +108,7 @@ def tree_schedule(
         If a probe's build has not been scheduled by the time the probe's
         phase is reached (would indicate a malformed task tree).
     """
-    with current_tracer().span("tree_schedule", p=p, f=f, shelf=shelf):
+    with current_tracer().span(SPAN_TREE_SCHEDULE, p=p, f=f, shelf=shelf):
         return schedule_phases(
             op_tree,
             task_tree,

@@ -61,6 +61,12 @@ from repro.core import batch as _batch
 from repro.core.placement_heap import SiteHeap, least_loaded_key
 from repro.core.resource_model import OverlapModel
 from repro.core.schedule import Schedule
+from repro.obs.names import (
+    COUNTER_CLONES_PACKED,
+    COUNTER_PLACEMENT_SCANS,
+    SPAN_PACK_VECTORS,
+    TIMER_PACK_VECTORS,
+)
 from repro.obs.tracer import current_tracer
 from repro.core.site import PlacedClone
 from repro.core.work_vector import WorkVector
@@ -250,9 +256,9 @@ def pack_vectors(
     """
     d = _validate_items(items)
     schedule = Schedule(p, d, capacities)
-    timer = metrics.timer("pack_vectors") if metrics is not None else nullcontext()
+    timer = metrics.timer(TIMER_PACK_VECTORS) if metrics is not None else nullcontext()
     with current_tracer().span(
-        "pack_vectors", items=len(items), p=p, sort=sort.value, rule=rule.value
+        SPAN_PACK_VECTORS, items=len(items), p=p, sort=sort.value, rule=rule.value
     ), timer:
         ordered = _sorted_items(items, sort, rng)
         scans = 0
@@ -277,8 +283,8 @@ def pack_vectors(
                     ),
                 )
         if metrics is not None:
-            metrics.count("placement_scans", scans)
-            metrics.count("clones_packed", len(items))
+            metrics.count(COUNTER_PLACEMENT_SCANS, scans)
+            metrics.count(COUNTER_CLONES_PACKED, len(items))
     return schedule
 
 

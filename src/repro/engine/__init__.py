@@ -17,8 +17,8 @@ This package is the hub the whole vertical stack plugs into:
   one-dimensional and malleable tree schedulers are all thin phase
   packers plugged into this driver.
 * :mod:`repro.engine.metrics` — lightweight observability: context-manager
-  timers, counters, and JSON-line export for benchmarks that need to know
-  where schedule-construction time goes.
+  timers and counters for benchmarks that need to know where
+  schedule-construction time goes.
 * :mod:`repro.engine.reschedule` — the incremental-repair entry point:
   apply a :class:`~repro.core.reschedule.ScheduleDelta` to a previously
   produced :class:`ScheduleResult` through a registered repair strategy,

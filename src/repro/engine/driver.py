@@ -45,6 +45,16 @@ from repro.core.resource_model import OverlapModel
 from repro.core.schedule import OperatorHome, PhasedSchedule
 from repro.engine.metrics import MetricsRecorder
 from repro.engine.result import Instrumentation, ScheduleResult
+from repro.obs.names import (
+    COUNTER_FLOATING_OPERATORS,
+    COUNTER_PHASES,
+    COUNTER_ROOTED_OPERATORS,
+    SPAN_DEGREE_SELECTION,
+    SPAN_PACK,
+    SPAN_PHASE_DECOMPOSITION,
+    SPAN_SHELF,
+    TIMER_PACK_PHASE,
+)
 from repro.obs.tracer import current_tracer
 from repro.plans.operator_tree import OperatorTree
 from repro.plans.phases import eager_shelf_phases, min_shelf_phases
@@ -127,7 +137,7 @@ def schedule_phases(
 
     tracer = current_tracer()
     started = time.perf_counter()
-    with tracer.span("phase_decomposition", policy=shelf):
+    with tracer.span(SPAN_PHASE_DECOMPOSITION, policy=shelf):
         phases = shelf_fn(task_tree)
     phased = PhasedSchedule()
     homes: dict[str, OperatorHome] = {}
@@ -136,11 +146,11 @@ def schedule_phases(
 
     for phase_tasks in phases:
         label = ",".join(task.task_id for task in phase_tasks)
-        with tracer.span("shelf", label=label):
+        with tracer.span(SPAN_SHELF, label=label):
             floating: list[OperatorSpec] = []
             rooted: list[RootedPlacement] = []
             forced_degrees: dict[str, int] = {}
-            with tracer.span("degree_selection"):
+            with tracer.span(SPAN_DEGREE_SELECTION):
                 for task in phase_tasks:
                     for op in task.operators:
                         spec = op.require_spec()
@@ -182,13 +192,13 @@ def schedule_phases(
                             floating.append(spec)
 
             with tracer.span(
-                "pack", floating=len(floating), rooted=len(rooted)
+                SPAN_PACK, floating=len(floating), rooted=len(rooted)
             ):
                 if metrics is not None:
-                    metrics.count("phases")
-                    metrics.count("floating_operators", len(floating))
-                    metrics.count("rooted_operators", len(rooted))
-                    with metrics.timer("pack_phase"):
+                    metrics.count(COUNTER_PHASES)
+                    metrics.count(COUNTER_FLOATING_OPERATORS, len(floating))
+                    metrics.count(COUNTER_ROOTED_OPERATORS, len(rooted))
+                    with metrics.timer(TIMER_PACK_PHASE):
                         result = pack_phase(floating, rooted, forced_degrees, p)
                 else:
                     result = pack_phase(floating, rooted, forced_degrees, p)

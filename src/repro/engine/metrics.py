@@ -3,8 +3,8 @@
 A :class:`MetricsRecorder` accumulates named counters and wall-clock
 timers with near-zero overhead, so benchmarks can ask *where* schedule
 construction time goes (phase decomposition vs. degree selection vs.
-list packing) without a profiler.  Records export as JSON lines, one
-snapshot per line, for downstream aggregation.
+list packing) without a profiler.  Every name it records is declared
+in :mod:`repro.obs.names`.
 
 The recorder is deliberately dumb: plain dicts, no locks, no global
 state.  Callers that do not care pass ``metrics=None`` and every hook
@@ -13,224 +13,12 @@ degrades to a no-op.
 
 from __future__ import annotations
 
-import json
 import time
 from collections.abc import Iterator
 from contextlib import contextmanager
 from typing import Any
 
-__all__ = [
-    "MetricsRecorder",
-    "KNOWN_COUNTER_NAMES",
-    "KNOWN_TIMER_NAMES",
-    "unknown_metric_names",
-    "COUNTER_PLACEMENT_SCANS",
-    "COUNTER_CLONES_PLACED",
-    "COUNTER_CLONES_PACKED",
-    "COUNTER_FAULTS_INJECTED",
-    "COUNTER_WORK_RERUN",
-    "COUNTER_STORE_HITS",
-    "COUNTER_STORE_MISSES",
-    "COUNTER_POINT_STORE_HITS",
-    "COUNTER_POINT_STORE_MISSES",
-    "COUNTER_RESCHEDULES",
-    "COUNTER_CLONES_MOVED",
-    "COUNTER_SITES_DRAINED",
-    "COUNTER_SITES_RESTORED",
-    "COUNTER_SITES_RESIZED",
-    "COUNTER_PLANS_ENUMERATED",
-    "COUNTER_PLANS_DEDUPED",
-    "COUNTER_PLANS_PRUNED",
-    "COUNTER_PLANS_SCORED",
-    "COUNTER_PLAN_STORE_HITS",
-    "COUNTER_PLAN_STORE_MISSES",
-    "COUNTER_QUERIES_OFFERED",
-    "COUNTER_QUERIES_ADMITTED",
-    "COUNTER_QUERIES_SHED",
-    "COUNTER_QUERIES_DEFERRED",
-    "COUNTER_QUERIES_COMPLETED",
-    "COUNTER_TELEMETRY_SAMPLES",
-    "COUNTER_SLO_BREACHES",
-    "TIMER_LIST_SCHEDULE",
-    "TIMER_PACK_VECTORS",
-    "TIMER_PACK_PHASE",
-    "TIMER_RESCHEDULE",
-    "TIMER_PLAN_SEARCH",
-    "TIMER_SERVE",
-    "TIMER_TELEMETRY",
-]
-
-# ----------------------------------------------------------------------
-# Kernel instrumentation vocabulary
-# ----------------------------------------------------------------------
-# The scheduling kernels (repro.core.operator_schedule / vector_packing)
-# accept a duck-typed ``metrics`` recorder and use these names.  They are
-# plain strings there (core must not import the engine package), but the
-# canonical spelling lives here so benchmarks and result consumers do not
-# scatter literals.
-
-#: Site/heap entries examined while choosing placements.  For the naive
-#: rescanning rule this equals sites-visited (O(n·p)); for the lazy-heap
-#: rule it counts heap pops (O(n·log p) amortized) — the headline
-#: complexity win is the drop in this counter at equal output.
-COUNTER_PLACEMENT_SCANS = "placement_scans"
-#: Clones placed by the Figure 3 list-scheduling step (step 3).
-COUNTER_CLONES_PLACED = "clones_placed"
-#: Clone items packed by the generic ablation kernel ``pack_vectors``.
-COUNTER_CLONES_PACKED = "clones_packed"
-#: Faults injected by a :mod:`repro.sim.faults` plan during a simulated
-#: execution (all kinds: slowdowns + skews + stragglers + failures).
-COUNTER_FAULTS_INJECTED = "faults_injected"
-#: Stand-alone-seconds of clone progress destroyed by site failures and
-#: re-executed after recovery.
-COUNTER_WORK_RERUN = "work_rerun"
-#: Schedule-result lookups served from the content-addressed artifact
-#: store (:mod:`repro.store`) instead of re-running the scheduler.
-COUNTER_STORE_HITS = "store_hits"
-#: Schedule-result lookups that missed the store (scheduler ran).
-COUNTER_STORE_MISSES = "store_misses"
-#: Sweep-point values served from the store by the parallel runner —
-#: the resume path: a restarted sweep reports its completed prefix here.
-COUNTER_POINT_STORE_HITS = "point_store_hits"
-#: Sweep-point values the parallel runner actually had to evaluate.
-COUNTER_POINT_STORE_MISSES = "point_store_misses"
-#: Repair passes applied by :func:`repro.core.reschedule.reschedule_schedule`.
-COUNTER_RESCHEDULES = "reschedules"
-#: Displaced clones re-placed on surviving sites during repairs.
-COUNTER_CLONES_MOVED = "clones_moved"
-#: Sites drained and taken out of service by repair deltas.
-COUNTER_SITES_DRAINED = "sites_drained"
-#: Sites returned to service by repair deltas.
-COUNTER_SITES_RESTORED = "sites_restored"
-#: Sites whose capacity a repair delta changed in place (elastic
-#: scale-up/down on a heterogeneous cluster).
-COUNTER_SITES_RESIZED = "sites_resized"
-#: Candidate plans generated by the schedule-aware searcher
-#: (:mod:`repro.search`) before structural deduplication.
-COUNTER_PLANS_ENUMERATED = "plans_enumerated"
-#: Structurally duplicate candidates collapsed by canonical plan hashing
-#: before any of them was scheduled.
-COUNTER_PLANS_DEDUPED = "plans_deduped"
-#: Candidates eliminated by the batched lower-bound screen without ever
-#: computing a full schedule (their bound exceeded the incumbent).
-COUNTER_PLANS_PRUNED = "plans_pruned"
-#: Candidates whose exact TREESCHEDULE response time was obtained
-#: (freshly scheduled or served from the artifact store).
-COUNTER_PLANS_SCORED = "plans_scored"
-#: Candidate scores served from the content-addressed artifact store —
-#: a warm re-search reports every scored candidate here.
-COUNTER_PLAN_STORE_HITS = "plan_store_hits"
-#: Candidate scores the searcher actually had to schedule.
-COUNTER_PLAN_STORE_MISSES = "plan_store_misses"
-#: Queries submitted to the online scheduler service (every arrival,
-#: before any admission decision).
-COUNTER_QUERIES_OFFERED = "queries_offered"
-#: Arrivals the admission controller enqueued for placement.
-COUNTER_QUERIES_ADMITTED = "queries_admitted"
-#: Arrivals rejected outright at the admission hard cap.
-COUNTER_QUERIES_SHED = "queries_shed"
-#: Batch arrivals parked past the high-water mark (later promoted).
-COUNTER_QUERIES_DEFERRED = "queries_deferred"
-#: Queries that ran to completion on the pool.
-COUNTER_QUERIES_COMPLETED = "queries_completed"
-#: Telemetry snapshots taken by the serve-layer sampler task.
-COUNTER_TELEMETRY_SAMPLES = "telemetry_samples"
-#: Completions that missed their SLO class's latency target.
-COUNTER_SLO_BREACHES = "slo_breaches"
-#: Wall-clock spent in the Figure 3 step-3 placement loop.
-TIMER_LIST_SCHEDULE = "list_schedule"
-#: Wall-clock spent inside ``pack_vectors``.
-TIMER_PACK_VECTORS = "pack_vectors"
-#: Wall-clock spent in a whole shelf-packing call (driver-level).
-TIMER_PACK_PHASE = "pack_phase"
-#: Wall-clock spent repairing a schedule after a delta.
-TIMER_RESCHEDULE = "reschedule"
-#: Wall-clock of one whole :func:`repro.search.search_plans` call.
-TIMER_PLAN_SEARCH = "plan_search"
-#: Wall-clock of one whole scheduler-service run (virtual workload
-#: duration is reported separately in the service summary).
-TIMER_SERVE = "serve"
-#: Wall-clock spent inside telemetry sampling (the overhead the serve
-#: bench's telemetry gate bounds).
-TIMER_TELEMETRY = "telemetry"
-
-#: The complete counter vocabulary.  Kernels in ``repro.core`` record
-#: these as duck-typed *strings* (core must not import this package), so
-#: a typo there silently creates a new counter nobody reads;
-#: :func:`unknown_metric_names` (used by
-#: :func:`repro.sim.validate.validate_schedule_result`) checks recorded
-#: names against this set to catch exactly that.  Names without a
-#: module-level constant are recorded by the driver
-#: (``phases``/``floating_operators``/``rooted_operators``) and the
-#: parallel runner (``points_evaluated``/``points_retried_inline``).
-KNOWN_COUNTER_NAMES = frozenset(
-    {
-        COUNTER_PLACEMENT_SCANS,
-        COUNTER_CLONES_PLACED,
-        COUNTER_CLONES_PACKED,
-        COUNTER_FAULTS_INJECTED,
-        COUNTER_WORK_RERUN,
-        COUNTER_STORE_HITS,
-        COUNTER_STORE_MISSES,
-        COUNTER_POINT_STORE_HITS,
-        COUNTER_POINT_STORE_MISSES,
-        COUNTER_RESCHEDULES,
-        COUNTER_CLONES_MOVED,
-        COUNTER_SITES_DRAINED,
-        COUNTER_SITES_RESTORED,
-        COUNTER_SITES_RESIZED,
-        COUNTER_PLANS_ENUMERATED,
-        COUNTER_PLANS_DEDUPED,
-        COUNTER_PLANS_PRUNED,
-        COUNTER_PLANS_SCORED,
-        COUNTER_PLAN_STORE_HITS,
-        COUNTER_PLAN_STORE_MISSES,
-        COUNTER_QUERIES_OFFERED,
-        COUNTER_QUERIES_ADMITTED,
-        COUNTER_QUERIES_SHED,
-        COUNTER_QUERIES_DEFERRED,
-        COUNTER_QUERIES_COMPLETED,
-        COUNTER_TELEMETRY_SAMPLES,
-        COUNTER_SLO_BREACHES,
-        "phases",
-        "floating_operators",
-        "rooted_operators",
-        "points_evaluated",
-        "points_retried_inline",
-    }
-)
-
-#: The complete timer vocabulary (``run`` / ``point_seconds`` are the
-#: parallel runner's sweep-level timers).
-KNOWN_TIMER_NAMES = frozenset(
-    {
-        TIMER_LIST_SCHEDULE,
-        TIMER_PACK_VECTORS,
-        TIMER_PACK_PHASE,
-        TIMER_RESCHEDULE,
-        TIMER_PLAN_SEARCH,
-        TIMER_SERVE,
-        TIMER_TELEMETRY,
-        "run",
-        "point_seconds",
-    }
-)
-
-
-def unknown_metric_names(
-    counters: "dict[str, float] | Any" = (),
-    timers: "dict[str, float] | Any" = (),
-) -> set[str]:
-    """Recorded metric names outside the known vocabulary.
-
-    Accepts the counter/timer dicts (or any iterable of names) of a
-    recorder or a :class:`~repro.engine.result.Instrumentation` and
-    returns the names that match neither :data:`KNOWN_COUNTER_NAMES` nor
-    :data:`KNOWN_TIMER_NAMES` — typically a typo'd duck-typed counter
-    string in ``repro.core``.
-    """
-    known = KNOWN_COUNTER_NAMES | KNOWN_TIMER_NAMES
-    return {name for name in (*counters, *timers) if name not in known}
+__all__ = ["MetricsRecorder"]
 
 
 class MetricsRecorder:
@@ -275,81 +63,21 @@ class MetricsRecorder:
             elapsed = time.perf_counter() - start
             self.timers[name] = self.timers.get(name, 0.0) + elapsed
 
-    def merge(self, other: "MetricsRecorder", *, timer_mode: str = "sum") -> None:
+    def merge(self, other: MetricsRecorder) -> None:
         """Fold another recorder's counters and timers into this one.
 
-        Counters always add.  ``timer_mode`` selects the timer
-        semantics, which matter when the recorders come from *different
-        processes*:
-
-        ``"sum"`` (default)
-            Additive — correct for sequential regions and for
-            "total worker-seconds spent" aggregates.  Note that summing
-            timers of **concurrently running** workers double-counts
-            wall-clock: four workers each busy for 10s merge to 40s of
-            ``point_seconds`` even though only ~10s elapsed.  That is a
-            feature (it measures compute), but it is *not* elapsed time.
-        ``"max"``
-            Cross-process wall-clock — keeps the slowest contributor per
-            timer, which is the elapsed-time semantics for overlapping
-            workers (the sweep is as slow as its slowest worker).  Use
-            this when merging per-worker recorders of one parallel
-            region into an elapsed-time view.
-
-        Monotonicity guarantee: each source timer is a sum of
-        non-negative monotonic-clock intervals, and both modes are
-        monotone non-decreasing in their inputs, so a merged timer can
-        never decrease below its previous value in this recorder.
+        Both add.  Summed timers of *concurrently running* workers count
+        worker-seconds, not elapsed time: four workers each busy for 10s
+        merge to 40s of ``point_seconds``.
         """
-        if timer_mode not in ("sum", "max"):
-            raise ValueError(
-                f"timer_mode must be 'sum' or 'max', got {timer_mode!r}"
-            )
         for name, value in other.counters.items():
             self.count(name, value)
         for name, value in other.timers.items():
-            if timer_mode == "max":
-                self.timers[name] = max(self.timers.get(name, 0.0), value)
-            else:
-                self.timers[name] = self.timers.get(name, 0.0) + value
+            self.timers[name] = self.timers.get(name, 0.0) + value
 
     def snapshot(self) -> dict[str, Any]:
         """Return a plain-dict snapshot (counters and timers, copied)."""
         return {"counters": dict(self.counters), "timers": dict(self.timers)}
-
-    def kernel_summary(self) -> dict[str, float]:
-        """Derived view of the placement-kernel instrumentation.
-
-        Returns scans, clones, scans-per-clone (the per-placement cost
-        the heap refactor collapses from O(p) toward O(log p)), and the
-        kernel wall-clock seconds.  Missing entries default to zero so
-        the summary is safe to call on any recorder.
-        """
-        scans = self.counters.get(COUNTER_PLACEMENT_SCANS, 0.0)
-        clones = self.counters.get(COUNTER_CLONES_PLACED, 0.0) + self.counters.get(
-            COUNTER_CLONES_PACKED, 0.0
-        )
-        return {
-            "placement_scans": scans,
-            "clones": clones,
-            "scans_per_clone": scans / clones if clones else 0.0,
-            "kernel_seconds": self.timers.get(TIMER_LIST_SCHEDULE, 0.0)
-            + self.timers.get(TIMER_PACK_VECTORS, 0.0),
-        }
-
-    def to_json_line(self, **extra: Any) -> str:
-        """Serialize one snapshot as a single JSON line.
-
-        Keyword arguments are merged into the top level (e.g. the
-        algorithm name, sweep-point coordinates, a timestamp).
-        """
-        payload = {**extra, **self.snapshot()}
-        return json.dumps(payload, sort_keys=True)
-
-    def write_json_line(self, path: str, **extra: Any) -> None:
-        """Append one :meth:`to_json_line` record to ``path``."""
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(self.to_json_line(**extra) + "\n")
 
     def __repr__(self) -> str:
         return (

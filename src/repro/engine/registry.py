@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Callable, Protocol
 from repro.exceptions import ConfigurationError
 from repro.engine.metrics import MetricsRecorder
 from repro.engine.result import ScheduleResult
+from repro.obs.names import SPAN_SCHEDULE
 
 if TYPE_CHECKING:  # pragma: no cover - imports for type checkers only
     from repro.core.cloning import CoordinatorPolicy
@@ -191,7 +192,7 @@ class RegisteredScheduler:
         # tracing disabled (the default) span() hands back a shared
         # no-op and the result is untouched.
         with current_tracer().span(
-            "schedule",
+            SPAN_SCHEDULE,
             algorithm=self.name,
             p=request.p,
             f=request.f,

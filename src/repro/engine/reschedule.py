@@ -33,17 +33,18 @@ from repro.core.reschedule import (
 )
 from repro.core.schedule import PhasedSchedule
 from repro.core.vector_packing import PlacementRule, SortKey
-from repro.engine.metrics import (
+from repro.engine.metrics import MetricsRecorder
+from repro.engine.registry import get_rescheduler, register_rescheduler
+from repro.engine.result import Instrumentation, ScheduleResult
+from repro.obs.names import (
     COUNTER_CLONES_MOVED,
     COUNTER_RESCHEDULES,
     COUNTER_SITES_DRAINED,
     COUNTER_SITES_RESIZED,
     COUNTER_SITES_RESTORED,
-    MetricsRecorder,
+    SPAN_RESCHEDULE,
     TIMER_RESCHEDULE,
 )
-from repro.engine.registry import get_rescheduler, register_rescheduler
-from repro.engine.result import Instrumentation, ScheduleResult
 
 __all__ = [
     "reschedule",
@@ -120,7 +121,7 @@ def reschedule(
     from repro.obs.tracer import current_tracer, span_to_dict
 
     with current_tracer().span(
-        "reschedule",
+        SPAN_RESCHEDULE,
         strategy=name,
         algorithm=prev_result.algorithm,
         phase=delta.phase_index,

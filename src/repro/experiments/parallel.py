@@ -55,13 +55,19 @@ from typing import Any
 
 from repro.exceptions import ConfigurationError
 from repro.core.cluster import ClusterSpec
-from repro.engine.metrics import (
-    COUNTER_POINT_STORE_HITS,
-    COUNTER_POINT_STORE_MISSES,
-    MetricsRecorder,
-)
+from repro.engine.metrics import MetricsRecorder
 from repro.engine.registry import get_algorithm
 from repro.cost.params import PAPER_PARAMETERS, SystemParameters
+from repro.obs.names import (
+    COUNTER_POINT_STORE_HITS,
+    COUNTER_POINT_STORE_MISSES,
+    COUNTER_POINTS_EVALUATED,
+    COUNTER_POINTS_RETRIED_INLINE,
+    SPAN_POINT,
+    SPAN_SWEEP,
+    TIMER_POINT_SECONDS,
+    TIMER_RUN,
+)
 from repro.obs.tracer import (
     Span,
     Tracer,
@@ -164,7 +170,7 @@ def _timed_traced(
     """
     tracer = Tracer(enabled=True)
     with use_tracer(tracer):
-        with tracer.span("point", index=index):
+        with tracer.span(SPAN_POINT, index=index):
             started = time.perf_counter()
             value = evaluate(point)
             seconds = time.perf_counter() - started
@@ -274,7 +280,7 @@ class ParallelRunner:
         keys: list[str | None] = [None] * len(points)
         span_dicts: list[list[dict] | None] = [None] * len(points)
         with tracer.span(
-            "sweep", points=len(points), workers=self.workers
+            SPAN_SWEEP, points=len(points), workers=self.workers
         ) as sweep_span:
             if self.store is not None:
                 for i, point in enumerate(points):
@@ -329,15 +335,15 @@ class ParallelRunner:
                 sweep_span.attributes["store_hits"] = hits
 
         if self.metrics is not None:
-            self.metrics.count("points_evaluated", len(pending))
+            self.metrics.count(COUNTER_POINTS_EVALUATED, len(pending))
             if self.store is not None:
                 self.metrics.count(COUNTER_POINT_STORE_HITS, hits)
                 self.metrics.count(COUNTER_POINT_STORE_MISSES, len(pending))
-            self.metrics.timers["point_seconds"] = self.metrics.timers.get(
-                "point_seconds", 0.0
+            self.metrics.timers[TIMER_POINT_SECONDS] = self.metrics.timers.get(
+                TIMER_POINT_SECONDS, 0.0
             ) + sum(seconds for _, seconds in pairs)  # type: ignore[misc]
-            self.metrics.timers["run"] = (
-                self.metrics.timers.get("run", 0.0)
+            self.metrics.timers[TIMER_RUN] = (
+                self.metrics.timers.get(TIMER_RUN, 0.0)
                 + time.perf_counter()
                 - started
             )
@@ -425,7 +431,7 @@ class ParallelRunner:
                 # front), so a retry that raises leaves the counter equal
                 # to the retries that actually finished.
                 if self.metrics is not None:
-                    self.metrics.count("points_retried_inline")
+                    self.metrics.count(COUNTER_POINTS_RETRIED_INLINE)
 
     def __repr__(self) -> str:
         return f"ParallelRunner(workers={self.workers})"

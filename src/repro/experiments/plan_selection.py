@@ -38,7 +38,9 @@ from repro.core.granularity import CommunicationModel
 from repro.core.resource_model import OverlapModel
 from repro.core.tree_schedule import TreeScheduleResult
 from repro.cost.params import SystemParameters
-from repro.engine.metrics import (
+from repro.engine.metrics import MetricsRecorder
+from repro.experiments.parallel import ParallelRunner
+from repro.obs.names import (
     COUNTER_PLAN_STORE_HITS,
     COUNTER_PLAN_STORE_MISSES,
     COUNTER_PLANS_DEDUPED,
@@ -46,9 +48,8 @@ from repro.engine.metrics import (
     COUNTER_PLANS_SCORED,
     COUNTER_POINT_STORE_HITS,
     COUNTER_POINT_STORE_MISSES,
-    MetricsRecorder,
+    SPAN_PLAN_SEARCH,
 )
-from repro.experiments.parallel import ParallelRunner
 from repro.obs.tracer import current_tracer
 from repro.plans.join_tree import PlanNode, random_bushy_plan
 from repro.plans.query_graph import QueryGraph
@@ -181,7 +182,7 @@ def select_best_plan(
     runner = ParallelRunner(workers, metrics=runner_rec, store=store)
     resolved_store = resolve_store(store)
 
-    with current_tracer().span("plan_search", p=p, f=f, k=k, workers=workers):
+    with current_tracer().span(SPAN_PLAN_SEARCH, p=p, f=f, k=k, workers=workers):
         unique: list[tuple[str, PlanNode]] = []
         seen: set[str] = set()
         for _ in range(k):

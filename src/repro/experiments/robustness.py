@@ -27,17 +27,14 @@ import math
 from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
-from repro.engine.metrics import (
-    COUNTER_FAULTS_INJECTED,
-    COUNTER_WORK_RERUN,
-    MetricsRecorder,
-)
+from repro.engine.metrics import MetricsRecorder
 from repro.engine.result import ScheduleResult
 from repro.cost.params import PAPER_PARAMETERS, SystemParameters
 from repro.experiments.config import PAPER_CONFIG, ExperimentConfig
 from repro.experiments.figures import FigureData, Series
 from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import prepare_workload, schedule_query
+from repro.obs.names import COUNTER_FAULTS_INJECTED, COUNTER_WORK_RERUN
 from repro.sim.faults import FaultPlan, FaultSpec
 from repro.sim.policies import SharingPolicy
 from repro.sim.simulator import SimulationResult, simulate_phased

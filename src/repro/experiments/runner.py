@@ -31,16 +31,13 @@ from collections import OrderedDict
 from collections.abc import Iterator, Sequence
 
 from repro.exceptions import ConfigurationError
-from repro.engine.metrics import (
-    COUNTER_STORE_HITS,
-    COUNTER_STORE_MISSES,
-    MetricsRecorder,
-)
+from repro.engine.metrics import MetricsRecorder
 from repro.core.cluster import ClusterSpec
 from repro.engine.registry import ScheduleRequest, available_algorithms, get_algorithm
 from repro.engine.result import ScheduleResult
 from repro.cost.annotate import AnnotatedQuery, PlanAnnotation, compute_plan_annotation
 from repro.cost.params import PAPER_PARAMETERS, SystemParameters
+from repro.obs.names import COUNTER_STORE_HITS, COUNTER_STORE_MISSES
 from repro.plans.generator import GeneratedQuery, generate_workload
 from repro.store import KIND_ANNOTATION, KIND_RESULT, ArtifactStore, resolve_store
 

@@ -1,7 +1,7 @@
 """Observability: hierarchical span tracing, trace export, run manifests.
 
-The subsystem has four pieces (see DESIGN.md §2.5 for the span
-vocabulary and the trace-format mapping):
+The subsystem has these pieces (see DESIGN.md §2.5 for the span
+attributes and the trace-format mapping):
 
 :mod:`repro.obs.tracer`
     :class:`Tracer` / :class:`Span` — contextvar-parented, monotonic-
@@ -9,6 +9,10 @@ vocabulary and the trace-format mapping):
     the ambient-tracer hooks (:func:`current_tracer` / :func:`use_tracer`)
     the rest of the stack consults, and the relative-offset span
     serialization behind cross-process stitching.
+:mod:`repro.obs.names`
+    The vocabulary: every counter, timer, span and instant name the
+    program records, declared once with its kind, plus the derived
+    ``KNOWN_*`` sets and the ``unknown_*`` checks over recorded output.
 :mod:`repro.obs.export`
     Chrome trace-event / Perfetto JSON export of span forests, and the
     :func:`validate_trace_events` schema check.
@@ -31,14 +35,10 @@ engine/sim/core types appear solely behind ``TYPE_CHECKING``.
 """
 
 from repro.obs.export import (
-    KNOWN_INSTANT_NAMES,
-    KNOWN_SPAN_NAMES,
     TRACE_EVENT_PHASES,
     span_events,
     trace_payload,
     tracer_events,
-    unknown_instant_names,
-    unknown_span_names,
     validate_trace_events,
     write_trace,
 )
@@ -47,6 +47,12 @@ from repro.obs.metrics_stream import (
     LogBucketSketch,
     TimeSeriesRegistry,
     validate_metrics_payload,
+)
+from repro.obs.names import (
+    KNOWN_INSTANT_NAMES,
+    KNOWN_SPAN_NAMES,
+    unknown_instant_names,
+    unknown_span_names,
 )
 from repro.obs.session import (
     EVENTS_FILE,

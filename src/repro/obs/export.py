@@ -33,10 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "TRACE_EVENT_PHASES",
-    "KNOWN_SPAN_NAMES",
-    "KNOWN_INSTANT_NAMES",
-    "unknown_span_names",
-    "unknown_instant_names",
     "duration_event",
     "instant_event",
     "counter_event",
@@ -51,110 +47,6 @@ __all__ = [
 
 #: Event phases this exporter emits (a subset of the format).
 TRACE_EVENT_PHASES = ("X", "M", "C", "i")
-
-#: The span-name vocabulary (DESIGN.md §2.5 table).  Span names are
-#: recorded as plain strings at the emitting sites, so — exactly like the
-#: metric vocabulary in :mod:`repro.engine.metrics` — a typo silently
-#: creates a lane nobody looks for; :func:`unknown_span_names` is the
-#: check validators run against recorded span trees.
-KNOWN_SPAN_NAMES = frozenset(
-    {
-        # engine / kernels
-        "schedule",
-        "tree_schedule",
-        "phase_decomposition",
-        "shelf",
-        "degree_selection",
-        "pack",
-        "list_placement",
-        "pack_vectors",
-        # simulator
-        "simulate_phased",
-        "simulate_phase",
-        # parallel runner
-        "sweep",
-        "point",
-        # incremental repair
-        "reschedule",
-        "reschedule_repair",
-        # elastic capacity change applied to a serve pool or schedule
-        "capacity_change",
-        # schedule-aware plan search
-        "plan_search",
-        "plan_enumerate",
-        "plan_screen",
-        "plan_score",
-        # online scheduler service
-        "serve",
-        "serve_admit",
-        "serve_place",
-        "serve_complete",
-    }
-)
-
-#: The instant-event (``ph:"i"``) name vocabulary: fault injections from
-#: the simulator timeline and SLO breaches from the serve telemetry.
-#: Per-clone fault instants are parameterized ("straggler q0#2",
-#: "skew q1#0"); :func:`unknown_instant_names` matches those by prefix.
-KNOWN_INSTANT_NAMES = frozenset(
-    {
-        "slowdown",
-        "site failure",
-        "slo_breach",
-    }
-)
-
-#: Prefixes of parameterized instant names (clone label appended).
-_INSTANT_NAME_PREFIXES = ("straggler ", "skew ")
-
-
-def unknown_instant_names(events: Any) -> set[str]:
-    """Instant-event names outside the known vocabulary.
-
-    Accepts an iterable of trace events (or a ``{"traceEvents": ...}``
-    payload) and checks every ``ph:"i"`` event's name against
-    :data:`KNOWN_INSTANT_NAMES` plus the parameterized fault prefixes —
-    the same typo-catching check :func:`unknown_span_names` gives spans.
-    """
-    if isinstance(events, dict):
-        events = events.get("traceEvents", ())
-    unknown: set[str] = set()
-    for event in events:
-        if not isinstance(event, dict) or event.get("ph") != "i":
-            continue
-        name = event.get("name")
-        if not isinstance(name, str):
-            continue
-        if name in KNOWN_INSTANT_NAMES:
-            continue
-        if name.startswith(_INSTANT_NAME_PREFIXES):
-            continue
-        unknown.add(name)
-    return unknown
-
-
-def unknown_span_names(spans: Any) -> set[str]:
-    """Span names outside :data:`KNOWN_SPAN_NAMES`, recursively.
-
-    Accepts an iterable of span dicts (the relative-offset form of
-    :func:`repro.obs.tracer.span_to_dict`, as carried by
-    ``ScheduleResult.instrumentation.spans``) and walks their children.
-    """
-    unknown: set[str] = set()
-
-    def visit(span_dict: Any) -> None:
-        if not isinstance(span_dict, dict):
-            return
-        name = span_dict.get("name")
-        if isinstance(name, str) and name not in KNOWN_SPAN_NAMES:
-            unknown.add(name)
-        for child in span_dict.get("children", ()):
-            visit(child)
-
-    for span_dict in spans:
-        visit(span_dict)
-    return unknown
-
 
 _MICROS = 1e6
 

@@ -42,6 +42,12 @@ from repro.obs.export import (
     process_name_event,
     thread_name_event,
 )
+from repro.obs.names import (
+    INSTANT_SITE_FAILURE,
+    INSTANT_SKEW,
+    INSTANT_SLOWDOWN,
+    INSTANT_STRAGGLER,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.result import ScheduleResult
@@ -75,7 +81,7 @@ def _fault_instants(
     if faults.slowdown is not None:
         events.append(
             instant_event(
-                "slowdown",
+                INSTANT_SLOWDOWN,
                 at=phase_start,
                 pid=pid,
                 tid=tid,
@@ -87,7 +93,7 @@ def _fault_instants(
         if delay:
             events.append(
                 instant_event(
-                    f"straggler {label}",
+                    INSTANT_STRAGGLER + label,
                     at=phase_start + delay,
                     pid=pid,
                     tid=tid,
@@ -98,7 +104,7 @@ def _fault_instants(
         if multipliers is not None:
             events.append(
                 instant_event(
-                    f"skew {label}",
+                    INSTANT_SKEW + label,
                     at=phase_start,
                     pid=pid,
                     tid=tid,
@@ -108,7 +114,7 @@ def _fault_instants(
     if faults.fail_at is not None:
         events.append(
             instant_event(
-                "site failure",
+                INSTANT_SITE_FAILURE,
                 at=phase_start + faults.fail_at,
                 pid=pid,
                 tid=tid,

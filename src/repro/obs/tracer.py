@@ -29,7 +29,8 @@ Design constraints, in order:
 The tracer *absorbs* the historical :class:`MetricsRecorder` as its
 counter/timer backend: ``tracer.count(...)`` and ``tracer.timer(...)``
 delegate to :attr:`Tracer.metrics`, so call sites that only have a tracer
-still feed the same counter vocabulary the kernels use.
+still feed the same counter vocabulary (:mod:`repro.obs.names`) the
+kernels use.
 
 Ambient activation
 ------------------
@@ -70,7 +71,7 @@ class Span:
     Attributes
     ----------
     name:
-        Span vocabulary name (see DESIGN.md §2.5 for the table).
+        Span name, declared in :mod:`repro.obs.names`.
     start:
         :func:`time.perf_counter` value at entry (monotonic; comparable
         only to other spans recorded in the same process).

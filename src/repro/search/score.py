@@ -35,6 +35,7 @@ from repro.cost.annotate import annotate_plan
 from repro.cost.params import SystemParameters
 from repro.engine.result import ScheduleResult
 from repro.exceptions import ConfigurationError
+from repro.obs.names import SPAN_PLAN_SCORE
 from repro.obs.tracer import current_tracer
 from repro.plans.join_tree import PlanNode
 from repro.plans.operator_tree import expand_plan
@@ -147,7 +148,7 @@ def evaluate_candidate(point: CandidatePoint) -> dict[str, float]:
     pools and for content-addressed memoization.  The returned dict is
     plain JSON data (the store persists it verbatim).
     """
-    with current_tracer().span("plan_score", p=point.p, shelf=point.shelf):
+    with current_tracer().span(SPAN_PLAN_SCORE, p=point.p, shelf=point.shelf):
         result = _schedule_point(point)
         total = result.total_work()
         return {

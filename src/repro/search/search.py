@@ -42,7 +42,11 @@ from repro.core.cluster import ClusterSpec
 from repro.core.granularity import CommunicationModel
 from repro.core.resource_model import ConvexCombinationOverlap, OverlapModel
 from repro.cost.params import PAPER_PARAMETERS, SystemParameters
-from repro.engine.metrics import (
+from repro.engine.metrics import MetricsRecorder
+from repro.engine.result import ScheduleResult
+from repro.exceptions import ConfigurationError
+from repro.experiments.parallel import ParallelRunner
+from repro.obs.names import (
     COUNTER_PLAN_STORE_HITS,
     COUNTER_PLAN_STORE_MISSES,
     COUNTER_PLANS_DEDUPED,
@@ -51,12 +55,11 @@ from repro.engine.metrics import (
     COUNTER_PLANS_SCORED,
     COUNTER_POINT_STORE_HITS,
     COUNTER_POINT_STORE_MISSES,
+    SPAN_PLAN_ENUMERATE,
+    SPAN_PLAN_SCREEN,
+    SPAN_PLAN_SEARCH,
     TIMER_PLAN_SEARCH,
-    MetricsRecorder,
 )
-from repro.engine.result import ScheduleResult
-from repro.exceptions import ConfigurationError
-from repro.experiments.parallel import ParallelRunner
 from repro.obs.tracer import current_tracer
 from repro.plans.join_tree import PlanNode
 from repro.plans.query_graph import QueryGraph
@@ -293,7 +296,7 @@ def search_plans(
         if not fresh:
             return
         if prune:
-            with current_tracer().span("plan_screen", candidates=len(fresh)):
+            with current_tracer().span(SPAN_PLAN_SCREEN, candidates=len(fresh)):
                 bounds = candidate_lower_bounds([plan for _, plan in fresh], ctx)
             order = sorted(
                 ((lb, key, plan) for (key, plan), lb in zip(fresh, bounds)),
@@ -333,12 +336,12 @@ def search_plans(
                     state["incumbent"] = entry.response_time
 
     with current_tracer().span(
-        "plan_search", p=p, f=f, workers=workers, pareto=pareto
+        SPAN_PLAN_SEARCH, p=p, f=f, workers=workers, pareto=pareto
     ):
         space = count_exhaustive_plans(graph, limit=max_exhaustive)
         exhaustive = space <= max_exhaustive
         with current_tracer().span(
-            "plan_enumerate", exhaustive=exhaustive, space=space
+            SPAN_PLAN_ENUMERATE, exhaustive=exhaustive, space=space
         ):
             if exhaustive:
                 initial = enumerate_exhaustive_plans(

@@ -32,6 +32,7 @@ from repro.core.schedule import Schedule
 from repro.core.vector_packing import CloneItem, PlacementRule, SortKey
 from repro.core.work_vector import WorkVector
 from repro.engine.registry import get_rescheduler
+from repro.obs.names import COUNTER_SITES_RESIZED, SPAN_CAPACITY_CHANGE
 from repro.obs.tracer import current_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -193,7 +194,7 @@ class SitePool:
         # Delta construction validates the capacity value itself.
         delta = ScheduleDelta(set_capacities=((site_index, float(capacity)),))
         with current_tracer().span(
-            "capacity_change", site=site_index, capacity=float(capacity)
+            SPAN_CAPACITY_CHANGE, site=site_index, capacity=float(capacity)
         ):
             if self._schedule is None:
                 caps = list(self.capacities or (1.0,) * self.p)
@@ -202,7 +203,7 @@ class SitePool:
                 # The repair path counts resizes itself; this pre-install
                 # branch never reaches it, so keep the counter whole here.
                 if self.metrics is not None:
-                    self.metrics.count("sites_resized")
+                    self.metrics.count(COUNTER_SITES_RESIZED)
             else:
                 self._repair(delta)
         self.resizes += 1

@@ -40,16 +40,20 @@ from repro.core.cluster import ClusterSpec
 from repro.core.resource_model import ConvexCombinationOverlap
 from repro.core.work_vector import WorkVector
 from repro.cost.params import PAPER_PARAMETERS, SystemParameters
-from repro.engine.metrics import (
+from repro.engine.metrics import MetricsRecorder
+from repro.engine.result import ScheduleResult
+from repro.obs.names import (
     COUNTER_QUERIES_ADMITTED,
     COUNTER_QUERIES_COMPLETED,
     COUNTER_QUERIES_DEFERRED,
     COUNTER_QUERIES_OFFERED,
     COUNTER_QUERIES_SHED,
+    SPAN_SERVE,
+    SPAN_SERVE_ADMIT,
+    SPAN_SERVE_COMPLETE,
+    SPAN_SERVE_PLACE,
     TIMER_SERVE,
-    MetricsRecorder,
 )
-from repro.engine.result import ScheduleResult
 from repro.obs.tracer import current_tracer
 from repro.serve.admission import (
     AdmissionConfig,
@@ -395,7 +399,7 @@ class SchedulerService:
         future = loop.create_future()
         self._futures[job.job_id] = future
         with current_tracer().span(
-            "serve_admit", job=job.job_id, slo=job.slo.value
+            SPAN_SERVE_ADMIT, job=job.job_id, slo=job.slo.value
         ) as span:
             decision = self.admission.submit(job)
             if span is not None:
@@ -498,7 +502,7 @@ class SchedulerService:
             pressure = self.admission.queued + self.executor.running_count
             degree = self.governor.degree(pressure)
             with current_tracer().span(
-                "serve_place", job=job.job_id, degree=degree
+                SPAN_SERVE_PLACE, job=job.job_id, degree=degree
             ) as span:
                 result = self._schedule_template(job.template, degree)
                 loads = self._footprint(result)
@@ -526,7 +530,7 @@ class SchedulerService:
     # ------------------------------------------------------------------
     def _on_complete(self, name: str, finished_at: float) -> None:
         job_id = int(name[1:])
-        with current_tracer().span("serve_complete", job=job_id):
+        with current_tracer().span(SPAN_SERVE_COMPLETE, job=job_id):
             self.pool.retire(name)
         self.metrics.count(COUNTER_QUERIES_COMPLETED)
         record = self.records[job_id]
@@ -607,7 +611,7 @@ class SchedulerService:
         self._capacity_event = asyncio.Event()
         self.admission.on_available = self._queue_event.set
         with current_tracer().span(
-            "serve",
+            SPAN_SERVE,
             algorithm=self.config.algorithm,
             p=self.config.p,
             arrival=self.config.workload.arrival.value,

@@ -33,8 +33,9 @@ trace event in the fleet timeline) and bumps the service recorder's
 ``slo_breaches`` counter.
 
 **The fleet timeline** accumulates per-site residency intervals (which
-query occupied which site, when) plus the sampled counter tracks, and
-:meth:`ServiceTelemetry.timeline_events` renders them through
+query occupied which site, when);
+:meth:`ServiceTelemetry.timeline_events` renders them, plus counter
+tracks read back from the registry's gauge series, through
 :func:`repro.obs.timeline.fleet_events` for merging into a
 :class:`~repro.obs.session.TraceSession`'s ``trace.json``.
 
@@ -54,7 +55,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.exceptions import ConfigurationError
-from repro.engine.metrics import (
+from repro.obs.metrics_stream import TimeSeriesRegistry
+from repro.obs.names import (
     COUNTER_QUERIES_ADMITTED,
     COUNTER_QUERIES_COMPLETED,
     COUNTER_QUERIES_DEFERRED,
@@ -62,9 +64,9 @@ from repro.engine.metrics import (
     COUNTER_QUERIES_SHED,
     COUNTER_SLO_BREACHES,
     COUNTER_TELEMETRY_SAMPLES,
+    INSTANT_SLO_BREACH,
     TIMER_TELEMETRY,
 )
-from repro.obs.metrics_stream import TimeSeriesRegistry
 from repro.obs.timeline import fleet_events
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -74,10 +76,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.governor import DegreeGovernor
     from repro.serve.pool import SitePool
 
-__all__ = ["SLOTarget", "TelemetryConfig", "ServiceTelemetry", "INSTANT_SLO_BREACH"]
-
-#: Instant-event name of an SLO miss in the fleet timeline.
-INSTANT_SLO_BREACH = "slo_breach"
+__all__ = ["SLOTarget", "TelemetryConfig", "ServiceTelemetry"]
 
 #: The service's SLO classes (:class:`repro.serve.workload.SLOClass`
 #: values; plain strings here so this module stays hook-shaped).
@@ -188,12 +187,6 @@ class ServiceTelemetry:
         self._open: dict[str, tuple[float, tuple[int, ...], dict[str, Any]]] = {}
         self._residencies: list[tuple[str, int, float, float, dict[str, Any]]] = []
         self._instants: list[tuple[str, float, dict[str, Any]]] = []
-        self._tracks: dict[str, list[tuple[float, dict[str, float]]]] = {
-            "queue depth": [],
-            "pool utilization": [],
-            "pool residents": [],
-            "governor": [],
-        }
 
         # SLO monitor state.
         self.breaches: list[dict[str, Any]] = []
@@ -290,6 +283,21 @@ class ServiceTelemetry:
         self._h_gap = reg.histogram(
             "serve_completion_gap_seconds", "virtual time between completions"
         )
+        # The fleet timeline's counter tracks (track -> {key: gauge}),
+        # read back from the gauges' sample series at export.
+        self._fleet_tracks = {
+            "queue depth": {
+                "latency": self._g_queue_latency,
+                "batch": self._g_queue_batch,
+                "parked": self._g_queue_parked,
+            },
+            "pool utilization": {"utilization": self._g_utilization},
+            "pool residents": {
+                "occupied_sites": self._g_occupied,
+                "resident_queries": self._g_residents,
+            },
+            "governor": {"pressure": self._g_pressure, "degree": self._g_degree},
+        }
 
     # ------------------------------------------------------------------
     # Service hooks (called from the placement / completion paths)
@@ -392,37 +400,6 @@ class ServiceTelemetry:
                 self._g_burn[cls].set(self.burn_rate(cls))
             for counter_name, mirror in self._c_mirrors.items():
                 mirror.set_total(counters.get(counter_name, 0.0))
-            self._tracks["queue depth"].append(
-                (
-                    now,
-                    {
-                        "latency": float(self.admission.queued_latency),
-                        "batch": float(self.admission.queued_batch),
-                        "parked": float(self.admission.parked),
-                    },
-                )
-            )
-            self._tracks["pool utilization"].append(
-                (now, {"utilization": utilization})
-            )
-            self._tracks["pool residents"].append(
-                (
-                    now,
-                    {
-                        "occupied_sites": occupancy["occupied_sites"],
-                        "resident_queries": occupancy["resident_queries"],
-                    },
-                )
-            )
-            self._tracks["governor"].append(
-                (
-                    now,
-                    {
-                        "pressure": float(self.governor.last_pressure),
-                        "degree": float(self.governor.last_degree),
-                    },
-                )
-            )
             self.registry.sample(now)
 
     async def run(self) -> None:
@@ -466,5 +443,17 @@ class ServiceTelemetry:
     # Export
     # ------------------------------------------------------------------
     def timeline_events(self) -> list[dict[str, Any]]:
-        """The fleet timeline: site lanes + counter tracks + breaches."""
-        return fleet_events(self._residencies, self._tracks, self._instants)
+        """The fleet timeline: site lanes + counter tracks + breaches.
+
+        Each counter track holds its gauges' sampled values, so the
+        trace and the metrics stream agree at every sample time.
+        """
+        tracks = {}
+        for track, gauges in self._fleet_tracks.items():
+            series = {key: self.registry.series(g.name) for key, g in gauges.items()}
+            first = next(iter(series.values()))
+            tracks[track] = [
+                (record["t"], {key: s[i]["value"] for key, s in series.items()})
+                for i, record in enumerate(first)
+            ]
+        return fleet_events(self._residencies, tracks, self._instants)

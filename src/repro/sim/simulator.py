@@ -42,6 +42,7 @@ from repro.core.resource_model import ConvexCombinationOverlap
 from repro.core.schedule import PhasedSchedule, Schedule
 from repro.core.site import Site
 from repro.core.work_vector import WorkVector
+from repro.obs.names import SPAN_SIMULATE_PHASE, SPAN_SIMULATE_PHASED
 from repro.obs.tracer import current_tracer
 from repro.sim.events import CloneTrace, RateInterval
 from repro.sim.faults import FaultPlan, FaultReport, SiteFaults
@@ -787,7 +788,7 @@ def simulate_phased(
     tracer = current_tracer()
     faulted = plan is not None
     with tracer.span(
-        "simulate_phased",
+        SPAN_SIMULATE_PHASED,
         policy=policy.value,
         num_phases=phased.num_phases,
         faulted=faulted,
@@ -795,7 +796,7 @@ def simulate_phased(
         report = None if plan is None else FaultReport.from_counts(plan.counts())
         phases = []
         for k, schedule in enumerate(phased.phases):
-            with tracer.span("simulate_phase", index=k) as phase_span:
+            with tracer.span(SPAN_SIMULATE_PHASE, index=k) as phase_span:
                 if plan is None:
                     phase = simulate_schedule(schedule, policy)
                 else:

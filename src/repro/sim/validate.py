@@ -112,11 +112,9 @@ def validate_schedule_result(
     None``) have nothing to simulate and return ``None``.
 
     Additionally warns (``UserWarning``) when the result's
-    instrumentation references counter or timer names outside the
-    vocabulary of :mod:`repro.engine.metrics` — the kernels in
-    ``repro.core`` record metrics through duck-typed *strings*, so a
-    typo there silently creates a counter nobody reads, and this check
-    is where it surfaces.
+    instrumentation references counter, timer or span names outside the
+    vocabulary of :mod:`repro.obs.names` — a deserialized result may
+    come from another version of the program.
 
     Raises
     ------
@@ -125,7 +123,7 @@ def validate_schedule_result(
     SimulationError
         On analytic/simulated disagreement beyond ``rel_tolerance``.
     """
-    from repro.engine.metrics import unknown_metric_names
+    from repro.obs.names import unknown_metric_names, unknown_span_names
 
     unknown = unknown_metric_names(
         result.instrumentation.counters, result.instrumentation.timers
@@ -134,12 +132,10 @@ def validate_schedule_result(
         warnings.warn(
             f"{result.algorithm or 'schedule'}: instrumentation references "
             f"metric names outside the known vocabulary: {sorted(unknown)} "
-            "(typo'd counter string in a kernel?)",
+            "(written by another version?)",
             stacklevel=2,
         )
     if result.instrumentation.spans:
-        from repro.obs.export import unknown_span_names
-
         unknown_spans = unknown_span_names(result.instrumentation.spans)
         if unknown_spans:
             warnings.warn(

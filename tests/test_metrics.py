@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 from repro.engine import MetricsRecorder
 
 
@@ -62,26 +60,6 @@ class TestMergeAndExport:
         snap["counters"]["n"] = 99.0
         assert m.counters["n"] == 1.0
 
-    def test_to_json_line(self):
-        m = MetricsRecorder()
-        m.count("points", 3)
-        line = m.to_json_line(algorithm="treeschedule", p=16)
-        payload = json.loads(line)
-        assert payload["algorithm"] == "treeschedule"
-        assert payload["p"] == 16
-        assert payload["counters"] == {"points": 3.0}
-        assert "\n" not in line
-
-    def test_write_json_line_appends(self, tmp_path):
-        path = tmp_path / "metrics.jsonl"
-        m = MetricsRecorder()
-        m.count("n")
-        m.write_json_line(str(path), run=1)
-        m.write_json_line(str(path), run=2)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        assert json.loads(lines[1])["run"] == 2
-
     def test_repr(self):
         m = MetricsRecorder()
         m.count("n")
@@ -111,7 +89,7 @@ class TestKernelInstrumentation:
         return m, n
 
     def test_pack_vectors_records_counters_and_timer(self):
-        from repro.engine.metrics import (
+        from repro.obs.names import (
             COUNTER_CLONES_PACKED,
             COUNTER_PLACEMENT_SCANS,
             TIMER_PACK_VECTORS,
@@ -124,7 +102,7 @@ class TestKernelInstrumentation:
 
     def test_heap_scans_far_below_linear_rescan(self):
         """The lazy heap examines far fewer entries than n*p."""
-        from repro.engine.metrics import COUNTER_PLACEMENT_SCANS
+        from repro.obs.names import COUNTER_PLACEMENT_SCANS
 
         n, p = 200, 32
         m, _ = self._packed_recorder(n=n, p=p)
@@ -135,7 +113,7 @@ class TestKernelInstrumentation:
 
         from repro import ConvexCombinationOverlap, OperatorSpec, WorkVector, operator_schedule
         from repro.core.granularity import CommunicationModel
-        from repro.engine.metrics import (
+        from repro.obs.names import (
             COUNTER_CLONES_PLACED,
             COUNTER_PLACEMENT_SCANS,
             TIMER_LIST_SCHEDULE,
@@ -162,23 +140,6 @@ class TestKernelInstrumentation:
         assert m.counters[COUNTER_PLACEMENT_SCANS] > 0
         assert m.timers[TIMER_LIST_SCHEDULE] >= 0.0
 
-    def test_kernel_summary(self):
-        m, n = self._packed_recorder()
-        summary = m.kernel_summary()
-        assert summary["clones"] == n
-        assert summary["placement_scans"] == m.counters["placement_scans"]
-        assert summary["scans_per_clone"] > 0.0
-        assert summary["kernel_seconds"] > 0.0
-
-    def test_kernel_summary_empty_recorder(self):
-        summary = MetricsRecorder().kernel_summary()
-        assert summary == {
-            "placement_scans": 0.0,
-            "clones": 0.0,
-            "scans_per_clone": 0.0,
-            "kernel_seconds": 0.0,
-        }
-
 
 class TestMergeTimerModes:
     def _pair(self):
@@ -193,35 +154,13 @@ class TestMergeTimerModes:
 
     def test_sum_mode_is_additive(self):
         a, b = self._pair()
-        a.merge(b, timer_mode="sum")
+        a.merge(b)
         assert a.timers == {"t": 1.25, "u": 0.1}
-
-    def test_max_mode_keeps_slowest_contributor(self):
-        """Cross-process wall-clock semantics: overlapping workers'
-        elapsed times must not be double-counted."""
-        a, b = self._pair()
-        a.merge(b, timer_mode="max")
-        assert a.timers == {"t": 0.75, "u": 0.1}
-
-    def test_counters_add_in_both_modes(self):
-        for mode in ("sum", "max"):
-            a, b = self._pair()
-            a.merge(b, timer_mode=mode)
-            assert a.counters == {"n": 3.0}
-
-    def test_unknown_mode_rejected(self):
-        a, b = self._pair()
-        import pytest
-
-        with pytest.raises(ValueError, match="timer_mode"):
-            a.merge(b, timer_mode="median")
-        # A rejected merge must not have half-applied the counters.
-        assert a.counters == {"n": 1.0}
 
 
 class TestMetricVocabulary:
     def test_known_names_pass(self):
-        from repro.engine.metrics import unknown_metric_names
+        from repro.obs.names import unknown_metric_names
 
         m = MetricsRecorder()
         m.count("clones_placed")
@@ -231,7 +170,7 @@ class TestMetricVocabulary:
         assert unknown_metric_names(m.counters, m.timers) == set()
 
     def test_typo_surfaces(self):
-        from repro.engine.metrics import unknown_metric_names
+        from repro.obs.names import unknown_metric_names
 
         m = MetricsRecorder()
         m.count("clones_plcaed")  # the typo this check exists for
@@ -240,18 +179,17 @@ class TestMetricVocabulary:
         assert unknown_metric_names(m.counters, m.timers) == {"clones_plcaed"}
 
     def test_accepts_bare_iterables(self):
-        from repro.engine.metrics import unknown_metric_names
+        from repro.obs.names import unknown_metric_names
 
         assert unknown_metric_names(["phases"], ["run"]) == set()
         assert unknown_metric_names((), ("mystery",)) == {"mystery"}
 
     def test_kernel_constants_are_in_vocabulary(self):
-        from repro.engine import metrics
+        from repro.obs import names
 
-        names = {
+        constants = {
             value
-            for key, value in vars(metrics).items()
+            for key, value in vars(names).items()
             if key.startswith(("COUNTER_", "TIMER_")) and isinstance(value, str)
         }
-        known = metrics.KNOWN_COUNTER_NAMES | metrics.KNOWN_TIMER_NAMES
-        assert names <= known
+        assert constants == names.KNOWN_COUNTER_NAMES | names.KNOWN_TIMER_NAMES

@@ -372,12 +372,12 @@ class TestScheduleResultTimeline:
 
 class TestSpanVocabulary:
     def test_known_names_include_search_spans(self):
-        from repro.obs.export import KNOWN_SPAN_NAMES
+        from repro.obs.names import KNOWN_SPAN_NAMES
 
         assert {"plan_search", "plan_enumerate", "plan_screen", "plan_score"} <= KNOWN_SPAN_NAMES
 
     def test_unknown_span_names_walks_children(self):
-        from repro.obs.export import unknown_span_names
+        from repro.obs.names import unknown_span_names
 
         spans = [
             {"name": "plan_search", "children": [
@@ -390,9 +390,79 @@ class TestSpanVocabulary:
         assert unknown_span_names(spans) == {"bogus_inner", "bogus_outer"}
 
     def test_unknown_span_names_empty_for_clean_tree(self):
-        from repro.obs.export import unknown_span_names
+        from repro.obs.names import unknown_span_names
 
         assert unknown_span_names([{"name": "schedule", "children": [{"name": "shelf"}]}]) == set()
+
+    @staticmethod
+    def _traced_search():
+        from repro import Catalog, QueryGraph, Relation
+        from repro.engine import MetricsRecorder
+        from repro.search import search_plans
+        from repro.store import NO_STORE
+
+        graph = QueryGraph(["A", "B", "C", "D"], [("A", "B"), ("B", "C"), ("C", "D")])
+        catalog = Catalog(
+            [Relation(n, t) for n, t in zip("ABCD", (50_000, 800, 12_000, 3_000))]
+        )
+        recorder = MetricsRecorder()
+        result = search_plans(graph, catalog, p=8, store=NO_STORE, metrics=recorder)
+        instrumentation = result.schedule.instrumentation
+        return (
+            {**recorder.counters, **instrumentation.counters},
+            {**recorder.timers, **instrumentation.timers},
+            [],
+        )
+
+    @staticmethod
+    def _traced_serve():
+        pytest.importorskip("numpy", exc_type=ImportError)
+        from repro.serve import (
+            GovernorConfig,
+            SchedulerService,
+            ServeConfig,
+            TelemetryConfig,
+            WorkloadSpec,
+        )
+
+        service = SchedulerService(
+            ServeConfig(
+                p=20,
+                f=0.1,
+                max_coresident=3,
+                workload=WorkloadSpec(
+                    duration=150.0, rate=0.15, seed=42, template_pool=4, query_sizes=(4, 6)
+                ),
+                governor=GovernorConfig(max_degree=8, min_degree=1, pressure_step=4),
+                telemetry=TelemetryConfig(),
+            )
+        )
+        service.run()
+        return (
+            service.metrics.counters,
+            service.metrics.timers,
+            service.telemetry.timeline_events(),
+        )
+
+    @pytest.mark.parametrize("run", ["search", "serve"])
+    def test_traced_runs_record_only_declared_names(self, run):
+        from repro.obs.names import (
+            unknown_instant_names,
+            unknown_metric_names,
+            unknown_span_names,
+        )
+        from repro.obs.tracer import span_to_dict, use_tracer
+
+        tracer = Tracer()
+        with use_tracer(tracer):
+            counters, timers, events = (
+                self._traced_search() if run == "search" else self._traced_serve()
+            )
+        spans = [span_to_dict(root) for root in tracer.roots]
+        assert spans and counters and timers
+        assert unknown_span_names(spans) == set()
+        assert unknown_metric_names(counters, timers) == set()
+        assert unknown_instant_names(tracer_events(tracer) + events) == set()
 
 
 class TestCounterTrackValidation:
@@ -424,12 +494,12 @@ class TestCounterTrackValidation:
 
 class TestInstantVocabulary:
     def test_known_instants_cover_fault_and_slo_names(self):
-        from repro.obs.export import KNOWN_INSTANT_NAMES
+        from repro.obs.names import KNOWN_INSTANT_NAMES
 
         assert {"slowdown", "site failure", "slo_breach"} <= KNOWN_INSTANT_NAMES
 
     def test_unknown_instant_names_accepts_both_containers(self):
-        from repro.obs.export import unknown_instant_names
+        from repro.obs.names import unknown_instant_names
 
         events = [
             instant_event("slo_breach", at=0.0, pid=0, tid=0),
@@ -443,7 +513,7 @@ class TestInstantVocabulary:
         assert unknown_instant_names({"traceEvents": events}) == {"totally bogus"}
 
     def test_clean_payload_has_no_unknown_instants(self):
-        from repro.obs.export import unknown_instant_names
+        from repro.obs.names import unknown_instant_names
 
         assert unknown_instant_names([]) == set()
 

@@ -571,7 +571,7 @@ class TestFaultPlanDeltas:
 # Metric vocabulary
 # ----------------------------------------------------------------------
 def test_reschedule_metric_names_are_known():
-    from repro.engine.metrics import (
+    from repro.obs.names import (
         COUNTER_CLONES_MOVED,
         COUNTER_RESCHEDULES,
         COUNTER_SITES_DRAINED,

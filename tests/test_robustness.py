@@ -6,7 +6,6 @@ import pytest
 
 from repro import ConfigurationError
 from repro.engine import MetricsRecorder, ScheduleResult
-from repro.engine.metrics import COUNTER_FAULTS_INJECTED, COUNTER_WORK_RERUN
 from repro.experiments import prepare_workload, robustness_sweep, schedule_query
 from repro.experiments.config import quick_config
 from repro.experiments.robustness import (
@@ -14,6 +13,7 @@ from repro.experiments.robustness import (
     evaluate_robustness_point,
     simulate_result_under_faults,
 )
+from repro.obs.names import COUNTER_FAULTS_INJECTED, COUNTER_WORK_RERUN
 from repro.sim.faults import FaultSpec
 from repro.sim.policies import SharingPolicy
 

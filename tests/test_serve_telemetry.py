@@ -19,6 +19,7 @@ from repro.obs import (
     validate_trace_events,
 )
 from repro.obs.metrics_stream import parse_metrics_jsonl
+from repro.obs.names import INSTANT_SLO_BREACH
 from repro.serve import (
     GovernorConfig,
     SchedulerService,
@@ -28,7 +29,6 @@ from repro.serve import (
     WorkloadSpec,
 )
 from repro.serve.service import _percentile
-from repro.serve.telemetry import INSTANT_SLO_BREACH
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -167,6 +167,36 @@ class TestStreamsAndTimeline:
         completed = summary["outcomes"]["completed"]
         residents = [e for e in events if e.get("ph") == "X" and e.get("cat") == "resident"]
         assert len(residents) >= completed
+
+    def test_counter_tracks_equal_gauge_samples(self, observed):
+        """Every fleet counter-track value is the gauge's sampled value."""
+        service, _ = observed
+        registry = service.telemetry.registry
+        gauges = {
+            "queue depth": {
+                "latency": "serve_queue_latency_depth",
+                "batch": "serve_queue_batch_depth",
+                "parked": "serve_queue_parked_depth",
+            },
+            "pool utilization": {"utilization": "serve_pool_utilization"},
+            "pool residents": {
+                "occupied_sites": "serve_pool_occupied_sites",
+                "resident_queries": "serve_pool_resident_queries",
+            },
+            "governor": {"pressure": "serve_pressure", "degree": "serve_degree_last"},
+        }
+        events = service.telemetry.timeline_events()
+        samples = len(registry.series("serve_qps"))
+        assert samples > 2
+        assert sum(e.get("ph") == "C" for e in events) == len(gauges) * samples
+        for track, keys in gauges.items():
+            track_events = [e for e in events if e.get("ph") == "C" and e["name"] == track]
+            series = {key: registry.series(gauge) for key, gauge in keys.items()}
+            for i, event in enumerate(track_events):
+                for key, records in series.items():
+                    assert event["ts"] == records[i]["t"] * 1e6
+                    assert event["args"][key] == records[i]["value"]
+                assert set(event["args"]) == set(keys)
 
     def test_breach_accounting_is_consistent(self, observed):
         service, _ = observed
