@@ -3,13 +3,16 @@
 Measures the two perf claims of the schedule-aware plan searcher on a
 fixed 8-relation tree query (plan space 429, exhaustively enumerated):
 
-* **prune** — the batched lower-bound screen orders candidates by bound
-  and schedules them in fixed chunks against an incumbent, so only a
-  small fraction of the space is ever TREESCHEDULE-scored.  The guard
-  compares against the serial exhaustive scorer (``prune=False``) on
-  the same space and demands a >= 3x wall-clock speedup *with an
+* **prune** — the memoized lower-bound screen orders candidates by
+  bound and schedules them in fixed chunks against an incumbent, so
+  only a small fraction of the space is ever TREESCHEDULE-scored.  The
+  guard compares against the serial exhaustive scorer (``prune=False``)
+  on the same space and demands a >= 10x wall-clock speedup *with an
   identical winner* (pruning is provably winner-invariant: a pruned
   candidate's valid lower bound exceeds the incumbent's exact score).
+  The screen must also stay cheaper than what it saves: on the cold
+  pruned search the summed ``plan_screen`` span time must be below the
+  summed ``plan_score`` span time.
 * **memoize** — candidate scores and the winner schedule are keyed by
   canonical plan payload in the content-addressed artifact store; a
   warm re-search must schedule **zero** cold candidates (exact check:
@@ -20,15 +23,16 @@ Medians land in ``BENCH_plansearch.json`` at the repository root.
 Usage::
 
     python benchmarks/plansearch_bench.py --write      # refresh baseline
-    python benchmarks/plansearch_bench.py --check [--threshold 3.0]
+    python benchmarks/plansearch_bench.py --check [--threshold 10.0]
         # regression gate: fail when the pruned search is less than
-        # threshold x faster than exhaustive scoring, when pruning
-        # changes the winner, or when a warm re-search schedules any
-        # cold candidate
+        # threshold x faster than exhaustive scoring, when screening
+        # costs more than scoring, when pruning changes the winner, or
+        # when a warm re-search schedules any cold candidate
 
-The speedup gate compares two timings from the *same* process on the
-same machine, so CI noise largely cancels; the winner-equality and
-warm-store checks are exact — every run is deterministic.
+The speedup and screen-share gates compare timings from the *same*
+process on the same machine, so CI noise largely cancels; the
+winner-equality and warm-store checks are exact — every run is
+deterministic.
 """
 
 from __future__ import annotations
@@ -44,6 +48,8 @@ import time
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.obs.names import SPAN_PLAN_SCORE, SPAN_PLAN_SCREEN  # noqa: E402
+from repro.obs.tracer import Tracer, use_tracer  # noqa: E402
 from repro.plans.query_graph import QueryGraph  # noqa: E402
 from repro.plans.relations import Catalog, Relation  # noqa: E402
 from repro.search import search_plans  # noqa: E402
@@ -92,9 +98,13 @@ def run_bench() -> dict:
 
     with tempfile.TemporaryDirectory(prefix="repro-plansearch-bench-") as tmp:
         store = ArtifactStore(tmp)
-        cold_s, cold = timed_search(reps=1, prune=True, store=store)
+        with use_tracer(Tracer()) as tracer:
+            cold_s, cold = timed_search(reps=1, prune=True, store=store)
         warm_s, warm = timed_search(reps=1, prune=True, store=store)
     assert warm.winner.key == pruned.winner.key, "store changed the winner"
+
+    def span_seconds(name):
+        return tracer.summary().get(name, {"seconds": 0.0})["seconds"]
 
     def stats_row(result):
         s = result.stats
@@ -117,7 +127,12 @@ def run_bench() -> dict:
         "exhaustive": {"seconds": exhaustive_s, **stats_row(exhaustive)},
         "pruned": {"seconds": pruned_s, **stats_row(pruned)},
         "speedup_vs_exhaustive": exhaustive_s / pruned_s,
-        "cold": {"seconds": cold_s, **stats_row(cold)},
+        "cold": {
+            "seconds": cold_s,
+            "screen_seconds": span_seconds(SPAN_PLAN_SCREEN),
+            "score_seconds": span_seconds(SPAN_PLAN_SCORE),
+            **stats_row(cold),
+        },
         "warm": {"seconds": warm_s, **stats_row(warm)},
         "winner": {
             "key": pruned.winner.key,
@@ -155,6 +170,18 @@ def check_regression(
     if speedup < threshold:
         ok = False
         lines.append("PERF REGRESSION: pruned search lost its speedup")
+
+    cold = payload["cold"]
+    lines.append(
+        f"cold pruned search: screen {cold['screen_seconds']:.4f}s vs "
+        f"score {cold['score_seconds']:.4f}s"
+    )
+    if not cold["screen_seconds"] < cold["score_seconds"]:
+        ok = False
+        lines.append(
+            "SCREEN REGRESSION: screening candidates took longer than "
+            "scoring the survivors"
+        )
 
     scored = payload["pruned"]["scored"]
     budget = committed["pruned"]["scored"]
@@ -200,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="fail when the pruned search loses its speedup or determinism",
     )
-    parser.add_argument("--threshold", type=float, default=3.0)
+    parser.add_argument("--threshold", type=float, default=10.0)
     args = parser.parse_args(argv)
     if not (args.write or args.check):
         parser.error("choose --write and/or --check")

@@ -17,6 +17,7 @@ from repro.cost.communication import operator_data_volume
 from repro.cost.cost_model import (
     build_work_vector,
     merge_work_vector,
+    operator_cost,
     probe_work_vector,
     rescan_work_vector,
     scan_work_vector,
@@ -37,6 +38,7 @@ __all__ = [
     "store_work_vector",
     "rescan_work_vector",
     "work_vector_3d",
+    "operator_cost",
     "operator_data_volume",
     "annotate_operator",
     "annotate_plan",

@@ -35,17 +35,8 @@ from repro.exceptions import PlanStructureError
 from repro.core.cloning import OperatorSpec
 from repro.plans.generator import GeneratedQuery
 from repro.plans.operator_tree import OperatorTree
-from repro.plans.physical_ops import OperatorKind, PhysicalOperator, use_annotation
-from repro.cost.communication import operator_data_volume
-from repro.cost.cost_model import (
-    build_work_vector,
-    merge_work_vector,
-    probe_work_vector,
-    rescan_work_vector,
-    scan_work_vector,
-    sort_work_vector,
-    store_work_vector,
-)
+from repro.plans.physical_ops import PhysicalOperator, use_annotation
+from repro.cost.cost_model import operator_cost
 from repro.cost.params import SystemParameters
 
 __all__ = [
@@ -62,29 +53,16 @@ def compute_operator_spec(
     op: PhysicalOperator, op_tree: OperatorTree, params: SystemParameters
 ) -> OperatorSpec:
     """Derive the :class:`OperatorSpec` for one operator (pure)."""
-    if op.kind is OperatorKind.SCAN:
-        work = scan_work_vector(op.output_tuples, params)
-    elif op.kind is OperatorKind.BUILD:
-        work = build_work_vector(op.input_tuples, params)
-    elif op.kind is OperatorKind.PROBE:
-        work = probe_work_vector(op.input_tuples, op.output_tuples, params)
-    elif op.kind is OperatorKind.SORT:
-        work = sort_work_vector(op.input_tuples, params)
-    elif op.kind is OperatorKind.MERGE:
-        # input_tuples records both sorted streams combined; split is
-        # immaterial to the cost (both sides cost extract per tuple).
-        work = merge_work_vector(op.input_tuples, 0, op.output_tuples, params)
-    elif op.kind is OperatorKind.STORE:
-        work = store_work_vector(op.input_tuples, params)
-    elif op.kind is OperatorKind.RESCAN:
-        work = rescan_work_vector(op.output_tuples, params)
-    else:
-        raise PlanStructureError(f"unknown operator kind {op.kind!r}")
-    return OperatorSpec(
-        name=op.name,
-        work=work,
-        data_volume=operator_data_volume(op, op_tree, params),
+    if op not in op_tree:
+        raise PlanStructureError(f"operator {op.name!r} not in the given tree")
+    work, data_volume = operator_cost(
+        op.kind,
+        op.input_tuples,
+        op.output_tuples,
+        op_tree.pipeline_consumer(op) is not None,
+        params,
     )
+    return OperatorSpec(name=op.name, work=work, data_volume=data_volume)
 
 
 @dataclass(frozen=True)

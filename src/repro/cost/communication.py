@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from repro.exceptions import PlanStructureError
 from repro.plans.operator_tree import OperatorTree
-from repro.plans.physical_ops import OperatorKind, PhysicalOperator
+from repro.plans.physical_ops import PhysicalOperator
+from repro.cost.cost_model import operator_cost
 from repro.cost.params import SystemParameters
 
 __all__ = ["operator_data_volume"]
@@ -42,37 +43,12 @@ def operator_data_volume(
         output is pipelined to a consumer or delivered to the client).
     params:
         Supplies the tuple size.
+
+    The formulas live in :func:`repro.cost.cost_model.operator_cost`.
     """
     if op not in op_tree:
         raise PlanStructureError(f"operator {op.name!r} not in the given tree")
     has_pipeline_consumer = op_tree.pipeline_consumer(op) is not None
-    if op.kind is OperatorKind.SCAN:
-        return float(params.bytes_of(op.output_tuples)) if has_pipeline_consumer else 0.0
-    if op.kind is OperatorKind.BUILD:
-        return float(params.bytes_of(op.input_tuples))
-    if op.kind is OperatorKind.PROBE:
-        volume = float(params.bytes_of(op.input_tuples))
-        if has_pipeline_consumer:
-            volume += float(params.bytes_of(op.output_tuples))
-        return volume
-    if op.kind is OperatorKind.SORT:
-        # Receives its repartitioned input and, after completion, ships
-        # the sorted stream to the merge (a blocking consumer, so the
-        # pipeline-consumer check does not apply).
-        return float(
-            params.bytes_of(op.input_tuples) + params.bytes_of(op.output_tuples)
-        )
-    if op.kind is OperatorKind.MERGE:
-        volume = float(params.bytes_of(op.input_tuples))  # both sorted streams
-        if has_pipeline_consumer:
-            volume += float(params.bytes_of(op.output_tuples))
-        return volume
-    if op.kind is OperatorKind.STORE:
-        # Receives the repartitioned result stream; the pages stay local.
-        return float(params.bytes_of(op.input_tuples))
-    if op.kind is OperatorKind.RESCAN:
-        # Reads locally (rooted at the store); ships to its consumer.
-        return (
-            float(params.bytes_of(op.output_tuples)) if has_pipeline_consumer else 0.0
-        )
-    raise PlanStructureError(f"unknown operator kind {op.kind!r}")
+    return operator_cost(
+        op.kind, op.input_tuples, op.output_tuples, has_pipeline_consumer, params
+    )[1]

@@ -25,14 +25,17 @@ layout (CPU, DISK, NETWORK):
 The NETWORK component of the *processing* work vector is zero: all network
 time is communication overhead (``beta * D``) accounted for by the
 Section 4.3 model via each operator's data volume ``D`` (see
-:mod:`repro.cost.communication`).
+:mod:`repro.cost.communication`).  :func:`operator_cost` is the one
+formula both are read from: a pure function of the operator's kind,
+tuple counts and whether a pipeline consumer reads its output.
 """
 
 from __future__ import annotations
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, PlanStructureError
 from repro.core.work_vector import DEFAULT_DIMENSIONALITY, Resource, WorkVector
 from repro.cost.params import SystemParameters
+from repro.plans.physical_ops import OperatorKind
 
 __all__ = [
     "scan_work_vector",
@@ -43,6 +46,7 @@ __all__ = [
     "store_work_vector",
     "rescan_work_vector",
     "work_vector_3d",
+    "operator_cost",
 ]
 
 
@@ -160,3 +164,54 @@ def merge_work_vector(
         (left_tuples + right_tuples + result_tuples) * params.instr_extract_tuple
     )
     return work_vector_3d(cpu, 0.0)
+
+
+def operator_cost(
+    kind: OperatorKind,
+    input_tuples: int,
+    output_tuples: int,
+    has_pipeline_consumer: bool,
+    params: SystemParameters,
+) -> tuple[WorkVector, float]:
+    """``(work vector, D)`` of one physical operator (pure).
+
+    The only copy of the per-kind formulas: cost annotation
+    (:func:`repro.cost.annotate.compute_operator_spec`), the data-volume
+    accessor (:func:`repro.cost.communication.operator_data_volume`) and
+    the plan-search screen all read them from here.
+    ``has_pipeline_consumer`` is ``False`` for the plan root, whose
+    output goes to the client without repartitioning, and for operators
+    whose only consumer is blocking.
+    """
+    bytes_in = float(params.bytes_of(input_tuples))
+    bytes_out = float(params.bytes_of(output_tuples))
+    if kind is OperatorKind.SCAN:
+        return (
+            scan_work_vector(output_tuples, params),
+            bytes_out if has_pipeline_consumer else 0.0,
+        )
+    if kind is OperatorKind.BUILD:
+        return build_work_vector(input_tuples, params), bytes_in
+    if kind is OperatorKind.PROBE:
+        work = probe_work_vector(input_tuples, output_tuples, params)
+        return work, bytes_in + bytes_out if has_pipeline_consumer else bytes_in
+    if kind is OperatorKind.SORT:
+        # Receives its repartitioned input and, after completion, ships
+        # the sorted stream to the merge (a blocking consumer, so the
+        # pipeline-consumer flag does not apply).
+        return sort_work_vector(input_tuples, params), bytes_in + bytes_out
+    if kind is OperatorKind.MERGE:
+        # input_tuples records both sorted streams combined; the split is
+        # immaterial to the cost (both sides cost extract per tuple).
+        work = merge_work_vector(input_tuples, 0, output_tuples, params)
+        return work, bytes_in + bytes_out if has_pipeline_consumer else bytes_in
+    if kind is OperatorKind.STORE:
+        # Receives the repartitioned result stream; the pages stay local.
+        return store_work_vector(input_tuples, params), bytes_in
+    if kind is OperatorKind.RESCAN:
+        # Reads locally (rooted at the store); ships to its consumer.
+        return (
+            rescan_work_vector(output_tuples, params),
+            bytes_out if has_pipeline_consumer else 0.0,
+        )
+    raise PlanStructureError(f"unknown operator kind {kind!r}")

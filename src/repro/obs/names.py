@@ -182,7 +182,7 @@ SPAN_CAPACITY_CHANGE = declare(
 )
 SPAN_PLAN_SEARCH = declare("span", "plan_search", "One plan search.")
 SPAN_PLAN_ENUMERATE = declare("span", "plan_enumerate", "Candidate enumeration of a search.")
-SPAN_PLAN_SCREEN = declare("span", "plan_screen", "One batched lower-bound screen.")
+SPAN_PLAN_SCREEN = declare("span", "plan_screen", "Lower bounds for one batch of candidates.")
 SPAN_PLAN_SCORE = declare("span", "plan_score", "Scoring one candidate point.")
 SPAN_SERVE = declare("span", "serve", "One scheduler-service run.")
 SPAN_SERVE_ADMIT = declare("span", "serve_admit", "One admission decision.")

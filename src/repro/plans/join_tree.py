@@ -15,10 +15,8 @@ left-deep chains to balanced bushy trees can arise, matching the paper's
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from enum import Enum
-
-import networkx as nx
 
 try:  # pragma: no cover - exercised by the no-numpy CI job
     import numpy as np  # noqa: F401 - annotations only
@@ -36,6 +34,9 @@ __all__ = [
     "JoinNode",
     "random_bushy_plan",
     "key_join_cardinality",
+    "join_adjacency",
+    "sorted_join_edges",
+    "contract_join_edge",
 ]
 
 
@@ -253,10 +254,9 @@ def random_bushy_plan(
     fragments: dict[str, PlanNode] = {
         name: BaseRelationNode(catalog.get(name)) for name in graph.relations
     }
-    contracted = graph.to_networkx()
+    contracted = join_adjacency(graph.relations, graph.joins)
     join_counter = 0
-    while contracted.number_of_edges() > 0:
-        edges = sorted(tuple(sorted(e)) for e in contracted.edges)
+    while edges := sorted_join_edges(contracted):
         u, v = edges[int(rng.integers(0, len(edges)))]
         left, right = fragments[u], fragments[v]
         if smaller_side_builds:
@@ -276,8 +276,7 @@ def random_bushy_plan(
         )
         join = JoinNode(f"J{join_counter}", build, probe, method=method)
         join_counter += 1
-        # Contract: merge v into u, re-homing v's other edges onto u.
-        contracted = nx.contracted_nodes(contracted, u, v, self_loops=False)
+        contract_join_edge(contracted, u, v)
         fragments[u] = join
         del fragments[v]
     roots = list(fragments.values())
@@ -286,3 +285,32 @@ def random_bushy_plan(
             f"plan construction left {len(roots)} fragments; query graph not connected?"
         )
     return roots[0]
+
+
+def join_adjacency(
+    relations: Iterable[str], joins: Iterable[tuple[str, str]]
+) -> dict[str, set[str]]:
+    """A mutable ``relation -> neighbors`` map for edge contraction."""
+    adj: dict[str, set[str]] = {name: set() for name in relations}
+    for a, b in joins:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
+def sorted_join_edges(adj: dict[str, set[str]]) -> list[tuple[str, str]]:
+    """Every edge once, as a sorted pair, in sorted order."""
+    return sorted((a, b) for a, neighbors in adj.items() for b in neighbors if a < b)
+
+
+def contract_join_edge(adj: dict[str, set[str]], u: str, v: str) -> None:
+    """Contract edge ``(u, v)`` in place: merge ``v`` into ``u``.
+
+    ``v``'s other edges are re-homed onto ``u``; the contracted edge
+    leaves no self-loop.
+    """
+    for w in adj.pop(v):
+        adj[w].discard(v)
+        if w != u:
+            adj[w].add(u)
+            adj[u].add(w)

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-import networkx as nx
-
 from repro.exceptions import PlanStructureError
 from repro.plans.join_tree import BaseRelationNode, JoinMethod, JoinNode, PlanNode
 from repro.plans.physical_ops import (
@@ -44,12 +42,22 @@ __all__ = ["OperatorTree", "expand_plan"]
 
 
 class OperatorTree:
-    """A DAG of physical operators with typed (pipeline/blocking) edges."""
+    """A DAG of physical operators with typed (pipeline/blocking) edges.
+
+    Stored as plain adjacency: operators in insertion order, and per
+    operator its ``(neighbor, kind)`` edges in insertion order.  Every
+    ordered view below — :attr:`operators`, :meth:`edges`,
+    :meth:`producers`, :meth:`consumers` — follows the order a
+    ``networkx.DiGraph`` built by the same calls reports, so schedules
+    derived from these views do not depend on which one backs the tree.
+    """
 
     def __init__(self):
-        self._graph = nx.DiGraph()
+        self._succ: dict[PhysicalOperator, list[tuple[PhysicalOperator, EdgeKind]]] = {}
+        self._pred: dict[PhysicalOperator, list[tuple[PhysicalOperator, EdgeKind]]] = {}
         self._root: PhysicalOperator | None = None
         self._names: set[str] = set()
+        self._order: list[PhysicalOperator] | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -58,8 +66,10 @@ class OperatorTree:
         """Add ``op`` as a node; names must be unique within the tree."""
         if op.name in self._names:
             raise PlanStructureError(f"duplicate operator name {op.name!r}")
-        self._graph.add_node(op)
+        self._succ[op] = []
+        self._pred[op] = []
         self._names.add(op.name)
+        self._order = None
         return op
 
     def add_edge(
@@ -67,11 +77,11 @@ class OperatorTree:
     ) -> None:
         """Add a typed edge from ``producer`` to ``consumer``."""
         for op in (producer, consumer):
-            if op not in self._graph:
+            if op not in self._succ:
                 raise PlanStructureError(f"operator {op.name!r} not in tree")
         if producer is consumer:
             raise PlanStructureError(f"self-edge on {producer.name!r}")
-        if self._graph.has_edge(producer, consumer):
+        if any(v is consumer for v, _ in self._succ[producer]):
             raise PlanStructureError(
                 f"duplicate edge {producer.name!r} -> {consumer.name!r}"
             )
@@ -87,15 +97,17 @@ class OperatorTree:
                 raise PlanStructureError(
                     f"edge {producer.name!r} -> {consumer.name!r} creates a cycle"
                 )
-            for succ in self._graph.successors(node):
+            for succ, _ in self._succ[node]:
                 if succ not in seen:
                     seen.add(succ)
                     stack.append(succ)
-        self._graph.add_edge(producer, consumer, kind=kind)
+        self._succ[producer].append((consumer, kind))
+        self._pred[consumer].append((producer, kind))
+        self._order = None
 
     def set_root(self, op: PhysicalOperator) -> None:
         """Mark the operator producing the query's final output."""
-        if op not in self._graph:
+        if op not in self._succ:
             raise PlanStructureError(f"operator {op.name!r} not in tree")
         self._root = op
 
@@ -109,20 +121,45 @@ class OperatorTree:
             raise PlanStructureError("operator tree has no root set")
         return self._root
 
+    def _topological_order(self) -> list[PhysicalOperator]:
+        """Kahn's algorithm, generation by generation.
+
+        Sources in insertion order, then each generation's newly freed
+        successors in edge-insertion order: the order of
+        ``networkx.topological_sort`` on the same graph.
+        """
+        indegree = {op: len(preds) for op, preds in self._pred.items()}
+        generation = [op for op, d in indegree.items() if d == 0]
+        order: list[PhysicalOperator] = []
+        while generation:
+            order.extend(generation)
+            freed = []
+            for op in generation:
+                for succ, _ in self._succ[op]:
+                    indegree[succ] -= 1
+                    if indegree[succ] == 0:
+                        freed.append(succ)
+            generation = freed
+        if len(order) != len(self._succ):
+            raise PlanStructureError("operator tree has a cycle")
+        return order
+
     @property
     def operators(self) -> list[PhysicalOperator]:
         """All operators in topological (producer-before-consumer) order."""
-        return list(nx.topological_sort(self._graph))
+        if self._order is None:
+            self._order = self._topological_order()
+        return list(self._order)
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._succ)
 
     def __contains__(self, op: PhysicalOperator) -> bool:
-        return op in self._graph
+        return op in self._succ
 
     def operator_by_name(self, name: str) -> PhysicalOperator:
         """Look an operator up by its unique name."""
-        for op in self._graph.nodes:
+        for op in self._succ:
             if op.name == name:
                 return op
         raise PlanStructureError(f"no operator named {name!r}")
@@ -131,8 +168,9 @@ class OperatorTree:
         """All edges, optionally filtered by kind."""
         return [
             (u, v)
-            for u, v, data in self._graph.edges(data=True)
-            if kind is None or data["kind"] is kind
+            for u, out in self._succ.items()
+            for v, edge_kind in out
+            if kind is None or edge_kind is kind
         ]
 
     def pipeline_edges(self) -> list[tuple[PhysicalOperator, PhysicalOperator]]:
@@ -148,9 +186,7 @@ class OperatorTree:
     ) -> list[PhysicalOperator]:
         """Operators feeding ``op``, optionally filtered by edge kind."""
         return [
-            u
-            for u, _, data in self._graph.in_edges(op, data=True)
-            if kind is None or data["kind"] is kind
+            u for u, edge_kind in self._pred[op] if kind is None or edge_kind is kind
         ]
 
     def consumers(
@@ -158,9 +194,7 @@ class OperatorTree:
     ) -> list[PhysicalOperator]:
         """Operators fed by ``op``, optionally filtered by edge kind."""
         return [
-            v
-            for _, v, data in self._graph.out_edges(op, data=True)
-            if kind is None or data["kind"] is kind
+            v for v, edge_kind in self._succ[op] if kind is None or edge_kind is kind
         ]
 
     def pipeline_consumer(self, op: PhysicalOperator) -> PhysicalOperator | None:
@@ -174,15 +208,15 @@ class OperatorTree:
 
     def iter_scans(self) -> Iterator[PhysicalOperator]:
         """All scan operators."""
-        return (op for op in self._graph.nodes if op.kind is OperatorKind.SCAN)
+        return (op for op in self._succ if op.kind is OperatorKind.SCAN)
 
     def iter_builds(self) -> Iterator[PhysicalOperator]:
         """All build operators."""
-        return (op for op in self._graph.nodes if op.kind is OperatorKind.BUILD)
+        return (op for op in self._succ if op.kind is OperatorKind.BUILD)
 
     def iter_probes(self) -> Iterator[PhysicalOperator]:
         """All probe operators."""
-        return (op for op in self._graph.nodes if op.kind is OperatorKind.PROBE)
+        return (op for op in self._succ if op.kind is OperatorKind.PROBE)
 
     def probe_of(self, join_id: str) -> PhysicalOperator:
         """The probe operator of join ``join_id``."""
@@ -198,9 +232,20 @@ class OperatorTree:
                 return op
         raise PlanStructureError(f"no build for join {join_id!r}")
 
-    def to_networkx(self) -> nx.DiGraph:
-        """Return a defensive copy of the underlying DAG."""
-        return self._graph.copy()
+    def to_networkx(self):
+        """Return the DAG as a new ``networkx.DiGraph`` (edge attr ``kind``).
+
+        Needs the optional ``networkx`` package; nothing else in the
+        library does.
+        """
+        import networkx as nx
+
+        graph = nx.DiGraph()
+        graph.add_nodes_from(self._succ)
+        for u, out in self._succ.items():
+            for v, kind in out:
+                graph.add_edge(u, v, kind=kind)
+        return graph
 
     def validate(self) -> None:
         """Check the structural invariants of a hash-join operator tree.
@@ -211,11 +256,9 @@ class OperatorTree:
         * every blocking edge runs from a build to the probe of the same
           join.
         """
-        if not nx.is_directed_acyclic_graph(self._graph):
-            raise PlanStructureError("operator tree has a cycle")
+        self._order = self._topological_order()  # raises on a cycle
         root = self.root
-        for op in self._graph.nodes:
-            out = self.consumers(op)
+        for op, out in self._succ.items():
             if op is root:
                 if out:
                     raise PlanStructureError(

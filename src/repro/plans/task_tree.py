@@ -16,11 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.exceptions import PlanStructureError
 from repro.plans.operator_tree import OperatorTree
-from repro.plans.physical_ops import EdgeKind, OperatorKind, PhysicalOperator
+from repro.plans.physical_ops import OperatorKind, PhysicalOperator
 
 __all__ = ["Task", "TaskTree", "build_task_tree"]
 
@@ -160,16 +158,30 @@ def build_task_tree(op_tree: OperatorTree) -> TaskTree:
     assigned in topological execution order of the member operators, so
     deterministic inputs give deterministic ids.
     """
-    pipeline_graph = nx.DiGraph()
-    pipeline_graph.add_nodes_from(op_tree.operators)
+    order = op_tree.operators
+    topo_index = {op: i for i, op in enumerate(order)}
+    neighbors: dict[PhysicalOperator, list[PhysicalOperator]] = {op: [] for op in order}
     for u, v in op_tree.pipeline_edges():
-        pipeline_graph.add_edge(u, v)
-
-    components = list(nx.weakly_connected_components(pipeline_graph))
-    # Deterministic task numbering: order components by the position of
-    # their first operator in the operator tree's topological order.
-    topo_index = {op: i for i, op in enumerate(op_tree.operators)}
-    components.sort(key=lambda comp: min(topo_index[op] for op in comp))
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    # Components are discovered from the operator with the smallest
+    # topological index, so scanning in topological order numbers the
+    # tasks by the position of their first operator.
+    components: list[list[PhysicalOperator]] = []
+    seen: set[PhysicalOperator] = set()
+    for start in order:
+        if start in seen:
+            continue
+        seen.add(start)
+        component = [start]
+        stack = [start]
+        while stack:
+            for other in neighbors[stack.pop()]:
+                if other not in seen:
+                    seen.add(other)
+                    component.append(other)
+                    stack.append(other)
+        components.append(component)
 
     tasks: list[Task] = []
     task_of_op: dict[PhysicalOperator, Task] = {}

@@ -10,9 +10,9 @@ provides the deterministic searcher:
   winner-schedule key are the same canonical-JSON bytes);
 * :mod:`repro.search.enumerator` — exhaustive connected-subset DP for
   small join graphs, seeded greedy/mutation moves for large ones;
-* :mod:`repro.search.screen` — batched, provably valid response-time
-  lower bounds (``lower_bounds_batch``) pruning dominated candidates
-  before a schedule is ever computed;
+* :mod:`repro.search.screen` — provably valid response-time lower
+  bounds, read off subplan summaries memoized for the whole search,
+  pruning dominated candidates before a schedule is ever computed;
 * :mod:`repro.search.score` — TREESCHEDULE as the objective function,
   memoized through the content-addressed artifact store and fanned out
   over :class:`~repro.experiments.parallel.ParallelRunner` workers;

@@ -31,10 +31,15 @@ from __future__ import annotations
 import random
 from collections import deque
 
-import networkx as nx
-
 from repro.exceptions import PlanStructureError
-from repro.plans.join_tree import BaseRelationNode, JoinNode, PlanNode
+from repro.plans.join_tree import (
+    BaseRelationNode,
+    JoinNode,
+    PlanNode,
+    contract_join_edge,
+    join_adjacency,
+    sorted_join_edges,
+)
 from repro.plans.query_graph import QueryGraph
 from repro.plans.relations import Catalog
 from repro.search.canonical import canonical_plan
@@ -201,16 +206,13 @@ def _contract(
     fragments: dict[str, PlanNode] = {
         name: BaseRelationNode(catalog.get(name)) for name in names
     }
-    contracted = nx.Graph()
-    contracted.add_nodes_from(names)
-    contracted.add_edges_from(edges)
+    contracted = join_adjacency(names, edges)
     counter = 0
-    while contracted.number_of_edges() > 0:
-        candidates = sorted(tuple(sorted(e)) for e in contracted.edges)
+    while candidates := sorted_join_edges(contracted):
         u, v = pick(candidates, fragments)
         join = _join(fragments[u], fragments[v], f"X{counter}")
         counter += 1
-        contracted = nx.contracted_nodes(contracted, u, v, self_loops=False)
+        contract_join_edge(contracted, u, v)
         fragments[u] = join
         del fragments[v]
     roots = [fragments[name] for name in sorted(fragments)]

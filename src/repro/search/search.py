@@ -12,10 +12,10 @@ search whose scoring function is the scheduled response time:
    (:func:`~repro.search.canonical.plan_key`) before anything is
    scheduled.
 3. **Screen** (``plan_screen`` span).  Every pending candidate gets a
-   valid response-time lower bound from the batched screen
-   (:mod:`repro.search.screen` / ``lower_bounds_batch``); candidates
-   whose bound exceeds the incumbent's exact score are pruned without
-   ever being scheduled.
+   valid response-time lower bound from the memoized screen
+   (:mod:`repro.search.screen`), which reuses subplan summaries across
+   the whole search; candidates whose bound exceeds the incumbent's
+   exact score are pruned without ever being scheduled.
 4. **Score** (``plan_score`` spans).  Survivors are scheduled in
    fixed-size chunks through a
    :class:`~repro.experiments.parallel.ParallelRunner` — bit-identical
