@@ -129,10 +129,20 @@ class CommunicationModel:
             raise ConfigurationError(f"granularity parameter f must be > 0, got {f}")
         if w_p < 0.0:
             raise ConfigurationError(f"processing area must be >= 0, got {w_p}")
-        budget = f * w_p - self.beta * data_volume
+        cap = f * w_p
+        transfer = self.beta * data_volume
+        budget = cap - transfer
         if self.alpha == 0.0:
             return 2**31 if budget >= 0.0 else 1
-        return max(int(math.floor(budget / self.alpha)), 1)
+        n = int(math.floor(budget / self.alpha))
+        # The rounded quotient can land one step off the exact boundary
+        # (e.g. 0.225 / 0.015 == 14.999...); settle n against the
+        # Definition 4.1 test ``alpha*N + beta*D <= f*W_p`` itself.
+        while self.alpha * (n + 1) + transfer <= cap:
+            n += 1
+        while n > 1 and self.alpha * n + transfer > cap:
+            n -= 1
+        return max(n, 1)
 
 
 def granularity_ratio(w_p: float, communication_area: float) -> float:

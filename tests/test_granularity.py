@@ -110,6 +110,12 @@ class TestNMax:
                 w_p, model.communication_area(n + 1, d_bytes), f
             )
 
+    def test_n_max_exact_boundary_survives_rounding(self):
+        # 0.75 * 0.3 / 0.015 rounds to 14.999..., yet 15 * 0.015 <= 0.225.
+        model = CommunicationModel(alpha=0.015, beta=0.6e-6)
+        assert model.n_max(0.75, 0.3, 0.0) == 15
+        assert is_coarse_grain(0.3, model.communication_area(15, 0.0), 0.75)
+
     @given(
         st.floats(min_value=0.05, max_value=1.0),
         st.floats(min_value=0.05, max_value=1.0),
