@@ -11,6 +11,7 @@ from __future__ import annotations
 import pathlib
 
 from repro.experiments import PAPER_CONFIG
+from repro.plans.physical_ops import use_annotation
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -33,3 +34,14 @@ def publish(name: str, text: str) -> None:
     print(text)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+
+
+def run_annotated(scheduler, query, **kwargs):
+    """Run ``scheduler`` on ``query``'s shared plan under its own annotation.
+
+    The prepared queries share one unannotated operator tree per cohort;
+    their cost annotation is a separate view that must be active while a
+    scheduler reads the operators' specs.
+    """
+    with use_annotation(query.annotation):
+        return scheduler(query.operator_tree, query.task_tree, **kwargs)

@@ -16,7 +16,7 @@ import pytest
 from repro import ConvexCombinationOverlap, tree_schedule
 from repro.experiments import prepare_workload
 
-from _helpers import BENCH_CONFIG, publish
+from _helpers import BENCH_CONFIG, publish, run_annotated
 
 JOIN_SIZES = (10, 20, 40)
 SITE_SIZES = (20, 40, 80, 160)
@@ -24,8 +24,8 @@ SITE_SIZES = (20, 40, 80, 160)
 
 def _time_once(query, p, comm, overlap):
     start = time.perf_counter()
-    tree_schedule(
-        query.operator_tree, query.task_tree, p=p, comm=comm, overlap=overlap,
+    run_annotated(
+        tree_schedule, query, p=p, comm=comm, overlap=overlap,
         f=BENCH_CONFIG.default_f,
     )
     return time.perf_counter() - start
@@ -66,8 +66,8 @@ def test_bench_prop52_regenerate(scaling, benchmark):
     overlap = ConvexCombinationOverlap(BENCH_CONFIG.default_epsilon)
     query = prepare_workload(JOIN_SIZES[-1], 1, BENCH_CONFIG.seed)[0]
     benchmark(
-        lambda: tree_schedule(
-            query.operator_tree, query.task_tree, p=SITE_SIZES[-1],
+        lambda: run_annotated(
+            tree_schedule, query, p=SITE_SIZES[-1],
             comm=comm, overlap=overlap, f=BENCH_CONFIG.default_f,
         )
     )

@@ -13,7 +13,7 @@ import pytest
 from repro import ConvexCombinationOverlap, tree_schedule
 from repro.experiments import figure5a, improvement_summary, prepare_workload, render_figure
 
-from _helpers import BENCH_CONFIG, publish
+from _helpers import BENCH_CONFIG, publish, run_annotated
 
 EPSILON = 0.3
 N_JOINS = 40
@@ -38,8 +38,8 @@ def test_bench_fig5a_regenerate(figure, benchmark):
     query = queries[0]
 
     benchmark(
-        lambda: tree_schedule(
-            query.operator_tree, query.task_tree, p=80,
+        lambda: run_annotated(
+            tree_schedule, query, p=80,
             comm=comm, overlap=overlap, f=0.7,
         )
     )

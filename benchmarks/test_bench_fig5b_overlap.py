@@ -13,7 +13,7 @@ import pytest
 from repro import ConvexCombinationOverlap, synchronous_schedule
 from repro.experiments import figure5b, prepare_workload, render_figure
 
-from _helpers import BENCH_CONFIG, publish
+from _helpers import BENCH_CONFIG, publish, run_annotated
 
 N_JOINS = 40
 
@@ -33,8 +33,8 @@ def test_bench_fig5b_regenerate(figure, benchmark):
     query = queries[0]
 
     benchmark(
-        lambda: synchronous_schedule(
-            query.operator_tree, query.task_tree, p=80, comm=comm, overlap=overlap
+        lambda: run_annotated(
+            synchronous_schedule, query, p=80, comm=comm, overlap=overlap
         )
     )
 

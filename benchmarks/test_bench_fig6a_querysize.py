@@ -13,7 +13,7 @@ import pytest
 from repro import ConvexCombinationOverlap, tree_schedule
 from repro.experiments import figure6a, prepare_workload, render_figure
 
-from _helpers import BENCH_CONFIG, publish
+from _helpers import BENCH_CONFIG, publish, run_annotated
 
 P_VALUES = (20, 80)
 
@@ -34,8 +34,8 @@ def test_bench_fig6a_regenerate(figure, benchmark):
     query = queries[0]
 
     benchmark(
-        lambda: tree_schedule(
-            query.operator_tree, query.task_tree, p=P_VALUES[0],
+        lambda: run_annotated(
+            tree_schedule, query, p=P_VALUES[0],
             comm=comm, overlap=overlap, f=BENCH_CONFIG.default_f,
         )
     )

@@ -13,7 +13,7 @@ import pytest
 from repro import ConvexCombinationOverlap, opt_bound, theorem51_fixed_degree_bound
 from repro.experiments import figure6b, prepare_workload, render_figure
 
-from _helpers import BENCH_CONFIG, publish
+from _helpers import BENCH_CONFIG, publish, run_annotated
 
 QUERY_SIZES = (20, 40)
 
@@ -33,8 +33,8 @@ def test_bench_fig6b_regenerate(figure, benchmark):
     query = queries[0]
 
     benchmark(
-        lambda: opt_bound(
-            query.operator_tree, query.task_tree, p=80, f=BENCH_CONFIG.default_f,
+        lambda: run_annotated(
+            opt_bound, query, p=80, f=BENCH_CONFIG.default_f,
             comm=comm, overlap=overlap,
         )
     )

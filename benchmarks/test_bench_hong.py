@@ -21,7 +21,7 @@ from repro import (
 )
 from repro.experiments import prepare_workload
 
-from _helpers import BENCH_CONFIG, publish
+from _helpers import BENCH_CONFIG, publish, run_annotated
 
 N_JOINS = 15
 P_VALUES = (10, 40, 80)
@@ -40,22 +40,22 @@ def comparison():
     rows = []
     for p in P_VALUES:
         ts = mean(
-            tree_schedule(
-                q.operator_tree, q.task_tree, p=p, comm=comm, overlap=overlap,
+            run_annotated(
+                tree_schedule, q, p=p, comm=comm, overlap=overlap,
                 f=BENCH_CONFIG.default_f,
             ).response_time
             for q in queries
         )
         hg = mean(
-            hong_schedule(
-                q.operator_tree, q.task_tree, p=p, comm=comm, overlap=overlap,
+            run_annotated(
+                hong_schedule, q, p=p, comm=comm, overlap=overlap,
                 f=BENCH_CONFIG.default_f,
             ).response_time
             for q in queries
         )
         sy = mean(
-            synchronous_schedule(
-                q.operator_tree, q.task_tree, p=p, comm=comm, overlap=overlap
+            run_annotated(
+                synchronous_schedule, q, p=p, comm=comm, overlap=overlap
             ).response_time
             for q in queries
         )
@@ -89,8 +89,8 @@ def test_bench_ablhong_regenerate(comparison, benchmark):
     overlap = ConvexCombinationOverlap(0.3)
     q = queries[0]
     benchmark(
-        lambda: hong_schedule(
-            q.operator_tree, q.task_tree, p=40, comm=comm, overlap=overlap,
+        lambda: run_annotated(
+            hong_schedule, q, p=40, comm=comm, overlap=overlap,
             f=BENCH_CONFIG.default_f,
         )
     )

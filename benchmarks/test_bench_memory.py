@@ -17,7 +17,7 @@ from repro import (
 )
 from repro.experiments import prepare_workload
 
-from _helpers import BENCH_CONFIG, publish
+from _helpers import BENCH_CONFIG, publish, run_annotated
 
 N_JOINS = 10
 P = 16
@@ -34,8 +34,8 @@ def sweep():
         times = []
         spilled = 0
         for q in queries:
-            result = memory_aware_tree_schedule(
-                q.operator_tree, q.task_tree, p=P, comm=comm, overlap=overlap,
+            result = run_annotated(
+                memory_aware_tree_schedule, q, p=P, comm=comm, overlap=overlap,
                 memory=MemoryModel(capacity_bytes=cap_mb * 1e6),
                 params=BENCH_CONFIG.params, f=BENCH_CONFIG.default_f,
             )
@@ -43,8 +43,8 @@ def sweep():
             spilled += result.total_spilled_joins
         rows.append((cap_mb, sum(times) / len(times), spilled))
     baseline = sum(
-        tree_schedule(
-            q.operator_tree, q.task_tree, p=P, comm=comm, overlap=overlap,
+        run_annotated(
+            tree_schedule, q, p=P, comm=comm, overlap=overlap,
             f=BENCH_CONFIG.default_f,
         ).response_time
         for q in queries
@@ -76,8 +76,8 @@ def test_bench_mem_regenerate(sweep, benchmark):
     overlap = ConvexCombinationOverlap(BENCH_CONFIG.default_epsilon)
     query = queries[0]
     benchmark(
-        lambda: memory_aware_tree_schedule(
-            query.operator_tree, query.task_tree, p=P, comm=comm,
+        lambda: run_annotated(
+            memory_aware_tree_schedule, query, p=P, comm=comm,
             overlap=overlap, memory=MemoryModel(capacity_bytes=0.5e6),
             params=BENCH_CONFIG.params, f=BENCH_CONFIG.default_f,
         )

@@ -22,7 +22,7 @@ from repro import (
 )
 from repro.experiments import prepare_workload
 
-from _helpers import BENCH_CONFIG, publish
+from _helpers import BENCH_CONFIG, publish, run_annotated
 
 N_JOINS = 15
 P = 24
@@ -41,15 +41,15 @@ def degradation():
 
     rows = []
     ts_scheds = [
-        tree_schedule(
-            q.operator_tree, q.task_tree, p=P, comm=comm, overlap=overlap,
+        run_annotated(
+            tree_schedule, q, p=P, comm=comm, overlap=overlap,
             f=BENCH_CONFIG.default_f,
         ).phased_schedule
         for q in queries
     ]
     sy_scheds = [
-        synchronous_schedule(
-            q.operator_tree, q.task_tree, p=P, comm=comm, overlap=overlap
+        run_annotated(
+            synchronous_schedule, q, p=P, comm=comm, overlap=overlap
         ).phased_schedule
         for q in queries
     ]
@@ -86,8 +86,8 @@ def test_bench_ablpreempt_regenerate(degradation, benchmark):
     queries = prepare_workload(N_JOINS, BENCH_CONFIG.n_queries, BENCH_CONFIG.seed)
     comm = BENCH_CONFIG.params.communication_model()
     overlap = ConvexCombinationOverlap(BENCH_CONFIG.default_epsilon)
-    sched = tree_schedule(
-        queries[0].operator_tree, queries[0].task_tree, p=P, comm=comm,
+    sched = run_annotated(
+        tree_schedule, queries[0], p=P, comm=comm,
         overlap=overlap, f=BENCH_CONFIG.default_f,
     ).phased_schedule
     model = PreemptabilityModel.sticky_disk(3, sigma_disk=0.5)

@@ -15,7 +15,7 @@ import pytest
 from repro import ConvexCombinationOverlap, tree_schedule
 from repro.experiments import prepare_workload
 
-from _helpers import BENCH_CONFIG, publish
+from _helpers import BENCH_CONFIG, publish, run_annotated
 
 N_JOINS = 20
 P_VALUES = (10, 40, 140)
@@ -34,15 +34,15 @@ def comparison():
     rows = []
     for p in P_VALUES:
         lazy = mean(
-            tree_schedule(
-                q.operator_tree, q.task_tree, p=p, comm=comm, overlap=overlap,
+            run_annotated(
+                tree_schedule, q, p=p, comm=comm, overlap=overlap,
                 f=BENCH_CONFIG.default_f, shelf="min",
             ).response_time
             for q in queries
         )
         eager = mean(
-            tree_schedule(
-                q.operator_tree, q.task_tree, p=p, comm=comm, overlap=overlap,
+            run_annotated(
+                tree_schedule, q, p=p, comm=comm, overlap=overlap,
                 f=BENCH_CONFIG.default_f, shelf="eager",
             ).response_time
             for q in queries
@@ -73,8 +73,8 @@ def test_bench_ablshelf_regenerate(comparison, benchmark):
     overlap = ConvexCombinationOverlap(BENCH_CONFIG.default_epsilon)
     q = queries[0]
     benchmark(
-        lambda: tree_schedule(
-            q.operator_tree, q.task_tree, p=40, comm=comm, overlap=overlap,
+        lambda: run_annotated(
+            tree_schedule, q, p=40, comm=comm, overlap=overlap,
             f=BENCH_CONFIG.default_f, shelf="eager",
         )
     )

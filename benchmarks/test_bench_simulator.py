@@ -21,7 +21,7 @@ from repro import (
 )
 from repro.experiments import prepare_workload
 
-from _helpers import BENCH_CONFIG, publish
+from _helpers import BENCH_CONFIG, publish, run_annotated
 
 N_JOINS = 20
 P = 40
@@ -33,8 +33,8 @@ def schedules():
     comm = BENCH_CONFIG.params.communication_model()
     overlap = ConvexCombinationOverlap(BENCH_CONFIG.default_epsilon)
     return [
-        tree_schedule(
-            q.operator_tree, q.task_tree, p=P, comm=comm, overlap=overlap,
+        run_annotated(
+            tree_schedule, q, p=P, comm=comm, overlap=overlap,
             f=BENCH_CONFIG.default_f,
         ).phased_schedule
         for q in queries

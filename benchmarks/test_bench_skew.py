@@ -20,7 +20,7 @@ from repro import (
 )
 from repro.experiments import prepare_workload
 
-from _helpers import BENCH_CONFIG, publish
+from _helpers import BENCH_CONFIG, publish, run_annotated
 
 N_JOINS = 15
 P = 24
@@ -39,13 +39,13 @@ def sweep():
 
     plans = []
     for q in queries:
-        specs = {op.name: op.spec for op in q.operator_tree.operators}
-        ts = tree_schedule(
-            q.operator_tree, q.task_tree, p=P, comm=comm, overlap=overlap,
+        specs = dict(q.annotation)
+        ts = run_annotated(
+            tree_schedule, q, p=P, comm=comm, overlap=overlap,
             f=BENCH_CONFIG.default_f,
         ).phased_schedule
-        sy = synchronous_schedule(
-            q.operator_tree, q.task_tree, p=P, comm=comm, overlap=overlap
+        sy = run_annotated(
+            synchronous_schedule, q, p=P, comm=comm, overlap=overlap
         ).phased_schedule
         plans.append((specs, ts, sy))
 
@@ -83,9 +83,9 @@ def test_bench_ablskew_regenerate(sweep, benchmark):
     comm = BENCH_CONFIG.params.communication_model()
     overlap = ConvexCombinationOverlap(BENCH_CONFIG.default_epsilon)
     q = queries[0]
-    specs = {op.name: op.spec for op in q.operator_tree.operators}
-    phased = tree_schedule(
-        q.operator_tree, q.task_tree, p=P, comm=comm, overlap=overlap,
+    specs = dict(q.annotation)
+    phased = run_annotated(
+        tree_schedule, q, p=P, comm=comm, overlap=overlap,
         f=BENCH_CONFIG.default_f,
     ).phased_schedule
     benchmark(lambda: skewed_response_time(phased, specs, 1.0, comm, overlap))

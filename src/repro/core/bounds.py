@@ -30,8 +30,7 @@ from repro.core.cloning import (
     DEFAULT_COORDINATOR_POLICY,
     CoordinatorPolicy,
     OperatorSpec,
-    parallel_time,
-    total_work_vector,
+    ParallelTimeCurve,
 )
 from repro.core.granularity import CommunicationModel
 from repro.core.resource_model import OverlapModel
@@ -71,17 +70,22 @@ def slowest_operator_time(
     policy: CoordinatorPolicy = DEFAULT_COORDINATOR_POLICY,
 ) -> float:
     """Return ``h(N̄) = max_i T_par(op_i, N_i)`` (Section 7 notation)."""
-    if not specs:
-        return 0.0
+    curves = [ParallelTimeCurve(spec, comm, policy) for spec in specs]
+    return _slowest_time(curves, degrees, overlap)
+
+
+def _slowest_time(
+    curves: Sequence[ParallelTimeCurve], degrees: Mapping[str, int], overlap: OverlapModel
+) -> float:
     h = 0.0
-    for spec in specs:
+    for curve in curves:
         try:
-            n = degrees[spec.name]
+            n = degrees[curve.spec.name]
         except KeyError:
             raise SchedulingError(
-                f"no degree recorded for operator {spec.name!r}"
+                f"no degree recorded for operator {curve.spec.name!r}"
             ) from None
-        h = max(h, parallel_time(spec, n, comm, overlap, policy))
+        h = max(h, curve.t_par(n, overlap))
     return h
 
 
@@ -126,13 +130,12 @@ def lower_bound(
         raise SchedulingError(
             f"total capacity must be positive, got {total_capacity!r}"
         )
-    totals = [
-        total_work_vector(spec, degrees[spec.name], comm, policy) for spec in specs
-    ]
+    curves = [ParallelTimeCurve(spec, comm, policy) for spec in specs]
+    totals = [curve.total(degrees[curve.spec.name]) for curve in curves]
     # sum_length auto-selects the numpy reduction for large operator sets
     # and the exact sequential sum below the cutover.
     congestion = sum_length(totals) / denom
-    return max(congestion, slowest_operator_time(specs, degrees, comm, overlap, policy))
+    return max(congestion, _slowest_time(curves, degrees, overlap))
 
 
 def lower_bound_family(
@@ -158,14 +161,12 @@ def lower_bound_family(
     if not specs:
         return [0.0 for _ in degree_family]
     d = specs[0].d
+    curves = [ParallelTimeCurve(spec, comm, policy) for spec in specs]
     groups = [
-        [total_work_vector(spec, degrees[spec.name], comm, policy) for spec in specs]
+        [curve.total(degrees[curve.spec.name]) for curve in curves]
         for degrees in degree_family
     ]
-    h_values = [
-        slowest_operator_time(specs, degrees, comm, overlap, policy)
-        for degrees in degree_family
-    ]
+    h_values = [_slowest_time(curves, degrees, overlap) for degrees in degree_family]
     return lower_bounds_batch(groups, h_values, p, d, total_capacity=total_capacity)
 
 

@@ -15,7 +15,9 @@ works on a portion of the operator's data.  This module implements:
   *coordinator* clone, divided equally between the coordinator's CPU and
   its network-interface component;
 * the parallel execution time ``T_par(op, N)`` of Equation (1) — the
-  maximum sequential time over the clones;
+  maximum sequential time over the clones, which under EA1 is the
+  coordinator's; :class:`ParallelTimeCurve` computes an operator's
+  degree-independent part once and every degree from it;
 * degree-of-parallelism selection: the coarse-grain bound
   ``N_max(op, f)`` of Proposition 4.1, clamped by the response-time-optimal
   degree so that assumption **A4 (non-increasing execution times)** is
@@ -24,9 +26,10 @@ works on a portion of the operator's data.  This module implements:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from repro.exceptions import ConfigurationError, SchedulingError
+from repro.exceptions import ConfigurationError, InvalidWorkVectorError, SchedulingError
 from repro.core.granularity import CommunicationModel, processing_area
 from repro.core.resource_model import OverlapModel
 from repro.core.work_vector import WorkVector
@@ -34,6 +37,7 @@ from repro.core.work_vector import WorkVector
 __all__ = [
     "OperatorSpec",
     "CoordinatorPolicy",
+    "ParallelTimeCurve",
     "clone_work_vectors",
     "total_work_vector",
     "parallel_time",
@@ -117,13 +121,18 @@ class CoordinatorPolicy:
                 f"cpu_fraction must lie in [0, 1], got {self.cpu_fraction}"
             )
 
-    def startup_vector(self, d: int, startup: float) -> WorkVector:
-        """Return the ``d``-dimensional vector charging ``startup`` seconds."""
+    def axes(self, d: int) -> tuple[int, int]:
+        """Return the ``(cpu, network)`` axes for ``d`` dimensions, validated."""
         net_axis = self.network_axis if self.network_axis is not None else d - 1
         if not 0 <= self.cpu_axis < d or not 0 <= net_axis < d:
             raise ConfigurationError(
                 f"coordinator axes ({self.cpu_axis}, {net_axis}) out of range for d={d}"
             )
+        return self.cpu_axis, net_axis
+
+    def startup_vector(self, d: int, startup: float) -> WorkVector:
+        """Return the ``d``-dimensional vector charging ``startup`` seconds."""
+        _, net_axis = self.axes(d)
         comps = [0.0] * d
         comps[self.cpu_axis] += self.cpu_fraction * startup
         comps[net_axis] += (1.0 - self.cpu_fraction) * startup
@@ -133,6 +142,99 @@ class CoordinatorPolicy:
 #: The experimental default: startup split equally between the coordinator's
 #: CPU (axis 0) and network interface (last axis).
 DEFAULT_COORDINATOR_POLICY = CoordinatorPolicy()
+
+
+class ParallelTimeCurve:
+    """One operator's clone vectors and ``T_par(op, n)`` as functions of ``n``.
+
+    Everything that does not depend on the degree is computed once per
+    operator: the distributed work ``base = work + beta*D`` (the transfer
+    time on the network axis), the coordinator axes and the startup
+    split.  A degree ``n`` then costs ``d`` divisions ``base/n``, the
+    startup ``alpha*n`` split onto the coordinator and, for ``T_par``, one
+    ``T_seq`` evaluation, validated like every other (Section 4.1).  These
+    are the IEEE operations, in the same order, that building
+    ``base / n + policy.startup_vector(d, alpha*n)`` from
+    :class:`WorkVector` arithmetic performs, so every vector and time is
+    bit-identical to that construction.
+
+    Under EA1 the coordinator's vector dominates every other clone's
+    componentwise, so with a ``T_seq`` that is non-decreasing
+    componentwise (see :class:`OverlapModel`) Equation (1)'s maximum over
+    the clones is the coordinator's ``T_seq``: one evaluation per degree.
+    """
+
+    __slots__ = (
+        "spec", "base", "_base", "_alpha",
+        "_cpu_axis", "_net_axis", "_cpu_fraction", "_net_fraction",
+    )
+
+    def __init__(
+        self,
+        spec: OperatorSpec,
+        comm: CommunicationModel,
+        policy: CoordinatorPolicy = DEFAULT_COORDINATOR_POLICY,
+    ) -> None:
+        d = spec.d
+        net_axis = policy.network_axis if policy.network_axis is not None else d - 1
+        self.spec = spec
+        #: ``work + beta*D``: the part of the work split evenly among clones.
+        self.base = spec.work + WorkVector.unit(d, net_axis, comm.transfer_cost(spec.data_volume))
+        self._base = self.base.components
+        self._alpha = comm.alpha
+        if self._alpha > 0.0:
+            policy.axes(d)  # only a charged startup needs valid coordinator axes
+            if math.isinf(self._alpha):
+                raise InvalidWorkVectorError("startup cost alpha is not finite")
+        self._cpu_axis = policy.cpu_axis
+        self._net_axis = net_axis
+        self._cpu_fraction = policy.cpu_fraction
+        self._net_fraction = 1.0 - policy.cpu_fraction
+
+    def _check_degree(self, n: int) -> None:
+        if n < 1:
+            raise SchedulingError(
+                f"operator {self.spec.name!r}: clone count must be >= 1, got {n}"
+            )
+
+    def _add_startup(self, comps: list[float], n: int) -> tuple[float, ...]:
+        """Charge the startup ``alpha*n`` to ``comps`` (the coordinator)."""
+        startup = self._alpha * n
+        if startup > 0.0:
+            cpu = self._cpu_fraction * startup
+            net = self._net_fraction * startup
+            if self._cpu_axis == self._net_axis:
+                comps[self._cpu_axis] += cpu + net
+            else:
+                comps[self._cpu_axis] += cpu
+                comps[self._net_axis] += net
+        return tuple(comps)
+
+    def coordinator(self, n: int) -> WorkVector:
+        """``base / n`` plus the startup ``alpha*n``: clone 0's work vector."""
+        self._check_degree(n)
+        return WorkVector._from_trusted(self._add_startup([c / n for c in self._base], n))
+
+    def with_startup(self, work: WorkVector, n: int) -> WorkVector:
+        """``work`` plus the startup of an ``n``-site execution."""
+        self._check_degree(n)
+        return WorkVector._from_trusted(self._add_startup(list(work.components), n))
+
+    def clones(self, n: int) -> list[WorkVector]:
+        """The ``n`` clone work vectors: the coordinator, then ``base / n``."""
+        self._check_degree(n)
+        clones = [WorkVector._from_trusted(tuple([c / n for c in self._base]))] * n
+        if self._alpha * n > 0.0:
+            clones[0] = self.coordinator(n)
+        return clones
+
+    def total(self, n: int) -> WorkVector:
+        """``W̄_op`` for an ``n``-site execution: ``base`` plus the startup."""
+        return self.with_startup(self.base, n)
+
+    def t_par(self, n: int, overlap: OverlapModel) -> float:
+        """Equation (1): ``T_par(op, n)``, the coordinator's ``T_seq``."""
+        return overlap.t_seq(self.coordinator(n))
 
 
 def clone_work_vectors(
@@ -153,18 +255,7 @@ def clone_work_vectors(
     vector, whose component sum is ``W_p(op) + W_c(op, n)`` as required by
     the Section 5.1 accounting.
     """
-    if n < 1:
-        raise SchedulingError(f"operator {spec.name!r}: clone count must be >= 1, got {n}")
-    d = spec.d
-    net_axis = policy.network_axis if policy.network_axis is not None else d - 1
-    transfer = comm.transfer_cost(spec.data_volume)
-    base = spec.work + WorkVector.unit(d, net_axis, transfer)
-    share = base / n
-    clones = [share] * n
-    startup = comm.startup_cost(n)
-    if startup > 0.0:
-        clones[0] = share + policy.startup_vector(d, startup)
-    return clones
+    return ParallelTimeCurve(spec, comm, policy).clones(n)
 
 
 def total_work_vector(
@@ -179,16 +270,7 @@ def total_work_vector(
     is componentwise non-decreasing in ``n`` — the property the malleable
     extension of Section 7 relies on.
     """
-    if n < 1:
-        raise SchedulingError(f"operator {spec.name!r}: clone count must be >= 1, got {n}")
-    d = spec.d
-    net_axis = policy.network_axis if policy.network_axis is not None else d - 1
-    transfer = comm.transfer_cost(spec.data_volume)
-    total = spec.work + WorkVector.unit(d, net_axis, transfer)
-    startup = comm.startup_cost(n)
-    if startup > 0.0:
-        total = total + policy.startup_vector(d, startup)
-    return total
+    return ParallelTimeCurve(spec, comm, policy).total(n)
 
 
 def parallel_time(
@@ -201,22 +283,10 @@ def parallel_time(
     """Equation (1): ``T_par(op, N) = max_k T_seq(W̄_k)`` over the clones.
 
     Under EA1 the maximum is attained by the coordinator clone (the only
-    one carrying extra startup work), so only two distinct sequential
-    times need to be evaluated.
+    one carrying extra startup work), so only its sequential time is
+    evaluated; see :class:`ParallelTimeCurve`.
     """
-    if n < 1:
-        raise SchedulingError(f"operator {spec.name!r}: clone count must be >= 1, got {n}")
-    d = spec.d
-    net_axis = policy.network_axis if policy.network_axis is not None else d - 1
-    share = (spec.work + WorkVector.unit(d, net_axis, comm.transfer_cost(spec.data_volume))) / n
-    startup = comm.startup_cost(n)
-    coordinator = share
-    if startup > 0.0:
-        coordinator = share + policy.startup_vector(d, startup)
-    t_coord = overlap.t_seq(coordinator)
-    if n == 1:
-        return t_coord
-    return max(t_coord, overlap.t_seq(share))
+    return ParallelTimeCurve(spec, comm, policy).t_par(n, overlap)
 
 
 def response_optimal_degree(
@@ -233,17 +303,47 @@ def response_optimal_degree(
     Section 6.1 implementation note requires that this degree is never
     exceeded, enforcing assumption A4 on the range of degrees in use.
     Ties are broken toward the *smaller* degree (less communication for
-    the same response time).
+    the same response time): a degree replaces the running best only
+    when it is faster by a relative margin of ``1e-12``.
+
+    The scan stops at the first degree ``m`` whose ``T_par`` does not fall
+    below its predecessor's.  It evaluates ``T_seq`` once per degree up to
+    ``m``: ``N_rt + 1`` times rather than ``p``, plus one for a degree past
+    ``N_rt`` that falls by less than the margin (a near-tie at the
+    minimum).  The stop is exact because
+    ``T_par(op, .)`` is convex in ``N``:
+
+    * under EA1, ``T_par(op, N)`` is the ``T_seq`` of the coordinator
+      (:class:`ParallelTimeCurve`), whose component ``i`` is
+      ``b_i/N + s_i*N`` with ``b_i, s_i >= 0`` — convex in ``N``;
+    * ``T_seq`` is convex and non-decreasing componentwise (the contract
+      of :class:`OverlapModel`; EA2's ``eps*max + (1-eps)*sum`` is both),
+      and a convex non-decreasing function of convex functions is convex.
+
+    Convexity makes the increments ``T(N) - T(N-1)`` non-decreasing, so
+    once ``T(m) >= T(m-1)`` every later ``T(k) >= T(m-1)``.  ``T(m-1)`` is
+    either the running best or a degree that failed to beat it by the
+    margin, so ``T(m-1) >= best*(1 - 1e-12)``, and no later degree can
+    replace the best either: the full scan over ``1..p`` returns the same
+    degree.  Rounding moves each computed ``T_par`` by a few ulps; a
+    rounding-induced stop can only happen where the exact curve is flat to
+    that precision, at its minimum, where the ``b_i/N`` curvature keeps any
+    further descent far below the ``1e-12`` margin.  A full-scan oracle
+    test pins the result.
     """
     if p < 1:
         raise SchedulingError(f"number of sites must be >= 1, got {p}")
+    curve = ParallelTimeCurve(spec, comm, policy)
     best_n = 1
-    best_t = parallel_time(spec, 1, comm, overlap, policy)
+    best_t = prev = curve.t_par(1, overlap)
     for n in range(2, p + 1):
-        t = parallel_time(spec, n, comm, overlap, policy)
+        t = curve.t_par(n, overlap)
+        if t >= prev:
+            break
         if t < best_t * (1.0 - 1e-12):
             best_t = t
             best_n = n
+        prev = t
     return best_n
 
 

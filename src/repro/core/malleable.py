@@ -39,8 +39,7 @@ from repro.core.cloning import (
     DEFAULT_COORDINATOR_POLICY,
     CoordinatorPolicy,
     OperatorSpec,
-    parallel_time,
-    total_work_vector,
+    ParallelTimeCurve,
 )
 from repro.core.granularity import CommunicationModel
 from repro.core.operator_schedule import (
@@ -124,17 +123,17 @@ def candidate_parallelizations(
         )
     d = specs[0].d
     degrees = {spec.name: 1 for spec in specs}
-    by_name = {spec.name: spec for spec in specs}
-    if len(by_name) != len(specs):
+    curves = {spec.name: ParallelTimeCurve(spec, comm, policy) for spec in specs}
+    if len(curves) != len(specs):
         raise SchedulingError("duplicate operator names in malleable problem")
 
     load = [0.0] * d
     heap: list[tuple[float, str]] = []
-    for spec in specs:
-        t = parallel_time(spec, 1, comm, overlap, policy)
-        heapq.heappush(heap, (-t, spec.name))
-        for i, c in enumerate(total_work_vector(spec, 1, comm, policy).components):
+    for name, curve in curves.items():
+        heapq.heappush(heap, (-curve.t_par(1, overlap), name))
+        for i, c in enumerate(curve.total(1).components):
             load[i] += c
+    startup_delta = policy.startup_vector(d, comm.startup_cost(1)).components
 
     while True:
         neg_h, slowest = heap[0]
@@ -147,12 +146,9 @@ def candidate_parallelizations(
             return
         heapq.heappop(heap)
         degrees[slowest] += 1
-        n = degrees[slowest]
-        spec = by_name[slowest]
-        t = parallel_time(spec, n, comm, overlap, policy)
+        t = curves[slowest].t_par(degrees[slowest], overlap)
         heapq.heappush(heap, (-t, slowest))
-        startup_delta = policy.startup_vector(d, comm.startup_cost(1))
-        for i, c in enumerate(startup_delta.components):
+        for i, c in enumerate(startup_delta):
             load[i] += c
 
 
@@ -271,7 +267,7 @@ def enumerate_candidate_family(
     """Enumerate the entire greedy family as one batched pass.
 
     Runs the same max-heap walk as :func:`candidate_parallelizations`
-    (identical ``parallel_time`` calls, identical ``(-t, name)``
+    (identical ``T_par`` evaluations, identical ``(-t, name)``
     tie-breaking) but records only the per-step increment and ``h``; the
     congestion curve is evaluated for *all* members at once by
     :func:`repro.core.batch.family_congestions`, which reproduces the
@@ -286,17 +282,16 @@ def enumerate_candidate_family(
             operators=(), increments=(), h_values=(), congestions=(), p=p
         )
     d = specs[0].d
-    by_name = {spec.name: spec for spec in specs}
-    if len(by_name) != len(specs):
+    curves = {spec.name: ParallelTimeCurve(spec, comm, policy) for spec in specs}
+    if len(curves) != len(specs):
         raise SchedulingError("duplicate operator names in malleable problem")
     degrees = {spec.name: 1 for spec in specs}
 
     load0 = [0.0] * d
     heap: list[tuple[float, str]] = []
-    for spec in specs:
-        t = parallel_time(spec, 1, comm, overlap, policy)
-        heapq.heappush(heap, (-t, spec.name))
-        for i, c in enumerate(total_work_vector(spec, 1, comm, policy).components):
+    for name, curve in curves.items():
+        heapq.heappush(heap, (-curve.t_par(1, overlap), name))
+        for i, c in enumerate(curve.total(1).components):
             load0[i] += c
 
     h_values: list[float] = []
@@ -309,8 +304,7 @@ def enumerate_candidate_family(
         heapq.heappop(heap)
         degrees[slowest] += 1
         increments.append(slowest)
-        spec = by_name[slowest]
-        t = parallel_time(spec, degrees[slowest], comm, overlap, policy)
+        t = curves[slowest].t_par(degrees[slowest], overlap)
         heapq.heappush(heap, (-t, slowest))
 
     steps = len(increments)

@@ -66,6 +66,15 @@ class OverlapModel(ABC):
     architecture, operator implementation); subclasses encode one policy.
     Implementations must respect the Section 4.1 constraint
     ``l(W) <= T_seq(W) <= sum(W)``; :meth:`t_seq` enforces it.
+
+    Degree selection relies on two more properties: ``T_seq`` must be
+    **non-decreasing componentwise** (more work never runs faster) and
+    **convex**.  The first makes the coordinator the slowest clone under
+    EA1, so ``T_par(op, N)`` is the coordinator's ``T_seq``; with the
+    second, ``T_par(op, .)`` is convex in ``N`` and
+    :func:`~repro.core.cloning.response_optimal_degree` may stop at the
+    first degree that does not speed the operator up.  EA2's convex
+    combination ``eps * max + (1 - eps) * sum`` has both properties.
     """
 
     @abstractmethod

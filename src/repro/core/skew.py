@@ -42,6 +42,7 @@ from repro.core.cloning import (
     DEFAULT_COORDINATOR_POLICY,
     CoordinatorPolicy,
     OperatorSpec,
+    ParallelTimeCurve,
 )
 from repro.core.granularity import CommunicationModel
 from repro.core.resource_model import OverlapModel
@@ -86,13 +87,9 @@ def skewed_clone_work_vectors(
     accounting) is identical for every ``theta``; only the balance moves.
     """
     weights = zipf_weights(n, theta)
-    d = spec.d
-    net_axis = policy.network_axis if policy.network_axis is not None else d - 1
-    base = spec.work + WorkVector.unit(d, net_axis, comm.transfer_cost(spec.data_volume))
-    clones = [base * w for w in weights]
-    startup = comm.startup_cost(n)
-    if startup > 0.0:
-        clones[0] = clones[0] + policy.startup_vector(d, startup)
+    curve = ParallelTimeCurve(spec, comm, policy)
+    clones = [curve.base * w for w in weights]
+    clones[0] = curve.with_startup(clones[0], n)
     return clones
 
 

@@ -6,7 +6,7 @@ TREESCHEDULE response time from two sides, mirroring the Section 7 bound
 
 * **Congestion.**  The total work vector of an operator is componentwise
   non-decreasing in its degree of parallelism
-  (:func:`~repro.core.cloning.total_work_vector`), so summing the
+  (:meth:`~repro.core.cloning.ParallelTimeCurve.total`), so summing the
   ``n = 1`` vectors over all operators under-estimates the work any
   actual parallelization must push through the ``P`` sites.  Each
   component is summed with :func:`math.fsum`, which rounds the exact sum
@@ -50,8 +50,7 @@ from repro.core.cloning import (
     DEFAULT_COORDINATOR_POLICY,
     CoordinatorPolicy,
     OperatorSpec,
-    parallel_time,
-    total_work_vector,
+    ParallelTimeCurve,
 )
 from repro.core.granularity import CommunicationModel
 from repro.core.resource_model import OverlapModel
@@ -153,12 +152,13 @@ class ScreenContext:
         work, data_volume = operator_cost(
             kind, input_tuples, output_tuples, consumer, self.params
         )
-        spec = OperatorSpec(name=kind.value, work=work, data_volume=data_volume)
-        t_min = min(
-            parallel_time(spec, n, self.comm, self.overlap, self.policy)
-            for n in range(1, self.p + 1)
+        curve = ParallelTimeCurve(
+            OperatorSpec(name=kind.value, work=work, data_volume=data_volume),
+            self.comm,
+            self.policy,
         )
-        total = total_work_vector(spec, 1, self.comm, self.policy).components
+        t_min = min(curve.t_par(n, self.overlap) for n in range(1, self.p + 1))
+        total = curve.total(1).components
         self._operators[key] = cached = (t_min, total)
         return cached
 
