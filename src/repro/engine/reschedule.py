@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 
-from repro.exceptions import SchedulingError
+from repro.exceptions import ConfigurationError, SchedulingError
 from repro.core.reschedule import (
     RescheduleStats,
     ScheduleDelta,
@@ -201,7 +201,7 @@ def reschedule_cached(
     ``base_key`` is the store key of ``prev_result`` (the one the runner
     cached the cold result under); the repaired result is cached under
     the delta-qualified :func:`reschedule_store_payload` key.  Hits skip
-    the repair entirely.
+    the repair entirely; an entry that does not decode is a miss.
     """
     from repro.serialization import (
         schedule_result_from_dict,
@@ -213,7 +213,10 @@ def reschedule_cached(
     key = store.key(KIND_RESULT, payload)
     cached = store.get(KIND_RESULT, key)
     if cached is not None:
-        return schedule_result_from_dict(cached)
+        try:
+            return schedule_result_from_dict(cached)
+        except ConfigurationError:
+            pass  # corrupt or foreign entry: recompute and rewrite
     result = reschedule(
         prev_result,
         delta,

@@ -45,7 +45,7 @@ from typing import Any, TYPE_CHECKING
 
 from repro.obs.export import tracer_events, validate_trace_events, write_trace
 from repro.obs.tracer import Tracer, use_tracer
-from repro.store import content_key
+from repro.store import content_key, to_jsonable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store import ArtifactStore
@@ -131,7 +131,7 @@ class RunManifest:
         What was asked for (experiment target and the full CLI argv).
     config:
         Canonical-JSON-ready payload of the experiment config (already
-        passed through the store's ``_jsonable`` conversion), or ``None``
+        passed through :func:`repro.store.to_jsonable`), or ``None``
         for targets that take no config.
     config_hash:
         :func:`repro.store.content_key` over :attr:`config` — the same
@@ -323,9 +323,7 @@ class TraceSession:
         config_hash = None
         seed = None
         if self.config is not None:
-            from repro.store.artifact_store import _jsonable
-
-            config_payload = _jsonable(self.config)
+            config_payload = to_jsonable(self.config)
             config_hash = content_key(_CONFIG_KIND, config_payload)
             seed = getattr(self.config, "seed", None)
         stats: dict[str, int] = {}

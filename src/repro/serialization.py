@@ -17,7 +17,7 @@ from typing import Any
 
 import dataclasses
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.core.cloning import OperatorSpec
 from repro.core.cluster import ClusterSpec, SiteClass
 from repro.core.reschedule import ScheduleDelta
@@ -350,27 +350,42 @@ def schedule_result_from_dict(payload: dict[str, Any]) -> ScheduleResult:
     Round-trips exactly: the makespan, per-phase schedules (hence
     timelines), homes, degrees and instrumentation all reconstruct to
     equal values.
+
+    Every way a malformed payload can fail — a model error such as a
+    negative work component or a duplicated clone, or a ``ValueError``/
+    ``TypeError`` from a mistyped field — raises
+    :class:`~repro.exceptions.ConfigurationError`, so store readers
+    need catch only that one error to treat a corrupt entry as a miss.
     """
-    _check_schema(payload)
-    phased_payload = _expect(payload, "phased_schedule")
-    phased = (
-        None if phased_payload is None else phased_schedule_from_dict(phased_payload)
-    )
-    homes = {
-        op: OperatorHome(operator=op, site_indices=tuple(sites))
-        for op, sites in payload.get("homes", {}).items()
-    }
-    return ScheduleResult(
-        algorithm=str(payload.get("algorithm", "")),
-        phased_schedule=phased,
-        homes=homes,
-        degrees={k: int(v) for k, v in payload.get("degrees", {}).items()},
-        phase_labels=[str(x) for x in payload.get("phase_labels", [])],
-        response_time=float(_expect(payload, "response_time")),
-        instrumentation=instrumentation_from_dict(
-            payload.get("instrumentation", {})
-        ),
-    )
+    try:
+        _check_schema(payload)
+        phased_payload = _expect(payload, "phased_schedule")
+        phased = (
+            None
+            if phased_payload is None
+            else phased_schedule_from_dict(phased_payload)
+        )
+        homes = {
+            op: OperatorHome(operator=op, site_indices=tuple(sites))
+            for op, sites in payload.get("homes", {}).items()
+        }
+        return ScheduleResult(
+            algorithm=str(payload.get("algorithm", "")),
+            phased_schedule=phased,
+            homes=homes,
+            degrees={k: int(v) for k, v in payload.get("degrees", {}).items()},
+            phase_labels=[str(x) for x in payload.get("phase_labels", [])],
+            response_time=float(_expect(payload, "response_time")),
+            instrumentation=instrumentation_from_dict(
+                payload.get("instrumentation", {})
+            ),
+        )
+    except ConfigurationError:
+        raise
+    except (ReproError, ValueError, TypeError, AttributeError) as exc:
+        raise ConfigurationError(
+            f"malformed schedule result payload: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def fault_spec_to_dict(spec: FaultSpec) -> dict[str, Any]:

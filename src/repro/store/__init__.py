@@ -23,6 +23,7 @@ from repro.store.artifact_store import (
     default_store,
     point_key_payload,
     resolve_store,
+    to_jsonable,
 )
 
 __all__ = [
@@ -40,4 +41,5 @@ __all__ = [
     "default_store",
     "resolve_store",
     "point_key_payload",
+    "to_jsonable",
 ]

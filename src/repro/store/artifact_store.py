@@ -51,6 +51,7 @@ __all__ = [
     "default_store",
     "resolve_store",
     "point_key_payload",
+    "to_jsonable",
 ]
 
 #: Version tag baked into every content key and every stored envelope.
@@ -84,7 +85,7 @@ class _NoStore:
 NO_STORE = _NoStore()
 
 
-def _jsonable(value: Any) -> Any:
+def to_jsonable(value: Any) -> Any:
     """Recursively convert ``value`` into canonical-JSON-ready data.
 
     Dataclasses become field dicts, mappings become dicts with string
@@ -96,10 +97,10 @@ def _jsonable(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, enum.Enum):
-        return _jsonable(value.value)
+        return to_jsonable(value.value)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
-            f.name: _jsonable(getattr(value, f.name))
+            f.name: to_jsonable(getattr(value, f.name))
             for f in dataclasses.fields(value)
         }
     if isinstance(value, Mapping):
@@ -109,15 +110,46 @@ def _jsonable(value: Any) -> Any:
                 raise ConfigurationError(
                     f"content-key mapping keys must be strings, got {key!r}"
                 )
-            out[key] = _jsonable(item)
+            out[key] = to_jsonable(item)
         return out
     if isinstance(value, (list, tuple)) or (
         isinstance(value, Sequence) and not isinstance(value, (bytes, bytearray))
     ):
-        return [_jsonable(item) for item in value]
+        return [to_jsonable(item) for item in value]
     raise ConfigurationError(
         f"value of type {type(value).__name__} cannot appear in a content key"
     )
+
+
+#: Leaf types the key check skips by exact type, before the slower
+#: ``isinstance`` test against :data:`_CONTAINERS`.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+#: What the C encoder walks natively, subclasses included.
+_CONTAINERS = (dict, list, tuple)
+
+
+def _check_keys(value: dict | list | tuple) -> None:
+    """Reject non-string mapping keys in ``value``'s native containers.
+
+    ``json.dumps`` silently turns ``int``/``float``/``bool``/``None``
+    keys into strings, so without this walk ``{1: x}`` and ``{"1": x}``
+    would share one content key.  Only dicts, lists and tuples (and
+    their subclasses) are descended: every other object reaches
+    :func:`to_jsonable`, which checks its own keys.
+    """
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if type(key) is not str and not isinstance(key, str):
+                raise ConfigurationError(
+                    f"content-key mapping keys must be strings, got {key!r}"
+                )
+            if type(item) not in _SCALARS and isinstance(item, _CONTAINERS):
+                _check_keys(item)
+    else:
+        for item in value:
+            if type(item) not in _SCALARS and isinstance(item, _CONTAINERS):
+                _check_keys(item)
 
 
 def canonical_json(payload: Any) -> str:
@@ -126,12 +158,28 @@ def canonical_json(payload: Any) -> str:
     Sorted keys, no whitespace, NaN/Infinity rejected: two payloads are
     equal exactly when their canonical JSON bytes are equal, which is
     what makes SHA-256 over this text a sound content address.
+
+    One pass of the C encoder: plain JSON data never touches Python
+    code, and only objects JSON cannot encode natively (dataclasses,
+    plain enums, other mappings and sequences) go through
+    :func:`to_jsonable`.  The bytes equal those of encoding
+    ``to_jsonable(payload)``.
     """
     try:
+        if type(payload) not in _SCALARS and isinstance(payload, _CONTAINERS):
+            _check_keys(payload)
+        # ``check_circular`` would only duplicate a guard: a cycle
+        # already overflows the recursion of ``_check_keys`` or
+        # ``to_jsonable`` before encoding starts.
         return json.dumps(
-            _jsonable(payload), sort_keys=True, separators=(",", ":"), allow_nan=False
+            payload,
+            sort_keys=True,
+            separators=(",", ":"),
+            allow_nan=False,
+            check_circular=False,
+            default=to_jsonable,
         )
-    except ValueError as exc:  # non-finite floats
+    except ValueError as exc:  # non-finite floats, rejected keys and values
         raise ConfigurationError(f"payload is not canonical-JSON-safe: {exc}") from None
 
 
@@ -198,12 +246,15 @@ class ArtifactStore:
         """The stored value, or ``None`` on miss/corruption."""
         path = self.path_for(kind, key)
         try:
-            text = path.read_text(encoding="utf-8")
+            data = path.read_bytes()
         except OSError:
             self.stats.misses += 1
             return None
         try:
-            envelope = json.loads(text)
+            # Decode explicitly: ``json.loads`` would sniff bytes for a
+            # UTF-16/32 encoding, and a non-UTF-8 entry is corruption
+            # (``UnicodeDecodeError`` is a ``ValueError``).
+            envelope = json.loads(data.decode("utf-8"))
             if (
                 not isinstance(envelope, dict)
                 or envelope.get("schema") != STORE_SCHEMA
@@ -299,7 +350,7 @@ def point_key_payload(point: Any, evaluator: Callable[..., Any]) -> dict[str, An
     if not dataclasses.is_dataclass(point) or isinstance(point, type):
         return None
     try:
-        coords = _jsonable(point)
+        coords = to_jsonable(point)
     except ConfigurationError:
         return None
     return {

@@ -203,6 +203,26 @@ class TestArtifactStore:
         assert store.get_or_compute(KIND_POINT, payload, compute) == {"value": 7.0}
         assert len(calls) == 2
 
+    def test_non_utf8_entry_is_a_counted_miss(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return {"value": 3.0}
+
+        payload = {"p": 3}
+        key = store.key(KIND_POINT, payload)
+        path = store.put(KIND_POINT, key, {"value": 3.0})
+        good = path.read_bytes()
+        # A UTF-16 byte-order mark followed by bytes no codec accepts.
+        path.write_bytes(b"\xff\xfe\x00\xd8garbage\xc3")
+        assert store.get(KIND_POINT, key) is None
+        assert store.stats.corrupt == 1
+        assert store.get_or_compute(KIND_POINT, payload, compute) == {"value": 3.0}
+        assert calls == [1]
+        assert path.read_bytes() == good
+
     def test_put_is_idempotent_overwrite(self, tmp_path):
         store = ArtifactStore(tmp_path)
         key = store.key(KIND_POINT, {"p": 4})
