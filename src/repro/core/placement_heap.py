@@ -17,15 +17,17 @@ replaces it with a heap using *lazy deletion*:
   re-pushed after the selection, costing O(log p) per clone of the same
   operator already placed — at most ``N_i - 1`` per placement.
 
-Long-running incremental use (the rescheduling layer keeps a heap alive
-across many repair deltas) adds two maintenance operations:
+Long-running incremental use (the serve pool keeps one heap alive
+across every repair delta of a run) adds three maintenance operations:
 :meth:`SiteHeap.discard_batch` lazily untracks sites (their queued
-entries become stale) and :meth:`SiteHeap.rebuild` compacts the heap to
-exactly one fresh entry per live site.  :meth:`SiteHeap.update` triggers
-:meth:`SiteHeap.rebuild` automatically once the entry count exceeds
-``max(32, 3·live sites)``, so lazy-deletion garbage stays bounded by a
-constant factor regardless of how many updates and discards a session
-performs.
+entries become stale), :meth:`SiteHeap.refresh` re-caches the keys of
+sites changed outside the heap (a removal can *shrink* a key, which lazy
+deletion cannot express), and :meth:`SiteHeap.rebuild` compacts the heap
+to exactly one fresh entry per live site from the cached keys.
+:meth:`SiteHeap.update` triggers :meth:`SiteHeap.rebuild` automatically
+once the entry count exceeds ``max(32, 3·live sites)``, so lazy-deletion
+garbage stays bounded by a constant factor regardless of how many
+updates and discards a session performs.
 
 Because every key tuple ends in the site index, the heap minimum is the
 unique minimizer the linear scan would have found, so packings produced
@@ -36,7 +38,7 @@ implementation (asserted by the golden tests).
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from repro.core.site import Site
 
@@ -153,14 +155,34 @@ class SiteHeap:
             self._sites.pop(j, None)
             self._keys.pop(j, None)
 
+    def refresh(self, sites: Iterable[Site]) -> None:
+        """Re-cache the keys of sites that changed outside the heap.
+
+        Unlike :meth:`update` nothing is queued: the sites' queued
+        entries turn stale and the sites are not pickable until the next
+        :meth:`rebuild`.  This is the re-keying step for callers that
+        mutate sites between placement passes — removing a clone can
+        shrink a key, which lazy deletion alone cannot express — and
+        rebuild before each pass.
+        """
+        key = self._key
+        tracked = self._sites
+        keys = self._keys
+        for site in sites:
+            tracked[site.index] = site
+            keys[site.index] = key(site)
+
     def rebuild(self) -> None:
         """Compact to exactly one fresh entry per live site (O(p)).
 
-        Discards all stale and discarded-site garbage at once; the heap
-        order afterwards is identical to a freshly constructed heap over
-        the currently tracked sites.
+        Discards all stale and discarded-site garbage at once and
+        heapifies the cached keys without calling the key function.
+        Keys are unique (they end in the site index), so the heap then
+        pops exactly the sequence a freshly constructed heap over the
+        currently tracked sites would.
         """
-        self._heap = [(k, j) for j, k in self._keys.items()]
+        keys = self._keys
+        self._heap = list(zip(keys.values(), keys))
         heapq.heapify(self._heap)
 
     def tracked_sites(self) -> frozenset[int]:

@@ -146,6 +146,10 @@ class Schedule:
         """Names of all operators with at least one placed clone."""
         return frozenset(self._homes)
 
+    def has_operator(self, operator: str) -> bool:
+        """True when ``operator`` has a placed clone (O(1), no set copy)."""
+        return operator in self._homes
+
     def clone_count(self) -> int:
         """Total number of placed clones ``N = sum_i N_i`` (maintained O(1))."""
         return self._clone_count

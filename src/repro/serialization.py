@@ -103,12 +103,26 @@ def operator_spec_to_dict(spec: OperatorSpec) -> dict[str, Any]:
 
 
 def operator_spec_from_dict(payload: dict[str, Any]) -> OperatorSpec:
-    """Deserialize an operator spec."""
-    return OperatorSpec(
-        name=_expect(payload, "name"),
-        work=work_vector_from_dict(_expect(payload, "work")),
-        data_volume=float(payload.get("data_volume", 0.0)),
-    )
+    """Deserialize an operator spec.
+
+    Like :func:`schedule_result_from_dict`, every way a malformed payload
+    can fail — a model error such as a negative work component, or a
+    ``ValueError``/``TypeError`` from a mistyped field — raises
+    :class:`~repro.exceptions.ConfigurationError`, so a store reader
+    treats a corrupt annotation entry as a miss by catching that alone.
+    """
+    try:
+        return OperatorSpec(
+            name=_expect(payload, "name"),
+            work=work_vector_from_dict(_expect(payload, "work")),
+            data_volume=float(payload.get("data_volume", 0.0)),
+        )
+    except ConfigurationError:
+        raise
+    except (ReproError, ValueError, TypeError, AttributeError) as exc:
+        raise ConfigurationError(
+            f"malformed operator spec payload: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def system_parameters_to_dict(params: SystemParameters) -> dict[str, Any]:

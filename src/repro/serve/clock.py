@@ -25,6 +25,7 @@ fast with a stack trace rather than freezing CI.
 from __future__ import annotations
 
 import asyncio
+import heapq
 from collections.abc import Coroutine
 from typing import Any, TypeVar
 
@@ -67,8 +68,16 @@ class VirtualTimeEventLoop(asyncio.SelectorEventLoop):
         # ``_scheduled`` are BaseEventLoop internals, stable across every
         # CPython this package supports (3.10+).
         if not self._ready:
-            if self._scheduled:
-                when = self._scheduled[0]._when
+            scheduled = self._scheduled
+            # Cancelled timers stay queued until popped.  Jumping to one
+            # would leave the base loop a *real* select() timeout up to
+            # the next live deadline, so drop them here, exactly as the
+            # base loop does (keeping its cancelled count in step).
+            while scheduled and scheduled[0]._cancelled:
+                self._timer_cancelled_count -= 1
+                heapq.heappop(scheduled)._scheduled = False
+            if scheduled:
+                when = scheduled[0]._when
                 if when > self._virtual_now:
                     self._virtual_now = when
                     self.advances += 1

@@ -20,6 +20,15 @@ computes the next completion time analytically, sleeps the virtual
 clock to whichever comes first — that completion or a membership change
 — and integrates progress over the elapsed interval.  No polling, no
 tolerance-tuned time steps, and byte-deterministic on the virtual loop.
+
+Rates are cached.  A launch or a completion changes the resident count
+of its host sites only, so it invalidates the rates of the queries that
+share one of those sites (found through a site -> running-queries
+index); a capacity change invalidates every rate.  Each interval then
+recomputes just the invalidated rates with the same formula, so every
+rate — and every float integrated from it — is bit-identical to a full
+recomputation.  The wait itself is one ``loop.call_at`` timer per
+interval, cancelled when a change wakes the loop first.
 """
 
 from __future__ import annotations
@@ -43,6 +52,10 @@ class _Running:
     remaining: float
     hosts: tuple[int, ...]
     started_at: float
+    #: "remaining work is zero" threshold, fixed by the demand.
+    done_below: float
+    #: fair-share rate, valid while the query is not marked stale.
+    rate: float = 0.0
 
 
 @dataclass
@@ -70,6 +83,11 @@ class FluidExecutor:
     capacity_of: "Callable[[int], float] | None" = None
 
     _running: dict[str, _Running] = field(default_factory=dict, init=False)
+    #: site index -> the running queries hosted there, in launch order.
+    _on_site: dict[int, dict[str, _Running]] = field(default_factory=dict, init=False)
+    #: queries whose cached rate must be recomputed before the next wait.
+    _stale: dict[str, _Running] = field(default_factory=dict, init=False)
+    _all_stale: bool = field(default=False, init=False)
     _changed: asyncio.Event = field(default_factory=asyncio.Event, init=False)
     _draining: bool = field(default=False, init=False)
     #: ∫ busy-sites dt and ∫ running-queries dt, for the report.
@@ -94,14 +112,28 @@ class FluidExecutor:
             raise ServiceError(
                 f"query {name!r} has non-positive demand {demand}"
             )
-        self._running[name] = _Running(
+        query = _Running(
             name=name,
             demand=demand,
             remaining=demand,
             hosts=tuple(hosts),
             started_at=now,
+            done_below=_COMPLETION_SLACK * max(1.0, demand),
         )
+        self._running[name] = query
+        self._stale[name] = query
+        for site in query.hosts:
+            self._touch(site)[name] = query
         self._changed.set()
+
+    def _touch(self, site: int) -> dict[str, _Running]:
+        """Mark the queries on ``site`` stale; return the site's index entry."""
+        residents = self._on_site.get(site)
+        if residents is None:
+            residents = self._on_site[site] = {}
+        else:
+            self._stale.update(residents)
+        return residents
 
     def stop_when_idle(self) -> None:
         """Let the run loop exit once the last query completes."""
@@ -112,9 +144,11 @@ class FluidExecutor:
         """Wake the run loop to recompute rates (e.g. a capacity change).
 
         The current interval is integrated at the rates that were in
-        force, then the next interval picks up the new per-site
-        capacities — exactly how launches and retirements propagate.
+        force, then the next interval recomputes every rate against the
+        new per-site capacities — exactly how launches and retirements
+        propagate to the queries they touch.
         """
+        self._all_stale = True
         self._changed.set()
 
     def _rate(self, query: _Running) -> float:
@@ -132,26 +166,38 @@ class FluidExecutor:
                 best = share
         return best
 
-    def _advance(self, rates: dict[str, float], elapsed: float, now: float) -> None:
-        """Integrate ``elapsed`` seconds of progress and fire completions."""
+    def _refresh_rates(self) -> None:
+        """Recompute the stale rates (all of them after a capacity change)."""
+        stale = self._running if self._all_stale else self._stale
+        for query in stale.values():
+            query.rate = self._rate(query)
+        self._stale = {}
+        self._all_stale = False
+
+    def _advance(
+        self, interval: list[_Running], busy_sites: int, elapsed: float, now: float
+    ) -> None:
+        """Integrate ``elapsed`` seconds of progress and fire completions.
+
+        ``interval`` holds the queries that raced over the interval and
+        ``busy_sites`` the sites they occupied.  Queries launched during
+        the wait joined at the interval's end and made no progress.
+        """
         if elapsed > 0.0:
-            # Queries launched during the wait are not in ``rates``: they
-            # joined at the interval's end and make no progress over it.
-            interval = [q for q in self._running.values() if q.name in rates]
-            self.busy_site_seconds += elapsed * len(
-                {s for q in interval for s in q.hosts}
-            )
+            self.busy_site_seconds += elapsed * busy_sites
             self.query_seconds += elapsed * len(interval)
             for query in interval:
-                query.remaining -= elapsed * rates[query.name]
-        done = [
-            q.name
-            for q in self._running.values()
-            if q.remaining <= _COMPLETION_SLACK * max(1.0, q.demand)
-        ]
-        for name in done:
-            del self._running[name]
-            self.on_complete(name, now)
+                query.remaining -= elapsed * query.rate
+        done = [q for q in self._running.values() if q.remaining <= q.done_below]
+        for query in done:
+            del self._running[query.name]
+            for site in query.hosts:
+                residents = self._touch(site)
+                del residents[query.name]
+                if not residents:
+                    del self._on_site[site]
+            self._stale.pop(query.name, None)
+            self.on_complete(query.name, now)
 
     async def run(self) -> None:
         """Drive the fluid race until drained.
@@ -162,29 +208,24 @@ class FluidExecutor:
         then integrates the interval at the rates that were in force.
         """
         loop = asyncio.get_running_loop()
+        changed = self._changed
         while True:
-            self._changed.clear()
+            changed.clear()
             if not self._running:
                 if self._draining:
                     return
-                await self._changed.wait()
+                await changed.wait()
                 continue
-            rates = {q.name: self._rate(q) for q in self._running.values()}
-            dt = min(q.remaining / rates[q.name] for q in self._running.values())
+            self._refresh_rates()
+            interval = list(self._running.values())
+            busy_sites = len(self._on_site)
+            dt = min(q.remaining / q.rate for q in interval)
             started = loop.time()
-            sleeper = asyncio.ensure_future(asyncio.sleep(dt))
-            waker = asyncio.ensure_future(self._changed.wait())
+            # ``call_later(dt)`` would compute this same deadline float.
+            timer = loop.call_at(started + dt, changed.set)
             try:
-                await asyncio.wait(
-                    (sleeper, waker), return_when=asyncio.FIRST_COMPLETED
-                )
+                await changed.wait()
             finally:
-                for task in (sleeper, waker):
-                    if not task.done():
-                        task.cancel()
-                        try:
-                            await task
-                        except asyncio.CancelledError:
-                            pass
+                timer.cancel()
             now = loop.time()
-            self._advance(rates, now - started, now)
+            self._advance(interval, busy_sites, now - started, now)

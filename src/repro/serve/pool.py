@@ -3,21 +3,25 @@
 Every running query occupies one operator entry (its ``k`` clones on
 ``k`` distinct sites, constraint (A)) in a single long-lived
 :class:`~repro.core.schedule.Schedule`.  Installing and retiring queries
-goes through the rescheduler registry — the same
-:class:`~repro.core.reschedule.ScheduleDelta` repair path PR 6 built for
-fault recovery — so admitting query number 10\\ :sup:`3` costs
-O(k · log p), never a cold re-pack of everything resident.
+goes through :func:`~repro.core.reschedule.reschedule_schedule` — the
+same :class:`~repro.core.reschedule.ScheduleDelta` repair path PR 6
+built for fault recovery — so admitting query number 10\\ :sup:`3`
+costs O(k · log p), never a cold re-pack of everything resident.  The
+repairs share one long-lived :class:`~repro.core.placement_heap.SiteHeap`
+in which each delta re-keys only the sites it touched.
 
 The pool is also the service's contention model: a site of capacity
 ``c`` hosting ``m`` query-operators runs each at rate ``c/m`` (fair
 share, matching the fluid simulator's stance in :mod:`repro.sim`), so
 :meth:`residents_of` and :meth:`capacity_of` feed the executor's
 progress rates and :meth:`has_capacity` gates placement on a
-co-residency limit rather than raw site count.  :meth:`set_capacity` is
-the elasticity primitive: it resizes one site *in place* through a
-:class:`~repro.core.reschedule.ScheduleDelta` — residents stay put, no
-cold re-pack — and the executor picks the new rates up at its next
-event.
+co-residency limit rather than raw site count.  All three are O(1)
+reads of counts that :meth:`install`, :meth:`retire` and
+:meth:`set_capacity` maintain in O(k) from the touched sites.
+:meth:`set_capacity` is the elasticity primitive: it resizes one site
+*in place* through a :class:`~repro.core.reschedule.ScheduleDelta` —
+residents stay put, no cold re-pack — and the executor picks the new
+rates up at its next event.
 """
 
 from __future__ import annotations
@@ -26,12 +30,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.exceptions import ConfigurationError, ServiceError
-from repro.core.reschedule import ScheduleDelta
+from repro.core.placement_heap import SiteHeap, least_loaded_key
+from repro.core.reschedule import ScheduleDelta, reschedule_schedule
 from repro.core.resource_model import OverlapModel
 from repro.core.schedule import Schedule
 from repro.core.vector_packing import CloneItem, PlacementRule, SortKey
 from repro.core.work_vector import WorkVector
-from repro.engine.registry import get_rescheduler
 from repro.obs.names import COUNTER_SITES_RESIZED, SPAN_CAPACITY_CHANGE
 from repro.obs.tracer import current_tracer
 
@@ -55,8 +59,6 @@ class SitePool:
         Soft co-residency cap: :meth:`has_capacity` only counts sites
         hosting fewer than this many query-operators, bounding the
         fair-share slowdown any single query can suffer.
-    strategy:
-        Rescheduler registry name used for install/retire repairs.
     capacities:
         Optional per-site relative speeds (length ``p``); ``None`` means
         the homogeneous unit pool.  Mutated in place by
@@ -71,13 +73,22 @@ class SitePool:
     p: int
     overlap: OverlapModel
     max_coresident: int = 4
-    strategy: str = "repair"
     sort: SortKey = SortKey.MAX_COMPONENT
     rule: PlacementRule = PlacementRule.LEAST_LOADED_LENGTH
     capacities: "tuple[float, ...] | None" = None
     metrics: "MetricsRecorder | None" = None
 
     _schedule: Schedule | None = field(default=None, init=False)
+    #: the repair heap, created with the ledger and kept for its life.
+    _heap: SiteHeap | None = field(default=None, init=False)
+    #: resident query -> host sites, in clone order.
+    _homes: dict[str, tuple[int, ...]] = field(default_factory=dict, init=False)
+    #: per-site resident count and capacity, by site index.
+    _residents: list[int] = field(default_factory=list, init=False)
+    _capacity: list[float] = field(default_factory=list, init=False)
+    #: sites below ``max_coresident`` residents / with any resident.
+    _open: int = field(default=0, init=False)
+    _occupied: int = field(default=0, init=False)
     #: cumulative repair placement scans, for the service report.
     placement_scans: int = field(default=0, init=False)
     installs: int = field(default=0, init=False)
@@ -105,6 +116,9 @@ class SitePool:
                         f"got {capacity!r}"
                     )
             self.capacities = tuple(float(c) for c in self.capacities)
+        self._residents = [0] * self.p
+        self._capacity = list(self.capacities or (1.0,) * self.p)
+        self._open = self.p
 
     @property
     def schedule(self) -> Schedule | None:
@@ -114,18 +128,17 @@ class SitePool:
     @property
     def running(self) -> frozenset[str]:
         """Names of the queries currently resident in the pool."""
-        if self._schedule is None:
-            return frozenset()
-        return self._schedule.operators
+        return frozenset(self._homes)
 
     def _repair(self, delta: ScheduleDelta) -> None:
-        stats = get_rescheduler(self.strategy)(
+        stats = reschedule_schedule(
             self._schedule,
             delta,
             overlap=self.overlap,
             sort=self.sort,
             rule=self.rule,
             metrics=self.metrics,
+            heap=self._heap,
         )
         self.placement_scans += stats.placement_scans
 
@@ -146,7 +159,9 @@ class SitePool:
             )
         if self._schedule is None:
             self._schedule = Schedule(self.p, loads[0].d, self.capacities)
-        if name in self._schedule.operators:
+            if self.rule is PlacementRule.LEAST_LOADED_LENGTH:
+                self._heap = SiteHeap(self._schedule.sites, key=least_loaded_key)
+        if name in self._homes:
             raise ServiceError(f"query {name!r} is already installed")
         items = tuple(
             CloneItem(operator=name, clone_index=i, work=work)
@@ -154,28 +169,42 @@ class SitePool:
         )
         self._repair(ScheduleDelta(add_items=items))
         self.installs += 1
-        return self._schedule.home(name).site_indices
+        hosts = self._schedule.home(name).site_indices
+        self._homes[name] = hosts
+        residents = self._residents
+        for j in hosts:
+            count = residents[j] + 1
+            residents[j] = count
+            if count == 1:
+                self._occupied += 1
+            if count == self.max_coresident:
+                self._open -= 1
+        return hosts
 
     def retire(self, name: str) -> None:
         """Remove a completed query from the ledger."""
-        if self._schedule is None or name not in self._schedule.operators:
+        hosts = self._homes.get(name)
+        if hosts is None:
             raise ServiceError(f"cannot retire {name!r}: not installed")
         self._repair(ScheduleDelta(remove_operators=(name,)))
+        del self._homes[name]
         self.retires += 1
+        residents = self._residents
+        for j in hosts:
+            count = residents[j]
+            residents[j] = count - 1
+            if count == 1:
+                self._occupied -= 1
+            if count == self.max_coresident:
+                self._open += 1
 
     def residents_of(self, site_index: int) -> int:
         """Distinct query-operators resident on one site."""
-        if self._schedule is None:
-            return 0
-        return len(self._schedule.site(site_index).operators)
+        return self._residents[site_index]
 
     def capacity_of(self, site_index: int) -> float:
         """Relative speed of one site (``1.0`` on the homogeneous pool)."""
-        if self._schedule is not None:
-            return self._schedule.site(site_index).capacity
-        if self.capacities is not None:
-            return self.capacities[site_index]
-        return 1.0
+        return self._capacity[site_index]
 
     def set_capacity(self, site_index: int, capacity: float) -> None:
         """Elastically resize one site in place (residents stay put).
@@ -206,33 +235,24 @@ class SitePool:
                     self.metrics.count(COUNTER_SITES_RESIZED)
             else:
                 self._repair(delta)
+        self._capacity[site_index] = float(capacity)
         self.resizes += 1
 
     def has_capacity(self, k: int) -> bool:
         """Can a degree-``k`` query join without breaching co-residency?
 
-        True when at least ``k`` enabled sites host fewer than
+        True when at least ``k`` sites host fewer than
         ``max_coresident`` query-operators.  A soft gate: the repair
         itself only enforces distinct-site placement, so this is the
         knob that makes placement *wait* instead of piling everything
         onto the pool at once.
         """
-        if self._schedule is None:
-            return k <= self.p
-        open_sites = sum(
-            1
-            for site in self._schedule.enabled_sites()
-            if len(site.operators) < self.max_coresident
-        )
-        return open_sites >= k
+        return self._open >= k
 
     def utilization(self) -> dict[str, float]:
         """Snapshot for the report: occupancy and co-residency."""
-        if self._schedule is None:
-            return {"occupied_sites": 0.0, "resident_queries": 0.0, "max_residents": 0.0}
-        counts = [len(s.operators) for s in self._schedule.sites]
         return {
-            "occupied_sites": float(sum(1 for c in counts if c)),
-            "resident_queries": float(len(self._schedule.operators)),
-            "max_residents": float(max(counts) if counts else 0),
+            "occupied_sites": float(self._occupied),
+            "resident_queries": float(len(self._homes)),
+            "max_residents": float(max(self._residents)),
         }

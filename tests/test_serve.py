@@ -28,6 +28,7 @@ from repro.serve import (
     QueryTemplate,
     SitePool,
     SLOClass,
+    VirtualTimeEventLoop,
     WorkloadSpec,
     diurnal_factor,
     make_templates,
@@ -78,6 +79,39 @@ class TestVirtualClock:
             return 42
 
         assert run_virtual(main()) == 42
+
+    def test_cancelled_timer_is_skipped_not_jumped_to(self):
+        loop = VirtualTimeEventLoop()
+        timeouts: list[float | None] = []
+        real_select = loop._selector.select
+
+        def select(timeout=None):
+            timeouts.append(timeout)
+            return real_select(0)
+
+        loop._selector.select = select
+
+        async def main():
+            loop.call_later(1.0, lambda: None).cancel()
+            await asyncio.sleep(3.0)
+
+        try:
+            loop.run_until_complete(main())
+            assert loop.time() == 3.0
+            assert loop.advances == 1
+            assert loop._timer_cancelled_count == 0
+        finally:
+            loop.close()
+        assert timeouts and all(t is not None and t <= 0 for t in timeouts)
+
+    def test_only_cancelled_timers_left_is_a_deadlock(self):
+        async def main():
+            loop = asyncio.get_running_loop()
+            loop.call_later(1.0, lambda: None).cancel()
+            await loop.create_future()
+
+        with pytest.raises(ServiceError, match="deadlock"):
+            run_virtual(main())
 
 
 # ----------------------------------------------------------------------

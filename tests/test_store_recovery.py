@@ -150,3 +150,68 @@ def test_reschedule_cached_recomputes(tmp_path, corrupt):
             base_key="base", store=store,
         ),
     )
+
+
+# ----------------------------------------------------------------------
+# Annotation entries (prepare_workload's store reader)
+# ----------------------------------------------------------------------
+def _first_spec(value):
+    specs = value["queries"][0]
+    return specs[sorted(specs)[0]]
+
+
+def _annotation_negative_work(value):
+    _first_spec(value)["work"]["components"][0] = -1.0
+
+
+def _annotation_mistyped_volume(value):
+    _first_spec(value)["data_volume"] = [1.0]
+
+
+def _annotation_mistyped_work(value):
+    _first_spec(value)["work"]["components"] = 7
+
+
+ANNOTATION_CORRUPTIONS = {
+    "negative_work": _annotation_negative_work,
+    "mistyped_volume": _annotation_mistyped_volume,
+    "mistyped_work": _annotation_mistyped_work,
+}
+
+
+@pytest.mark.parametrize(
+    "corrupt", ANNOTATION_CORRUPTIONS.values(), ids=ANNOTATION_CORRUPTIONS
+)
+def test_prepare_workload_recomputes_corrupt_annotations(
+    tmp_path, monkeypatch, corrupt
+):
+    pytest.importorskip("numpy")
+    from repro.experiments import runner
+    from repro.serialization import operator_spec_from_dict
+
+    computed = []
+    compute = runner.compute_plan_annotation
+
+    def counting_compute(*args, **kwargs):
+        computed.append(1)
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "compute_plan_annotation", counting_compute)
+    store = ArtifactStore(tmp_path)
+
+    def call():
+        runner._ANNOTATION_CACHE.clear()
+        (query,) = runner.prepare_workload(6, 1, 3, store=store)
+        return {name: spec.work for name, spec in query.annotation.items()}
+
+    first = call()
+    assert (len(computed), store.stats.writes) == (1, 1)
+    path = _corrupt_only_entry(tmp_path, corrupt)
+    with pytest.raises(ConfigurationError):
+        operator_spec_from_dict(
+            _first_spec(json.loads(path.read_text("utf-8"))["value"])
+        )
+    assert call() == first
+    assert (len(computed), store.stats.writes) == (2, 2)
+    assert call() == first
+    assert (len(computed), store.stats.writes) == (2, 2)
