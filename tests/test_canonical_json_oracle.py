@@ -253,7 +253,8 @@ def test_to_jsonable_is_the_plain_data_of_the_encoding(payload):
         Box("field", float("nan")),
         {"x": b"bytes"},
         [bytearray(b"x")],
-        {"x": object()},
+        # An explicit id: repr() of a bare object() names its address.
+        pytest.param({"x": object()}, id="{'x': object()}"),
         Box("field", object()),
         {"x": {1, 2}},
     ],
