@@ -9,7 +9,7 @@ the optimization is sold on:
   baseline at the guard point (n=1000, p=64, d=3);
 * heap placement and incremental loads change nothing about the output —
   the packing is byte-identical to the naive reference kernel;
-* the batched shelf packer clears the scale point (n=10^4 clones over
+* the packer clears the scale point (n=10^4 clones over
   p=10^3 sites) warm in well under a second;
 * repairing a 3-site failure via incremental rescheduling beats a cold
   re-pack by at least 4x at the guard point's size.

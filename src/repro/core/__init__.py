@@ -13,13 +13,10 @@ depends on the plan substrate; import it via :mod:`repro` or directly.
 """
 
 from repro.core.batch import (
-    HAVE_NUMPY,
     eq3_makespans_over_epsilon,
     family_congestions,
     lower_bounds_batch,
-    pack_least_loaded_batch,
     set_length_batch,
-    sum_length,
 )
 from repro.core.bounds import (
     BoundCertificate,
@@ -158,13 +155,10 @@ __all__ = [
     "slowest_operator_time",
     "theorem51_fixed_degree_bound",
     "theorem51_coarse_grain_bound",
-    # batch (numpy-gated fast paths)
-    "HAVE_NUMPY",
-    "sum_length",
+    # batch
     "set_length_batch",
     "lower_bounds_batch",
     "eq3_makespans_over_epsilon",
-    "pack_least_loaded_batch",
     "family_congestions",
     # malleable
     "ParallelizationCandidate",

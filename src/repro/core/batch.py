@@ -1,84 +1,39 @@
-"""Optional numpy-vectorized batch kernels for bounds and Equation (3).
+"""Batch kernels for bounds, Equation (3) sweeps and the malleable family.
 
 The figure sweeps evaluate the same small formulas thousands of times:
-``l(S)`` of a set of work vectors (the congestion side of OPTBOUND and of
-the ``LB(N̄)`` lower bound) and the Equation (3) makespan of a packing
-re-evaluated under many overlap parameters (sensitivity analysis).  This
-module batches those evaluations and vectorizes them with numpy when it
-is importable, falling back to exact pure-Python loops otherwise.
+``l(S)`` of a set of work vectors (the congestion side of the ``LB(N̄)``
+lower bound), the Equation (3) makespan of a packing re-evaluated under
+many overlap parameters (sensitivity analysis), and the congestion curve
+of the Section 7 greedy family.  This module evaluates each of them for a
+whole batch in one call.
 
-Selection semantics
--------------------
-* numpy is **optional**: ``import repro.core.batch`` never fails without
-  it, and every function silently uses the pure-Python path
-  (:data:`HAVE_NUMPY` reports which regime is active).
-* the numpy path is auto-selected only above a small size cutover
-  (:data:`NUMPY_CUTOVER` vectors), below which interpreter-loop evaluation
-  is faster than array construction.
-* the pure-Python path reproduces the scalar kernels bit-for-bit.  The
-  numpy path of the *reduction* kernels (:func:`sum_length`,
-  :func:`set_length_batch`, …) may differ from sequential summation in
-  the last ulp (pairwise summation); callers that require bit-stable
-  output across environments do not go through those kernels.
-* the *placement* and *family* kernels added for the batched shelf
-  packer (:func:`pack_least_loaded_batch`, :func:`family_congestions`)
-  are engineered to be **bit-stable**: they only use element-wise adds,
-  exact max/argmin selections and sequential ``np.add.accumulate``
-  folds, all of which reproduce the scalar left-to-right arithmetic of
-  :class:`~repro.core.site.Site` exactly.  The golden packing tests
-  assert this byte-for-byte against the rescanning reference.
+Every kernel is exact pure Python: it performs the same left-to-right
+float operations as the scalar formula it batches, so results are
+bit-identical to the scalar code on every host.  numpy is not needed
+here; :data:`HAVE_NUMPY` only reports whether the optional extra (used
+by workload generation and plan sampling) is installed.
 """
 
 from __future__ import annotations
 
+import importlib.util
 from collections.abc import Sequence
+from itertools import accumulate, repeat
 
-from repro.exceptions import InfeasibleScheduleError, SchedulingError
+from repro.exceptions import SchedulingError
 from repro.core.schedule import Schedule
 from repro.core.work_vector import WorkVector, vector_sum
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - container always ships numpy
-    _np = None
-    HAVE_NUMPY = False
+#: Whether the optional numpy extra is installed (no kernel branches on it).
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
 __all__ = [
     "HAVE_NUMPY",
-    "NUMPY_CUTOVER",
-    "sum_length",
     "set_length_batch",
     "lower_bounds_batch",
     "eq3_makespans_over_epsilon",
-    "pack_least_loaded_batch",
     "family_congestions",
 ]
-
-#: Minimum total vector count before the numpy path pays for its own
-#: array-construction overhead (measured on the kernel micro-benchmark;
-#: conservative so small calls keep the exact scalar arithmetic).
-NUMPY_CUTOVER = 64
-
-
-def sum_length(vectors: Sequence[WorkVector], d: int | None = None) -> float:
-    """Return ``l(S)``: the length of the componentwise sum of ``vectors``.
-
-    Same contract as :func:`repro.core.work_vector.set_length`, but
-    auto-selects a numpy reduction for large sets.
-    """
-    vectors = list(vectors)
-    if not vectors:
-        if d is None:
-            raise SchedulingError(
-                "sum_length of an empty collection requires explicit dimensionality"
-            )
-        return 0.0
-    if HAVE_NUMPY and len(vectors) >= NUMPY_CUTOVER:
-        arr = _np.array([v.components for v in vectors], dtype=_np.float64)
-        return float(arr.sum(axis=0).max())
-    return vector_sum(vectors).length()
 
 
 def set_length_batch(
@@ -86,45 +41,19 @@ def set_length_batch(
 ) -> list[float]:
     """Return ``l(S_k)`` for every group ``S_k`` in one pass.
 
-    Ragged groups are supported; empty groups yield ``0.0``.  The numpy
-    path concatenates all vectors into one ``(N, d)`` array and reduces
-    per-group slices with ``np.add.reduceat``, so the whole batch costs
-    one array construction instead of one per group.
+    Ragged groups are supported; empty groups yield ``0.0``.  Every
+    vector must have dimensionality ``d``.
     """
     if d < 1:
         raise SchedulingError(f"dimensionality must be >= 1, got {d}")
-    groups = [list(g) for g in groups]
-    total = sum(len(g) for g in groups)
-    if HAVE_NUMPY and total >= NUMPY_CUTOVER:
-        flat = _np.empty((total, d), dtype=_np.float64)
-        offsets = []
-        row = 0
-        for g in groups:
-            offsets.append(row)
-            for v in g:
-                if v.d != d:
-                    raise SchedulingError(
-                        f"dimensionality mismatch in set_length_batch: {v.d} vs {d}"
-                    )
-                flat[row] = v.components
-                row += 1
-        out: list[float] = []
-        # reduceat cannot express empty slices directly; walk the offset
-        # list and reduce each non-empty [start, stop) band.
-        for k, g in enumerate(groups):
-            if not g:
-                out.append(0.0)
-                continue
-            start = offsets[k]
-            stop = start + len(g)
-            out.append(float(flat[start:stop].sum(axis=0).max()))
-        return out
     out = []
-    for g in groups:
-        if not g:
-            out.append(0.0)
-        else:
-            out.append(vector_sum(g).length())
+    for g in map(list, groups):
+        for v in g:
+            if v.d != d:
+                raise SchedulingError(
+                    f"dimensionality mismatch in set_length_batch: {v.d} vs {d}"
+                )
+        out.append(vector_sum(g).length() if g else 0.0)
     return out
 
 
@@ -172,222 +101,43 @@ def eq3_makespans_over_epsilon(
     makespan of the *same* clone-to-site mapping under overlap ``eps`` is
     therefore
 
-        ``max{ max_j l(work(s_j)),  max_c (eps·l(w̄_c) + (1-eps)·sum(w̄_c)) }``
+        ``max_j max{ max_{c on s_j} (eps·l(w̄_c) + (1-eps)·sum(w̄_c)),
+        l(work(s_j)) } / capacity(s_j)``
 
-    evaluated here for a whole grid of epsilons at once (vectorized when
-    numpy is available).  This is the sensitivity-sweep question "how
-    robust is this placement to the overlap calibration?" answered
-    without re-running the scheduler: for each ``eps`` the result equals
-    rebuilding every site via :meth:`repro.core.site.Site.recompute_t_seq`
-    with ``ConvexCombinationOverlap(eps)`` and taking the makespan.
+    evaluated here for a whole grid of epsilons at once.  This is the
+    sensitivity-sweep question "how robust is this placement to the
+    overlap calibration?" answered without re-running the scheduler: for
+    each ``eps`` the result equals rebuilding every site via
+    :meth:`repro.core.site.Site.recompute_t_seq` with
+    ``ConvexCombinationOverlap(eps)`` and taking the makespan.
     """
     for eps in epsilons:
         if not 0.0 <= eps <= 1.0:
             raise SchedulingError(f"overlap parameter must lie in [0, 1], got {eps}")
-    max_site_length = schedule.max_site_length()
-    lens: list[float] = []
-    tots: list[float] = []
-    for site in schedule.sites:
-        for clone in site.clones:
-            lens.append(clone.work.length())
-            tots.append(clone.work.total())
-    if not lens:
-        return [0.0 for _ in epsilons]
-    if HAVE_NUMPY and len(lens) * max(len(epsilons), 1) >= NUMPY_CUTOVER:
-        l_arr = _np.array(lens, dtype=_np.float64)
-        t_arr = _np.array(tots, dtype=_np.float64)
-        eps_arr = _np.array(list(epsilons), dtype=_np.float64)[:, None]
-        t_seq = eps_arr * l_arr + (1.0 - eps_arr) * t_arr
-        worst = t_seq.max(axis=1)
-        return [float(max(max_site_length, w)) for w in worst]
+    sites = [
+        (
+            [(c.work.length(), c.work.total()) for c in site.clones],
+            site.length(),
+            site.capacity,
+        )
+        for site in schedule.sites
+        if not site.is_empty()
+    ]
     out = []
     for eps in epsilons:
-        worst = max(eps * ln + (1.0 - eps) * tt for ln, tt in zip(lens, tots))
-        out.append(max(max_site_length, worst))
+        rest = 1.0 - eps
+        out.append(
+            max(
+                (
+                    max(max(eps * ln + rest * tt for ln, tt in clones), length) / cap
+                    for clones, length, cap in sites
+                ),
+                default=0.0,
+            )
+        )
     return out
 
 
-# ----------------------------------------------------------------------
-# Batched shelf packing (array-shaped placement loop)
-# ----------------------------------------------------------------------
-def pack_least_loaded_batch(
-    components: Sequence[tuple[float, ...]],
-    operators: Sequence[str],
-    p: int,
-    d: int,
-    *,
-    clone_indices: Sequence[int] | None = None,
-    tiebreak_total: bool = False,
-    initial_sites: Sequence | None = None,
-    capacities: Sequence[float] | None = None,
-) -> list[int] | None:
-    """Array-shaped least-loaded placement: one site index per clone.
-
-    This is the batched core of the Figure 3 rule *place on the least
-    filled allowable site*.  ``components[i]`` is clone ``i``'s work
-    vector (in the already-sorted packing order) and ``operators[i]`` its
-    constraint (A) key.  Site lengths live in one flat ``(p,)`` float64
-    array instead of :class:`~repro.core.site.Site` objects, and the
-    per-clone site choice is a C-speed ``argmin`` over that array with
-    the operator's own sites temporarily masked to ``+inf`` —
-    ``argmin``'s first-occurrence semantics reproduce the deterministic
-    ``(length, index)`` tie-break of the heap and rescanning rules.
-
-    With ``tiebreak_total=True`` the selection key becomes
-    ``(length, total_load, index)`` — the OPERATORSCHEDULE step 3 key —
-    by refining length-ties through a per-site running total maintained
-    with *scalar* left-to-right adds (bit-identical to
-    :meth:`Site.place <repro.core.site.Site.place>`).
-
-    ``initial_sites`` warm-starts the arrays from existing
-    :class:`~repro.core.site.Site` objects (their incremental statistics
-    are copied exactly), so rooted placements made before the batch are
-    respected.
-
-    ``capacities`` is the optional per-site capacity row of the
-    structure-of-arrays state: selection runs over *normalized* lengths
-    ``raw_length[j] / capacities[j]`` (and, under ``tiebreak_total``,
-    normalized totals), while the load/length bookkeeping itself stays in
-    raw unit-capacity seconds.  Omitted or all-``1.0`` rows divide by
-    exactly ``1.0`` — a bit-exact no-op — so the homogeneous path is
-    byte-identical to the historical kernel.
-
-    Bit-stability: loads and lengths are updated with the same scalar
-    left-to-right adds and running-max comparisons that
-    :meth:`Site.place <repro.core.site.Site.place>` performs, so every
-    intermediate equals the arithmetic of repeated ``place()`` calls bit
-    for bit; the returned assignment is byte-identical to the heap and
-    reference paths (golden tests).
-
-    Returns ``None`` when numpy is unavailable or the batch is below
-    :data:`NUMPY_CUTOVER` — the caller falls back to the exact
-    pure-Python (heap) path.
-
-    Raises
-    ------
-    InfeasibleScheduleError
-        When some clone has no allowable site (its operator already
-        occupies every site).
-    """
-    n = len(components)
-    if len(operators) != n:
-        raise SchedulingError(
-            f"pack_least_loaded_batch: {n} work vectors vs {len(operators)} operators"
-        )
-    if p < 1:
-        raise SchedulingError(f"number of sites must be >= 1, got {p}")
-    if not (HAVE_NUMPY and n >= NUMPY_CUTOVER):
-        return None
-    for row in components:
-        if len(row) != d:
-            raise SchedulingError(
-                f"pack_least_loaded_batch: component rows must have d={d}"
-            )
-    if capacities is not None and len(capacities) != p:
-        raise SchedulingError(
-            f"pack_least_loaded_batch: {len(capacities)} capacities vs P={p}"
-        )
-    caps = [1.0] * p if capacities is None else [float(c) for c in capacities]
-    for j, c in enumerate(caps):
-        if not c > 0.0:
-            raise SchedulingError(
-                f"pack_least_loaded_batch: site {j} capacity must be positive, got {c!r}"
-            )
-    # The argmin selection runs over a flat numpy array of *normalized*
-    # lengths (C speed, first occurrence == lowest index), but the O(d)
-    # load updates stay scalar Python floats: that is *exactly* the
-    # left-to-right accumulation Site.place() performs, making
-    # bit-identity to the heap/reference paths self-evident rather than
-    # argued.  Raw (unit-capacity) lengths live beside the normalized
-    # selection row; with all capacities 1.0 the two are bitwise equal.
-    lengths = _np.zeros(p, dtype=_np.float64)
-    raw_lengths = [0.0] * p
-    loads = [[0.0] * d for _ in range(p)]
-    # Totals likewise accumulate left-to-right like Site.place().
-    totals = [0.0] * p
-    op_sites: dict[str, list[int]] = {}
-    if initial_sites is not None:
-        for site in initial_sites:
-            j = site.index
-            raw_lengths[j] = site.length()
-            lengths[j] = raw_lengths[j] / caps[j]
-            loads[j] = list(site.load_vector().components)
-            totals[j] = site.total_load()
-            for op in site.operators:
-                op_sites.setdefault(op, []).append(j)
-    # Operators contributing a single clone need no constraint (A)
-    # bookkeeping at all — precompute the multi-clone set so the hot loop
-    # skips every dict operation for them.
-    counts: dict[str, int] = {}
-    for op in operators:
-        counts[op] = counts.get(op, 0) + 1
-    multi = {op for op, c in counts.items() if c > 1}
-    # Operators already resident on warm-start sites must keep their
-    # bookkeeping even if the batch adds only one more clone of them.
-    multi.update(op_sites)
-    inf = _np.inf
-    out: list[int] = []
-    out_append = out.append
-    argmin = lengths.argmin
-    for i, op in enumerate(operators):
-        if op in multi:
-            used = op_sites.get(op)
-        else:
-            used = None
-        if used:
-            saved = lengths[used]
-            lengths[used] = inf
-        j = int(argmin())
-        best_len = float(lengths[j])
-        if best_len == inf:
-            if used:
-                lengths[used] = saved
-            clone = clone_indices[i] if clone_indices is not None else i
-            raise InfeasibleScheduleError(
-                f"no allowable site for clone {clone} of {op!r}"
-            )
-        if tiebreak_total:
-            ties = _np.flatnonzero(lengths == best_len)
-            if ties.shape[0] > 1:
-                j = int(ties[0])
-                best_total = totals[j] / caps[j]
-                for cand in ties[1:].tolist():
-                    cand_total = totals[cand] / caps[cand]
-                    if cand_total < best_total:
-                        j = cand
-                        best_total = cand_total
-        if used:
-            lengths[used] = saved
-        # Mirror Site.place() exactly: left-to-right component adds with a
-        # running max against the *updated* components.
-        row = loads[j]
-        length = raw_lengths[j]
-        if tiebreak_total:
-            t = totals[j]
-            for k, c in enumerate(components[i]):
-                updated = row[k] + c
-                row[k] = updated
-                t += c
-                if updated > length:
-                    length = updated
-            totals[j] = t
-        else:
-            for k, c in enumerate(components[i]):
-                updated = row[k] + c
-                row[k] = updated
-                if updated > length:
-                    length = updated
-        raw_lengths[j] = length
-        lengths[j] = length / caps[j]
-        if op in multi:
-            op_sites.setdefault(op, []).append(j)
-        out_append(j)
-    return out
-
-
-# ----------------------------------------------------------------------
-# Batched malleable candidate family (Section 7)
-# ----------------------------------------------------------------------
 def family_congestions(
     load0: Sequence[float],
     delta: Sequence[float],
@@ -406,10 +156,10 @@ def family_congestions(
     ``load0`` and every step adds the same startup quantum ``delta``
     (one more clone of the slowest operator).  The reference generator
     maintains the load with a sequential left fold ``load += delta`` and
-    reports ``max(load)/p`` per candidate; this kernel reproduces that
-    fold exactly — the numpy path uses ``np.add.accumulate`` (a strict
-    left fold, bit-identical to repeated addition), never ``load0 +
-    k*delta`` (which rounds differently).
+    reports ``max(load)/p`` per candidate.  Each component is folded here
+    with :func:`itertools.accumulate` — a strict left fold in C, so every
+    partial sum is bit-identical to repeated addition (``load0 +
+    k*delta`` would round differently).
 
     Returns ``steps + 1`` values: candidate 0 (all degrees 1) through
     candidate ``steps``.
@@ -418,26 +168,16 @@ def family_congestions(
         raise SchedulingError(f"number of sites must be >= 1, got {p}")
     if steps < 0:
         raise SchedulingError(f"steps must be >= 0, got {steps}")
-    d = len(load0)
-    if len(delta) != d:
+    if len(delta) != len(load0):
         raise SchedulingError(
-            f"family_congestions: load0 has d={d}, delta has d={len(delta)}"
+            f"family_congestions: load0 has d={len(load0)}, delta has d={len(delta)}"
         )
     denom = float(p) if total_capacity is None else float(total_capacity)
     if not denom > 0.0:
         raise SchedulingError(
             f"total capacity must be positive, got {total_capacity!r}"
         )
-    if HAVE_NUMPY and steps + 1 >= NUMPY_CUTOVER:
-        rows = _np.empty((steps + 1, d), dtype=_np.float64)
-        rows[0] = load0
-        rows[1:] = delta
-        acc = _np.add.accumulate(rows, axis=0)
-        return [float(v) / denom for v in acc.max(axis=1)]
-    load = list(load0)
-    out = [max(load) / denom]
-    for _ in range(steps):
-        for i, c in enumerate(delta):
-            load[i] += c
-        out.append(max(load) / denom)
-    return out
+    cols = [
+        accumulate(repeat(c, steps), initial=start) for start, c in zip(load0, delta)
+    ]
+    return [peak / denom for peak in map(max, zip(*cols))]

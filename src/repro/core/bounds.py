@@ -25,7 +25,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.exceptions import SchedulingError
-from repro.core.batch import lower_bounds_batch, sum_length
+from repro.core.batch import lower_bounds_batch
 from repro.core.cloning import (
     DEFAULT_COORDINATOR_POLICY,
     CoordinatorPolicy,
@@ -34,6 +34,7 @@ from repro.core.cloning import (
 )
 from repro.core.granularity import CommunicationModel
 from repro.core.resource_model import OverlapModel
+from repro.core.work_vector import set_length
 
 __all__ = [
     "theorem51_fixed_degree_bound",
@@ -132,9 +133,7 @@ def lower_bound(
         )
     curves = [ParallelTimeCurve(spec, comm, policy) for spec in specs]
     totals = [curve.total(degrees[curve.spec.name]) for curve in curves]
-    # sum_length auto-selects the numpy reduction for large operator sets
-    # and the exact sequential sum below the cutover.
-    congestion = sum_length(totals) / denom
+    congestion = set_length(totals) / denom
     return max(congestion, _slowest_time(curves, degrees, overlap))
 
 
@@ -153,8 +152,8 @@ def lower_bound_family(
     Batch counterpart of :func:`lower_bound` for sweeps that score many
     candidate parallelizations of the *same* operator set (e.g. the
     Section 7 greedy family, or a sensitivity grid over degrees): the
-    congestion sides are evaluated in one vectorized pass via
-    :func:`repro.core.batch.lower_bounds_batch` when numpy is available.
+    congestion sides are evaluated in one pass via
+    :func:`repro.core.batch.lower_bounds_batch`.
     ``total_capacity`` generalizes the congestion denominator exactly as
     in :func:`lower_bound`.
     """

@@ -204,35 +204,6 @@ class Schedule:
             self._total_work[i] += c
         self._clone_count += 1
 
-    def place_batch(self, placements: list[tuple[int, PlacedClone]]) -> None:
-        """Bulk :meth:`place`: ``(site_index, clone)`` pairs in placement order.
-
-        Site indices are validated and the clones grouped per site, then
-        each site folds its group through
-        :meth:`Site.place_batch <repro.core.site.Site.place_batch>`.
-        Because grouping preserves the relative order of each site's
-        clones and the schedule-level totals are folded in the original
-        pair order, every incremental statistic is bit-identical to the
-        sequential :meth:`place` loop.
-        """
-        by_site: dict[int, list[PlacedClone]] = {}
-        for site_index, clone in placements:
-            self._check_site_index(site_index)
-            if site_index in self._disabled:
-                raise SchedulingError(f"site {site_index} is out of service")
-            by_site.setdefault(site_index, []).append(clone)
-        for site_index, group in by_site.items():
-            self._sites[site_index].place_batch(group)
-        homes = self._homes
-        total = self._total_work
-        for site_index, clone in placements:
-            homes.setdefault(clone.operator, []).append(
-                (clone.clone_index, site_index)
-            )
-            for i, c in enumerate(clone.work.components):
-                total[i] += c
-        self._clone_count += len(placements)
-
     def disable_site(self, site_index: int) -> None:
         """Take a site out of service (no new placements allowed on it)."""
         self._check_site_index(site_index)

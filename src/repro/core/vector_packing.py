@@ -21,14 +21,7 @@ Kernel performance
 :func:`pack_vectors` is the inner loop of every figure sweep, so its
 placement step is engineered to avoid rescans:
 
-* ``LEAST_LOADED_LENGTH`` has two fast paths.  At or above
-  :data:`~repro.core.batch.NUMPY_CUTOVER` clones (numpy present) the
-  whole shelf goes through the array-shaped kernel
-  :func:`~repro.core.batch.pack_least_loaded_batch` — site state lives
-  in flat arrays, the per-clone choice is a C-speed ``argmin``, and the
-  chosen assignment is committed in one
-  :meth:`~repro.core.schedule.Schedule.place_batch` call.  Below the
-  cutover (or without numpy) it consults a lazy min-heap
+* ``LEAST_LOADED_LENGTH`` consults a lazy min-heap
   (:class:`~repro.core.placement_heap.SiteHeap`) keyed on the
   capacity-normalized length ``(l(work(s))/capacity, index)`` — equal to
   ``(l(work(s)), index)`` bit-for-bit on a homogeneous cluster — giving
@@ -41,9 +34,8 @@ placement step is engineered to avoid rescans:
   site's running load vector without materializing the sum;
 * every allowability test is the O(1) per-site operator-set lookup.
 
-All fast paths — including the numpy batch kernel, which uses only
-bit-stable element-wise arithmetic — are deterministic and bit-identical
-to the naive rescanning rule, which is retained as
+All fast paths are deterministic and bit-identical to the naive
+rescanning rule, which is retained as
 :func:`pack_vectors_reference` and asserted equivalent by the
 golden-packing test-suite.
 """
@@ -57,7 +49,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from repro.exceptions import InfeasibleScheduleError, SchedulingError
-from repro.core import batch as _batch
 from repro.core.placement_heap import SiteHeap, least_loaded_key
 from repro.core.resource_model import OverlapModel
 from repro.core.schedule import Schedule
@@ -295,42 +286,8 @@ def _pack_least_loaded(
 ) -> int:
     """Place pre-sorted clones under the ``LEAST_LOADED_LENGTH`` rule.
 
-    Tries the array-shaped batch kernel first (numpy present and the
-    shelf at least :data:`~repro.core.batch.NUMPY_CUTOVER` clones); the
-    whole assignment is then computed in flat arrays and committed with
-    one :meth:`Schedule.place_batch` call.  Otherwise falls back to the
-    exact pure-Python lazy-heap loop.  Both paths produce byte-identical
-    schedules.  Returns the placement-scan count (one bulk argmin per
-    clone on the batch path; heap pops on the heap path).
+    Returns the placement-scan count (heap entries examined).
     """
-    assignment = _batch.pack_least_loaded_batch(
-        [item.work.components for item in ordered],
-        [item.operator for item in ordered],
-        schedule.p,
-        schedule.d,
-        clone_indices=[item.clone_index for item in ordered],
-        initial_sites=schedule.sites if schedule.clone_count() else None,
-        capacities=(
-            None if schedule.is_uniform_capacity() else schedule.capacities()
-        ),
-    )
-    if assignment is not None:
-        t_seqs = overlap.t_seq_batch([item.work for item in ordered])
-        schedule.place_batch(
-            [
-                (
-                    j,
-                    PlacedClone(
-                        operator=item.operator,
-                        clone_index=item.clone_index,
-                        work=item.work,
-                        t_seq=t,
-                    ),
-                )
-                for j, item, t in zip(assignment, ordered, t_seqs)
-            ]
-        )
-        return len(ordered)
     heap = SiteHeap(schedule.sites, key=least_loaded_key)
     for item in ordered:
         op = item.operator

@@ -132,9 +132,9 @@ def overlap_robustness(
     and asks how its Equation (3) response time degrades when the EA2
     overlap calibration was wrong — the placement-robustness side of the
     sensitivity analysis.  Evaluation goes through the batch kernel
-    :func:`repro.core.batch.eq3_makespans_over_epsilon` (one vectorized
-    pass over all epsilons when numpy is available), so it is cheap
-    enough to run per sweep point.
+    :func:`repro.core.batch.eq3_makespans_over_epsilon` (clone statistics
+    are read once and reused for every epsilon), so it is cheap enough to
+    run per sweep point.
     """
     if not epsilons:
         raise ConfigurationError("overlap_robustness requires at least one epsilon")

@@ -1,10 +1,13 @@
-"""Tests for the numpy-gated batch kernels (repro.core.batch)."""
+"""Tests for the batch kernels (repro.core.batch)."""
 
 from __future__ import annotations
 
+import ast
+import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import (
     CloneItem,
@@ -27,34 +30,20 @@ def vecs(seed, n, d=3):
     return [WorkVector([rng.uniform(0.0, 10.0) for _ in range(d)]) for _ in range(n)]
 
 
-class TestSumLength:
-    def test_matches_set_length_small(self):
-        vs = vecs(0, 5)
-        assert batch.sum_length(vs) == set_length(vs)
-
-    def test_matches_set_length_above_cutover(self):
-        vs = vecs(1, batch.NUMPY_CUTOVER + 20)
-        assert batch.sum_length(vs) == pytest.approx(set_length(vs), rel=1e-12)
-
-    def test_empty_requires_dimensionality(self):
-        assert batch.sum_length([], d=3) == 0.0
-        with pytest.raises(SchedulingError):
-            batch.sum_length([])
-
-
 class TestSetLengthBatch:
     def test_ragged_groups_with_empty(self):
-        groups = [vecs(0, 3), [], vecs(1, batch.NUMPY_CUTOVER + 5)]
+        groups = [vecs(0, 3), [], vecs(1, 70)]
         out = batch.set_length_batch(groups, d=3)
-        assert out[0] == pytest.approx(set_length(groups[0]))
-        assert out[1] == 0.0
-        assert out[2] == pytest.approx(set_length(groups[2]), rel=1e-12)
+        assert out == [set_length(groups[0]), 0.0, set_length(groups[2])]
 
     def test_dimension_mismatch_rejected(self):
-        groups = [[WorkVector([1.0, 2.0])] * batch.NUMPY_CUTOVER]
-        if batch.HAVE_NUMPY:
+        # Both a lone vector and a wide group must be checked against d.
+        for size in (1, 64):
+            groups = [[WorkVector([1.0, 2.0])] * size]
             with pytest.raises(SchedulingError):
                 batch.set_length_batch(groups, d=3)
+            with pytest.raises(SchedulingError):
+                batch.lower_bounds_batch(groups, [0.0], p=2, d=3)
 
     def test_invalid_dimensionality(self):
         with pytest.raises(SchedulingError):
@@ -111,24 +100,37 @@ class TestEq3OverEpsilon:
         ]
         return items, pack_vectors(items, p=p, overlap=ConvexCombinationOverlap(0.5))
 
-    def test_matches_recompute_t_seq_per_epsilon(self):
-        _, schedule = self._schedule()
-        epsilons = (0.0, 0.1, 0.3, 0.5, 0.7, 1.0)
-        spans = batch.eq3_makespans_over_epsilon(schedule, epsilons)
-        for eps, span in zip(epsilons, spans):
-            overlap = ConvexCombinationOverlap(eps)
-            rebuilt = max(
-                site.recompute_t_seq(overlap).t_site() for site in schedule.sites
-            )
-            assert span == rebuilt
+    @staticmethod
+    def _heterogeneous_schedule():
+        from repro.core.schedule import Schedule
+        from repro.core.site import PlacedClone
 
-    def test_pure_python_path_agrees(self, monkeypatch):
-        _, schedule = self._schedule()
-        epsilons = (0.2, 0.8)
-        with_numpy = batch.eq3_makespans_over_epsilon(schedule, epsilons)
-        monkeypatch.setattr(batch, "HAVE_NUMPY", False)
-        without = batch.eq3_makespans_over_epsilon(schedule, epsilons)
-        assert with_numpy == without
+        overlap = ConvexCombinationOverlap(0.5)
+        schedule = Schedule(2, 3, [4.0, 0.5])
+        for j, name, raw in ((0, "a", [4.0, 1.0, 1.0]), (1, "b", [2.0, 2.0, 1.0])):
+            work = WorkVector(raw)
+            schedule.place(
+                j,
+                PlacedClone(
+                    operator=name, clone_index=0, work=work, t_seq=overlap.t_seq(work)
+                ),
+            )
+        return schedule
+
+    def test_matches_recompute_t_seq_per_epsilon(self):
+        # The heterogeneous input pins the capacity division of Eq. (2):
+        # its makespan at eps = 0.5 is 3.5 / 0.5 = 7.0 on the slow site,
+        # while no raw clone time or site length exceeds 5.0.
+        _, homogeneous = self._schedule()
+        epsilons = (0.0, 0.1, 0.3, 0.5, 0.7, 1.0)
+        for schedule in (homogeneous, self._heterogeneous_schedule()):
+            spans = batch.eq3_makespans_over_epsilon(schedule, epsilons)
+            for eps, span in zip(epsilons, spans):
+                overlap = ConvexCombinationOverlap(eps)
+                rebuilt = max(
+                    site.recompute_t_seq(overlap).t_site() for site in schedule.sites
+                )
+                assert span == rebuilt
 
     def test_empty_schedule(self):
         from repro.core.schedule import Schedule
@@ -162,69 +164,12 @@ class TestOverlapRobustness:
             overlap_robustness(schedule, ())
 
 
-class TestPackLeastLoadedBatch:
-    @staticmethod
-    def _rows(n, d=3, seed=0):
-        rng = random.Random(seed)
-        comps = [tuple(rng.uniform(0.1, 10.0) for _ in range(d)) for _ in range(n)]
-        ops = [f"op{i}" for i in range(n)]
-        return comps, ops
-
-    def test_declines_below_cutover(self):
-        comps, ops = self._rows(4)
-        assert batch.pack_least_loaded_batch(comps, ops, 3, 3) is None
-
-    def test_declines_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(batch, "HAVE_NUMPY", False)
-        comps, ops = self._rows(batch.NUMPY_CUTOVER + 10)
-        assert batch.pack_least_loaded_batch(comps, ops, 4, 3) is None
-
-    def test_assignment_matches_reference_pack(self, monkeypatch):
-        if not batch.HAVE_NUMPY:
-            pytest.skip("numpy unavailable")
-        monkeypatch.setattr(batch, "NUMPY_CUTOVER", 0)
-        comps, ops = self._rows(40, seed=3)
-        assignment = batch.pack_least_loaded_batch(comps, ops, 6, 3)
-        # Replay through the naive rule: least current length, lowest index.
-        loads = [[0.0] * 3 for _ in range(6)]
-        hosting = [set() for _ in range(6)]
-        for i, (row, op) in enumerate(zip(comps, ops)):
-            j = min(
-                (j for j in range(6) if op not in hosting[j]),
-                key=lambda j: (max(loads[j], default=0.0), j),
-            )
-            assert assignment[i] == j
-            hosting[j].add(op)
-            for k, c in enumerate(row):
-                loads[j][k] += c
-
-    def test_row_length_mismatch_rejected(self, monkeypatch):
-        if not batch.HAVE_NUMPY:
-            pytest.skip("numpy unavailable")
-        monkeypatch.setattr(batch, "NUMPY_CUTOVER", 0)
-        with pytest.raises(SchedulingError):
-            batch.pack_least_loaded_batch([(1.0, 2.0)], ["a"], 2, 3)
-
-    def test_infeasible_raises(self, monkeypatch):
-        from repro.exceptions import InfeasibleScheduleError
-
-        if not batch.HAVE_NUMPY:
-            pytest.skip("numpy unavailable")
-        monkeypatch.setattr(batch, "NUMPY_CUTOVER", 0)
-        comps = [(1.0, 1.0, 1.0)] * 3
-        ops = ["a", "a", "a"]  # 3 clones of one operator, 2 sites
-        with pytest.raises(InfeasibleScheduleError):
-            batch.pack_least_loaded_batch(
-                comps, ops, 2, 3, clone_indices=[0, 1, 2]
-            )
-
-
 class TestFamilyCongestions:
     def test_matches_sequential_fold(self):
         p = 4
         load0 = [3.0, 1.0, 2.0]
         delta = [0.5, 0.25, 0.125]
-        steps = batch.NUMPY_CUTOVER + 8  # force the numpy path if present
+        steps = 72
         out = batch.family_congestions(load0, delta, steps, p)
         assert len(out) == steps + 1
         load = list(load0)
@@ -232,24 +177,37 @@ class TestFamilyCongestions:
         for _ in range(steps):
             load = [a + b for a, b in zip(load, delta)]
             expected.append(max(load) / p)
-        assert out == expected  # exact: strict left fold on both paths
+        assert out == expected  # exact: strict left fold
 
-    def test_python_and_numpy_paths_agree(self, monkeypatch):
-        if not batch.HAVE_NUMPY:
-            pytest.skip("numpy unavailable")
-        load0, delta, steps, p = [7.0, 2.0], [0.1, 0.9], 100, 5
-        with_numpy = batch.family_congestions(load0, delta, steps, p)
-        monkeypatch.setattr(batch, "HAVE_NUMPY", False)
-        without = batch.family_congestions(load0, delta, steps, p)
-        assert with_numpy == without
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        d=st.integers(min_value=1, max_value=4),
+        steps=st.integers(min_value=0, max_value=300),
+        capacity=st.floats(min_value=0.5, max_value=64.0),
+    )
+    def test_bit_identical_to_explicit_fold(self, data, d, steps, capacity):
+        finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+        load0 = data.draw(st.lists(finite, min_size=d, max_size=d))
+        delta = data.draw(st.lists(finite, min_size=d, max_size=d))
+        out = batch.family_congestions(
+            load0, delta, steps, 3, total_capacity=capacity
+        )
+        load = list(load0)
+        expected = [max(load) / capacity]
+        for _ in range(steps):
+            for i, c in enumerate(delta):
+                load[i] += c
+            expected.append(max(load) / capacity)
+        assert [v.hex() for v in out] == [v.hex() for v in expected]
 
     def test_zero_steps(self):
         assert batch.family_congestions([4.0], [1.0], 0, 2) == [2.0]
 
 
 def test_numpy_flag_matches_environment():
-    """HAVE_NUMPY must mirror actual importability (fast path active iff
-    numpy is installed; the no-numpy CI job exercises the False side)."""
+    """HAVE_NUMPY must mirror actual importability (the no-numpy CI job
+    exercises the False side)."""
     try:
         import numpy  # noqa: F401
 
@@ -257,3 +215,20 @@ def test_numpy_flag_matches_environment():
     except ImportError:
         available = False
     assert batch.HAVE_NUMPY is available
+
+
+def test_core_never_imports_numpy():
+    """The scheduling core is pure Python: no module in it imports numpy."""
+    core = pathlib.Path(batch.__file__).parent
+    offenders = []
+    for path in sorted(core.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -11,8 +11,8 @@ Three layers of guarantees:
   all sort × rule combinations, all six registry algorithms, the
   rescheduler, and the serializers produce *byte-identical* output to
   runs that never mention capacities at all.
-* **Heterogeneous oracles** — the numpy batch packer equals the pure
-  Python reference above and below ``NUMPY_CUTOVER``; the in-place
+* **Heterogeneous oracles** — the heap packer equals the rescanning
+  reference on short and long (64+ clone) shelves; the in-place
   ``set_capacities`` repair equals the cold-rebuild oracle; simulated
   completion times scale as ``t / c``.
 """
@@ -47,7 +47,6 @@ from repro import (
     reschedule_reference,
     reschedule_schedule,
 )
-from repro.core.batch import NUMPY_CUTOVER
 from repro.exceptions import SchedulingError, ServiceError
 from repro.experiments.config import ExperimentConfig
 from repro.serialization import (
@@ -321,7 +320,7 @@ class TestHeterogeneousOracles:
         p = 6
         capacities = data.draw(capacity_vectors(p))
         items = items_of(n, seed=seed, max_clones=2)
-        assert len(items) < NUMPY_CUTOVER
+        assert len(items) < 64
         fast = pack_vectors(
             items, p=p, overlap=OVERLAP, capacities=capacities
         )
@@ -338,8 +337,8 @@ class TestHeterogeneousOracles:
     def test_packer_matches_reference_above_cutover(self, seed, data):
         p = 10
         capacities = data.draw(capacity_vectors(p))
-        items = items_of(NUMPY_CUTOVER, seed=seed, max_clones=2)
-        assert len(items) >= NUMPY_CUTOVER
+        items = items_of(64, seed=seed, max_clones=2)
+        assert len(items) >= 64
         fast = pack_vectors(
             items, p=p, overlap=OVERLAP, capacities=capacities
         )

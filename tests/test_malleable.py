@@ -221,19 +221,6 @@ class TestBatchedFamily:
         for k, lb in enumerate(family.lower_bounds()):
             assert lb == family.candidate_at(k).lower_bound
 
-    def test_numpy_and_python_congestions_agree(self, monkeypatch):
-        from repro.core import batch
-        from repro import enumerate_candidate_family
-
-        if not batch.HAVE_NUMPY:
-            pytest.skip("numpy unavailable")
-        specs = self._specs(self.CASES[3][0])
-        monkeypatch.setattr(batch, "NUMPY_CUTOVER", 0)
-        fam_np = enumerate_candidate_family(specs, 3, COMM, OVERLAP)
-        monkeypatch.setattr(batch, "HAVE_NUMPY", False)
-        fam_py = enumerate_candidate_family(specs, 3, COMM, OVERLAP)
-        assert fam_np == fam_py
-
     def test_empty_specs(self):
         from repro import enumerate_candidate_family, select_parallelization_batched
 

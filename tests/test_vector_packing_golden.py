@@ -217,42 +217,10 @@ def test_site_heap_returns_none_when_nothing_allowable():
     assert heap.pick(lambda s: True) is not None
 
 
-def forced_numpy(monkeypatch):
-    """Force the batch kernel on regardless of shelf size (if numpy exists)."""
-    from repro.core import batch
-
-    monkeypatch.setattr(batch, "NUMPY_CUTOVER", 0)
-    return batch.HAVE_NUMPY
-
-
-def forced_python(monkeypatch):
-    """Force the pure-Python path even above the cutover."""
-    from repro.core import batch
-
-    monkeypatch.setattr(batch, "HAVE_NUMPY", False)
-
-
 @pytest.mark.parametrize("sort", list(SortKey))
 @pytest.mark.parametrize("rule", list(PlacementRule))
-def test_forced_numpy_path_matches_reference(sort, rule, monkeypatch):
-    """Small shelves through the batch kernel stay byte-identical."""
-    if not forced_numpy(monkeypatch):
-        pytest.skip("numpy unavailable")
-    items = golden_items(30, seed=2)
-    fast = pack_vectors(
-        items, p=7, overlap=OVERLAP, sort=sort, rule=rule, rng=random.Random(2)
-    )
-    slow = pack_vectors_reference(
-        items, p=7, overlap=OVERLAP, sort=sort, rule=rule, rng=random.Random(2)
-    )
-    assert as_json(fast) == as_json(slow)
-
-
-@pytest.mark.parametrize("sort", list(SortKey))
-@pytest.mark.parametrize("rule", list(PlacementRule))
-def test_forced_python_path_matches_reference(sort, rule, monkeypatch):
-    """Large shelves through the heap loop (numpy off) stay byte-identical."""
-    forced_python(monkeypatch)
+def test_forced_python_path_matches_reference(sort, rule):
+    """Large shelves through the heap loop stay byte-identical."""
     items = golden_items(120, seed=5)
     fast = pack_vectors(
         items, p=9, overlap=OVERLAP, sort=sort, rule=rule, rng=random.Random(5)
@@ -261,20 +229,6 @@ def test_forced_python_path_matches_reference(sort, rule, monkeypatch):
         items, p=9, overlap=OVERLAP, sort=sort, rule=rule, rng=random.Random(5)
     )
     assert as_json(fast) == as_json(slow)
-
-
-def test_numpy_and_python_paths_agree(monkeypatch):
-    """The two LEAST_LOADED_LENGTH fast paths agree with each other."""
-    from repro.core import batch
-
-    if not batch.HAVE_NUMPY:
-        pytest.skip("numpy unavailable")
-    items = golden_items(150, seed=8)
-    monkeypatch.setattr(batch, "NUMPY_CUTOVER", 0)
-    via_kernel = pack_vectors(items, p=11, overlap=OVERLAP)
-    monkeypatch.setattr(batch, "HAVE_NUMPY", False)
-    via_heap = pack_vectors(items, p=11, overlap=OVERLAP)
-    assert as_json(via_kernel) == as_json(via_heap)
 
 
 def test_first_fit_never_constructs_heap(monkeypatch):
