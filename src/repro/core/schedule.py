@@ -20,6 +20,8 @@ makespans.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 from repro.exceptions import SchedulingError
 from repro.core.site import PlacedClone, Site
@@ -97,12 +99,21 @@ class Schedule:
 
     @classmethod
     def from_sites(cls, sites: list[Site]) -> "Schedule":
-        """Wrap an existing list of sites (indices must be ``0..P-1``)."""
+        """Wrap an existing list of sites (indices must be ``0..P-1``).
+
+        Homes and the total-work vector are folded in site-major
+        placement order, so they are bit-identical to placing the same
+        clones one by one, site after site.
+        """
         if not sites:
             raise SchedulingError("a schedule needs at least one site")
         d = sites[0].d
-        sched = cls(len(sites), d)
+        # One placeholder site keeps __init__ the single owner of the
+        # aggregate fields; the adopted sites replace it below.
+        sched = cls(1, d)
         sched._sites = list(sites)
+        homes = sched._homes
+        vectors = []
         for j, site in enumerate(sites):
             if site.index != j:
                 raise SchedulingError(
@@ -111,12 +122,17 @@ class Schedule:
             if site.d != d:
                 raise SchedulingError("all sites must share one dimensionality")
             for clone in site.clones:
-                sched._homes.setdefault(clone.operator, []).append(
-                    (clone.clone_index, j)
-                )
-                for i, c in enumerate(clone.work.components):
-                    sched._total_work[i] += c
-                sched._clone_count += 1
+                pairs = homes.get(clone.operator)
+                if pairs is None:
+                    homes[clone.operator] = [(clone.clone_index, j)]
+                else:
+                    pairs.append((clone.clone_index, j))
+                vectors.append(clone.work.components)
+        if vectors:
+            sched._total_work = [
+                reduce(add, column, 0.0) for column in zip(*vectors)
+            ]
+        sched._clone_count = len(vectors)
         return sched
 
     # ------------------------------------------------------------------

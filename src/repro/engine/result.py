@@ -53,7 +53,13 @@ class Instrumentation:
         offset dicts of :func:`repro.obs.tracer.span_to_dict` (one entry
         per root span; empty when tracing was disabled).  Attached by
         the registry dispatch when an ambient tracer is enabled, and
-        round-tripped by :mod:`repro.serialization`.
+        round-tripped by :func:`repro.serialization.instrumentation_to_dict`.
+
+    ``wall_clock_seconds``, ``timers``, ``spans`` and the
+    ``store_hits``/``store_misses`` counters describe one run on one
+    host, so :func:`repro.serialization.schedule_result_to_dict` (and
+    with it the artifact store) leaves them out: a result read back
+    from the store reports them at their defaults.
     """
 
     wall_clock_seconds: float = 0.0

@@ -352,6 +352,9 @@ def schedule_query(
         identifying the query, e.g. workload coordinates plus index);
         hits skip the scheduler entirely and are tagged in the result's
         instrumentation counters (``store_hits`` / ``store_misses``).
+        The store keeps no host time, so a hit reports
+        ``wall_clock_seconds == 0.0``, empty ``timers``/``spans``, the
+        stored deterministic counters and ``store_hits == 1``.
     cluster:
         Optional :class:`~repro.core.cluster.ClusterSpec` for a
         heterogeneous cluster; its site count must equal ``p``.  A

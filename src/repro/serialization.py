@@ -3,19 +3,31 @@
 Schedules, operator specs, and experiment series are plain-data friendly;
 this module converts them to and from nested dict/list structures that
 round-trip through :mod:`json`.  Intended uses: persisting experiment
-outputs, diffing schedules across code versions, and shipping placements
-to an external executor.
+outputs (the :mod:`repro.store` result entries), diffing schedules
+across code versions, and shipping placements to an external executor.
 
-Everything round-trips exactly (floats are preserved bit-for-bit by the
-dict representation; JSON serialization is then up to the caller's
-formatting choices).
+A schedule is written as an operator table plus one index row per site
+(see :func:`schedule_to_dict`): every distinct ``(work, t_seq)`` of an
+operator's clones appears once, and each site lists its clones, in
+placement order, as ``operator#, clone_index, variant#`` triples.  For
+example, a two-site schedule with a coordinator and one other clone::
+
+    {"schema": "repro/1", "p": 2, "d": 2,
+     "operators": [["scan", [[[2.0, 1.0], 2.5], [[1.0, 1.0], 1.5]]]],
+     "sites": [[0, 0, 0], [0, 1, 1]]}
+
+Everything round-trips exactly: floats are preserved bit-for-bit by the
+dict representation (JSON serialization is then up to the caller's
+formatting choices).  The exception is a result's host time: wall
+clock, timers, spans and the store hit/miss counters are not written by
+:func:`schedule_result_to_dict` and decode at their defaults.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
 import dataclasses
+import struct
+from typing import Any
 
 from repro.exceptions import ConfigurationError, ReproError
 from repro.core.cloning import OperatorSpec
@@ -23,11 +35,12 @@ from repro.core.cluster import ClusterSpec, SiteClass
 from repro.core.reschedule import ScheduleDelta
 from repro.core.schedule import OperatorHome, PhasedSchedule, Schedule
 from repro.core.vector_packing import CloneItem
-from repro.core.site import PlacedClone
+from repro.core.site import PlacedClone, Site
 from repro.core.work_vector import WorkVector
 from repro.cost.params import SystemParameters
 from repro.engine.result import Instrumentation, ScheduleResult
 from repro.experiments.figures import FigureData, Series
+from repro.obs.names import COUNTER_STORE_HITS, COUNTER_STORE_MISSES
 from repro.sim.faults import FaultReport, FaultSpec
 
 __all__ = [
@@ -178,55 +191,161 @@ def cluster_spec_from_dict(payload: dict[str, Any]) -> ClusterSpec:
 
 
 def schedule_to_dict(schedule: Schedule) -> dict[str, Any]:
-    """Serialize a schedule: dimensions plus every clone placement."""
-    placements = []
+    """Serialize a schedule: an operator table plus one index row per site.
+
+    ``operators[i]`` is ``[name, variants]``: the operator's distinct
+    ``[components, t_seq]`` pairs in order of first appearance, walking
+    the sites in order.  Under EA1 an operator usually has two (the
+    coordinator's and every other clone's); a skewed clone is one more.
+    Variants are told apart by their exact bits, so ``-0.0`` and ``0.0``
+    are two variants and the layout is lossless.  ``sites[j]`` lists site
+    ``j``'s clones in placement order as a flat run of
+    ``operator#, clone_index, variant#`` triples.
+    """
+    operators: list[list[Any]] = []
+    # name -> (operator#, bits of each variant -> variant#, variants)
+    table: dict[str, tuple[int, dict[bytes, int], list[list[Any]]]] = {}
+    bits = struct.Struct(f"<{schedule.d + 1}d").pack
+    rows = []
     for site in schedule.sites:
+        row: list[int] = []
         for clone in site.clones:
-            placements.append(
-                {
-                    "site": site.index,
-                    "operator": clone.operator,
-                    "clone_index": clone.clone_index,
-                    "work": work_vector_to_dict(clone.work),
-                    "t_seq": clone.t_seq,
-                }
-            )
+            entry = table.get(clone.operator)
+            if entry is None:
+                entry = table[clone.operator] = (len(operators), {}, [])
+                operators.append([clone.operator, entry[2]])
+            number, seen, variants = entry
+            components = clone.work.components
+            key = bits(*components, clone.t_seq)
+            variant = seen.get(key)
+            if variant is None:
+                variant = seen[key] = len(variants)
+                variants.append([list(components), clone.t_seq])
+            row += (number, clone.clone_index, variant)
+        rows.append(row)
     payload = {
         "schema": _SCHEMA,
         "p": schedule.p,
         "d": schedule.d,
-        "placements": placements,
+        "operators": operators,
+        "sites": rows,
     }
-    # Emitted only when non-empty: payloads of schedules that never saw
-    # a repair delta stay byte-identical to pre-rescheduling payloads.
     if schedule.disabled_sites:
         payload["disabled_sites"] = sorted(schedule.disabled_sites)
-    # Same conditional rule for capacities: uniform (all 1.0) schedules
-    # serialize byte-identically to pre-capacity payloads.
     if not schedule.is_uniform_capacity():
         payload["capacities"] = list(schedule.capacities())
     return payload
 
 
+def _operator_table(
+    operators: Any, d: int
+) -> list[list[tuple[str, WorkVector, float]]]:
+    """Validate the operator table once; per operator, its variants as
+    ``(name, work, t_seq)``."""
+    if type(operators) is not list:
+        raise ConfigurationError("malformed schedule payload: 'operators' is not a list")
+    table = []
+    names: set[str] = set()
+    for entry in operators:
+        if type(entry) is not list or len(entry) != 2:
+            raise ConfigurationError(
+                f"malformed schedule payload: operator entry {entry!r}"
+            )
+        name, variants = entry
+        if type(name) is not str or name in names:
+            raise ConfigurationError(
+                f"malformed schedule payload: operator name {name!r} "
+                "is not a string or is listed twice"
+            )
+        names.add(name)
+        if type(variants) is not list or not variants:
+            raise ConfigurationError(
+                f"malformed schedule payload: {name!r} has no variants"
+            )
+        decoded = []
+        for variant in variants:
+            if type(variant) is not list or len(variant) != 2:
+                raise ConfigurationError(
+                    f"malformed schedule payload: {name!r} variant {variant!r}"
+                )
+            components, t_seq = variant
+            if type(components) is not list:
+                raise ConfigurationError(
+                    f"malformed schedule payload: {name!r} components {components!r}"
+                )
+            work = WorkVector(components)
+            if work.d != d:
+                raise ConfigurationError(
+                    f"malformed schedule payload: {name!r} has d={work.d}, "
+                    f"schedule has d={d}"
+                )
+            decoded.append((name, work, float(t_seq)))
+        table.append(decoded)
+    return table
+
+
 def schedule_from_dict(payload: dict[str, Any]) -> Schedule:
-    """Deserialize a schedule (re-validates constraint (A) on the way)."""
+    """Deserialize a schedule (re-validates constraint (A) on the way).
+
+    Each variant is validated once; each index must be an int (not a
+    bool) in range.  Sites are then filled with
+    :meth:`~repro.core.site.Site.place_batch` in their stored placement
+    order and wrapped by :meth:`Schedule.from_sites`, so loads, lengths,
+    homes and total work are bit-identical to placing clone by clone in
+    site-major order.  Structural faults raise
+    :class:`~repro.exceptions.ConfigurationError`; a second clone of one
+    operator on a site raises :class:`~repro.exceptions.SchedulingError`.
+    """
     _check_schema(payload)
-    capacities = payload.get("capacities")
-    schedule = Schedule(
-        int(_expect(payload, "p")),
-        int(_expect(payload, "d")),
-        None if capacities is None else [float(c) for c in capacities],
-    )
-    for item in _expect(payload, "placements"):
-        schedule.place(
-            int(_expect(item, "site")),
-            PlacedClone(
-                operator=_expect(item, "operator"),
-                clone_index=int(_expect(item, "clone_index")),
-                work=work_vector_from_dict(_expect(item, "work")),
-                t_seq=float(_expect(item, "t_seq")),
-            ),
+    p = int(_expect(payload, "p"))
+    d = int(_expect(payload, "d"))
+    table = _operator_table(_expect(payload, "operators"), d)
+    rows = _expect(payload, "sites")
+    if type(rows) is not list or len(rows) != p:
+        raise ConfigurationError(
+            f"malformed schedule payload: 'sites' must list P={p} rows"
         )
+    capacities = payload.get("capacities")
+    if capacities is None:
+        capacities = [1.0] * p
+    elif len(capacities) != p:
+        raise ConfigurationError(
+            f"malformed schedule payload: {len(capacities)} capacities for P={p}"
+        )
+    n_operators = len(table)
+    sites = []
+    for j, row in enumerate(rows):
+        if type(row) is not list or len(row) % 3:
+            raise ConfigurationError(
+                f"malformed schedule payload: site {j} row is not index triples"
+            )
+        clones = []
+        it = iter(row)
+        for number, clone_index, variant in zip(it, it, it):
+            # ``type(...) is int`` also rejects bools; the range checks
+            # reject negative indices instead of wrapping around.
+            if (
+                type(number) is not int
+                or not 0 <= number < n_operators
+                or type(clone_index) is not int
+                or clone_index < 0
+            ):
+                raise ConfigurationError(
+                    f"malformed schedule payload: site {j} has operator# "
+                    f"{number!r}, clone index {clone_index!r}"
+                )
+            variants = table[number]
+            if type(variant) is not int or not 0 <= variant < len(variants):
+                raise ConfigurationError(
+                    f"malformed schedule payload: site {j} has variant# "
+                    f"{variant!r} of operator# {number}"
+                )
+            name, work, t_seq = variants[variant]
+            clones.append(PlacedClone(name, clone_index, work, t_seq))
+        site = Site(j, d, float(capacities[j]))
+        site.place_batch(clones)
+        sites.append(site)
+    schedule = Schedule.from_sites(sites)
     for j in payload.get("disabled_sites", []):
         schedule.disable_site(int(j))
     return schedule
@@ -332,6 +451,44 @@ def instrumentation_from_dict(payload: dict[str, Any]) -> Instrumentation:
     )
 
 
+#: Counters the store leaves out along with the wall clock, timers and
+#: spans: the store's own hit/miss tags differ between runs on equal
+#: inputs.
+_HOST_COUNTERS = frozenset({COUNTER_STORE_HITS, COUNTER_STORE_MISSES})
+
+
+def _stored_instrumentation_to_dict(inst: Instrumentation) -> dict[str, Any]:
+    """The part of ``inst`` equal inputs reproduce (see :data:`_HOST_COUNTERS`)."""
+    return {
+        "operators_scheduled": inst.operators_scheduled,
+        "clones_created": inst.clones_created,
+        "bins_opened": inst.bins_opened,
+        "counters": {
+            name: value
+            for name, value in inst.counters.items()
+            if name not in _HOST_COUNTERS
+        },
+    }
+
+
+def _home(op: str, sites: Any) -> OperatorHome:
+    if type(sites) is not list or any(
+        type(j) is not int or j < 0 for j in sites
+    ):
+        raise ConfigurationError(
+            f"malformed schedule result payload: home of {op!r} is {sites!r}"
+        )
+    return OperatorHome(operator=op, site_indices=tuple(sites))
+
+
+def _degree(op: str, degree: Any) -> int:
+    if type(degree) is not int:
+        raise ConfigurationError(
+            f"malformed schedule result payload: degree of {op!r} is {degree!r}"
+        )
+    return degree
+
+
 def schedule_result_to_dict(result: ScheduleResult) -> dict[str, Any]:
     """Serialize a full algorithm result with provenance.
 
@@ -339,6 +496,12 @@ def schedule_result_to_dict(result: ScheduleResult) -> dict[str, Any]:
     placement, so deserialization rebuilds homes, degrees and timelines
     exactly; ``response_time`` is stored explicitly so bound-only
     results round-trip too.
+
+    Only the deterministic instrumentation is written (operator, clone
+    and bin counts and the counters other than ``store_hits`` and
+    ``store_misses``), so equal inputs give equal bytes: a decoded
+    result reports ``wall_clock_seconds == 0.0`` and empty ``timers``
+    and ``spans``.
     """
     return {
         "schema": _SCHEMA,
@@ -354,22 +517,24 @@ def schedule_result_to_dict(result: ScheduleResult) -> dict[str, Any]:
         "homes": {
             op: list(home.site_indices) for op, home in result.homes.items()
         },
-        "instrumentation": instrumentation_to_dict(result.instrumentation),
+        "instrumentation": _stored_instrumentation_to_dict(result.instrumentation),
     }
 
 
 def schedule_result_from_dict(payload: dict[str, Any]) -> ScheduleResult:
     """Deserialize a full algorithm result.
 
-    Round-trips exactly: the makespan, per-phase schedules (hence
-    timelines), homes, degrees and instrumentation all reconstruct to
-    equal values.
+    Round-trips the makespan, per-phase schedules (hence timelines),
+    homes, degrees and the deterministic instrumentation exactly; the
+    host fields :func:`schedule_result_to_dict` leaves out come back at
+    their defaults.
 
     Every way a malformed payload can fail — a model error such as a
-    negative work component or a duplicated clone, or a ``ValueError``/
-    ``TypeError`` from a mistyped field — raises
-    :class:`~repro.exceptions.ConfigurationError`, so store readers
-    need catch only that one error to treat a corrupt entry as a miss.
+    negative work component or a duplicated clone, an index or degree
+    that is not an int, or a ``ValueError``/``TypeError`` from a
+    mistyped field — raises :class:`~repro.exceptions.ConfigurationError`,
+    so store readers need catch only that one error to treat a corrupt
+    entry as a miss.
     """
     try:
         _check_schema(payload)
@@ -380,14 +545,15 @@ def schedule_result_from_dict(payload: dict[str, Any]) -> ScheduleResult:
             else phased_schedule_from_dict(phased_payload)
         )
         homes = {
-            op: OperatorHome(operator=op, site_indices=tuple(sites))
-            for op, sites in payload.get("homes", {}).items()
+            op: _home(op, sites) for op, sites in payload.get("homes", {}).items()
         }
         return ScheduleResult(
             algorithm=str(payload.get("algorithm", "")),
             phased_schedule=phased,
             homes=homes,
-            degrees={k: int(v) for k, v in payload.get("degrees", {}).items()},
+            degrees={
+                op: _degree(op, v) for op, v in payload.get("degrees", {}).items()
+            },
             phase_labels=[str(x) for x in payload.get("phase_labels", [])],
             response_time=float(_expect(payload, "response_time")),
             instrumentation=instrumentation_from_dict(

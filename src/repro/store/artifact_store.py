@@ -60,7 +60,9 @@ __all__ = [
 #: unreachable orphans instead of wrong answers.
 #: ``/2``: schedule payloads gained optional site capacities and result
 #: keys may carry a cluster spec — pre-capacity entries are orphaned.
-STORE_SCHEMA = "repro-store/2"
+#: ``/3``: schedules are an operator table plus per-site index rows, and
+#: stored results carry no host time — ``/2`` entries read as misses.
+STORE_SCHEMA = "repro-store/3"
 
 #: Environment variable naming the default cache directory.  Set by the
 #: CLI's ``--cache-dir`` so forked sweep workers inherit the store.
@@ -263,6 +265,10 @@ class ArtifactStore:
             ):
                 raise ValueError("envelope mismatch")
             value = envelope["value"]
+            # ``None`` is how a miss answers, so a stored null can never
+            # serve as a hit.
+            if value is None:
+                raise ValueError("null value")
         except (ValueError, KeyError):
             self.stats.corrupt += 1
             self.stats.misses += 1

@@ -282,11 +282,13 @@ def _relations(cards: dict[str, int], joins: list[tuple[str, str]]):
     return QueryGraph(list(cards), joins), catalog
 
 
+#: ``(kind, payload, repro-store/2 digest, repro-store/3 digest)``.
 PINNED_CONTENT_KEYS = [
     (
         "point",
         {"p": 4, "f": 0.7, "params": PAPER_PARAMETERS},
         "f6f50045808577e11753631041d53e18a20e5d2159f6f825496a04453e71c321",
+        "388bc138d63b54a84746fe1f89d9f0d8de731080a25187510372f440491e2e2d",
     ),
     (
         "result",
@@ -304,6 +306,7 @@ PINNED_CONTENT_KEYS = [
             "r": range(3),
         },
         "c42fe710333330ba1e193aa21f483a05104c62778f871525638309ca3306f54c",
+        "47e94381e5a3ef5efdd5b58cacf4f6902e84dbe6598ae074b98c0280bc6dc817",
     ),
     (
         "annotation",
@@ -312,16 +315,29 @@ PINNED_CONTENT_KEYS = [
             "nested": [{"b": None, "a": True}, ()],
         },
         "39ff67f26bbe50f34450bd53839a24e5ce9513a8987ee58949917733058746d7",
+        "df5ae6acda627074cef22ded9d8ecb14c7e369ca2b109ebb43e3e06ee28283fc",
     ),
 ]
 
 
+def _digest_under(schema: str, kind: str, payload: Any, encode) -> str:
+    envelope = {"schema": schema, "kind": kind, "payload": payload}
+    return hashlib.sha256(encode(envelope).encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize(
-    "kind,payload,digest", PINNED_CONTENT_KEYS, ids=[k for k, _, _ in PINNED_CONTENT_KEYS]
+    "kind,payload,digest_2,digest_3",
+    PINNED_CONTENT_KEYS,
+    ids=[k for k, *_ in PINNED_CONTENT_KEYS],
 )
-def test_pinned_content_keys(kind, payload, digest):
-    assert content_key(kind, payload) == digest
-    assert reference_content_key(kind, payload) == digest
+def test_pinned_content_keys(kind, payload, digest_2, digest_3):
+    # The digests pinned under ``repro-store/2`` still come out of an
+    # explicit ``/2`` envelope: the bump moved the tag, not the encoding.
+    for encode in (canonical_json, reference_canonical_json):
+        assert _digest_under("repro-store/2", kind, payload, encode) == digest_2
+    assert STORE_SCHEMA == "repro-store/3"
+    assert content_key(kind, payload) == digest_3
+    assert reference_content_key(kind, payload) == digest_3
 
 
 def test_pinned_plan_keys():

@@ -223,6 +223,19 @@ class TestArtifactStore:
         assert calls == [1]
         assert path.read_bytes() == good
 
+    def test_null_value_is_a_counted_miss(self, tmp_path):
+        """``None`` is what a miss returns, so a stored null is corrupt."""
+        store = ArtifactStore(tmp_path)
+        key = store.key(KIND_POINT, {"p": 4})
+        store.put(KIND_POINT, key, None)
+        assert store.get(KIND_POINT, key) is None
+        assert store.stats.snapshot() == {
+            "hits": 0, "misses": 1, "writes": 1, "corrupt": 1,
+        }
+        assert store.get_or_compute(KIND_POINT, {"p": 4}, lambda: 5.0) == 5.0
+        assert store.get(KIND_POINT, key) == 5.0
+        assert store.stats.hits == 1
+
     def test_put_is_idempotent_overwrite(self, tmp_path):
         store = ArtifactStore(tmp_path)
         key = store.key(KIND_POINT, {"p": 4})
@@ -310,16 +323,18 @@ class TestPointKeyPayload:
 
 
 class TestCapacitySchemaBump:
-    """PR-9 regression: the capacity-aware key schema orphans old entries.
+    """Schema bumps orphan old entries.
 
     ``STORE_SCHEMA`` moved to ``repro-store/2`` when cluster specs
-    started flowing into content keys; an entry written under the old
-    schema must read as a (counted) corrupt miss, never as a hit, and
-    heterogeneous clusters must never alias homogeneous keys.
+    started flowing into content keys, and to ``repro-store/3`` when
+    schedules became an operator table plus per-site index rows; an
+    entry written under an older schema must read as a (counted) corrupt
+    miss, never as a hit, and heterogeneous clusters must never alias
+    homogeneous keys.
     """
 
     def test_schema_is_bumped(self):
-        assert STORE_SCHEMA == "repro-store/2"
+        assert STORE_SCHEMA == "repro-store/3"
 
     def test_pre_capacity_entry_is_a_counted_miss(self, tmp_path):
         store = ArtifactStore(tmp_path)

@@ -51,13 +51,19 @@ def small_result() -> ScheduleResult:
 
 
 def _negative_work(value):
-    placement = value["phased_schedule"]["phases"][0]["placements"][0]
-    placement["work"]["components"][0] = -1.0
+    operator = value["phased_schedule"]["phases"][0]["operators"][0]
+    components, _t_seq = operator[1][0]
+    components[0] = -1.0
 
 
 def _duplicated_clone(value):
-    placements = value["phased_schedule"]["phases"][0]["placements"]
-    placements.append(json.loads(json.dumps(placements[0])))
+    row = next(r for r in value["phased_schedule"]["phases"][0]["sites"] if r)
+    row.extend(row[:3])
+
+
+def _mistyped_home(value):
+    homes = value["homes"]
+    homes[sorted(homes)[0]] = "xyz"
 
 
 def _mistyped_int(value):
@@ -73,6 +79,7 @@ CORRUPTIONS = {
     "duplicated_clone": _duplicated_clone,
     "mistyped_int": _mistyped_int,
     "mistyped_float": _mistyped_float,
+    "mistyped_home": _mistyped_home,
 }
 
 

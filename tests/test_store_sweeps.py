@@ -145,6 +145,17 @@ class TestScheduleResultCache:
         assert warm.instrumentation.counters["store_hits"] == 1.0
         assert warm.makespan == cold.makespan
         assert warm.algorithm == cold.algorithm
+        # The store keeps no host time: a hit reports none, keeps the
+        # deterministic counters, and is tagged as a hit only.
+        assert warm.instrumentation.wall_clock_seconds == 0.0
+        assert warm.instrumentation.timers == {}
+        assert warm.instrumentation.spans == []
+        deterministic = {
+            name: value
+            for name, value in cold.instrumentation.counters.items()
+            if name != "store_misses"
+        }
+        assert warm.instrumentation.counters == {**deterministic, "store_hits": 1.0}
 
     def test_different_cache_key_is_a_miss(self, tmp_path):
         store = ArtifactStore(tmp_path / "cache")
@@ -190,6 +201,23 @@ class TestCliCaching:
         uncached = capsys.readouterr()
         assert uncached.out == cached.out
         assert "[cache]" not in uncached.err
+
+    def test_cold_runs_write_identical_result_entries(self, tmp_path, capsys):
+        """Stored results hold no host time, so two cold runs of a sweep
+        that caches schedule results write the same bytes."""
+        args = ["robustness", "--quick", "--queries", "1", "--intensities", "0",
+                "1.0", "--json"]
+        entries = []
+        for name in ("first", "second"):
+            cache_dir = tmp_path / name
+            assert main([*args, "--cache-dir", str(cache_dir)]) == 0
+            root = cache_dir / "result"
+            entries.append(
+                {p.relative_to(root): p.read_bytes() for p in root.rglob("*.json")}
+            )
+        capsys.readouterr()
+        assert entries[0]
+        assert entries[0] == entries[1]
 
     def test_cache_flags_mutually_exclusive(self, tmp_path, capsys):
         rc = main([*CLI_ARGS, "--cache-dir", str(tmp_path), "--no-cache"])
