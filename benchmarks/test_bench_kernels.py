@@ -12,7 +12,10 @@ the optimization is sold on:
 * the packer clears the scale point (n=10^4 clones over
   p=10^3 sites) warm in well under a second;
 * repairing a 3-site failure via incremental rescheduling beats a cold
-  re-pack by at least 4x at the guard point's size.
+  re-pack by at least 4x at the guard point's size;
+* the kernels' work counts (heap entries popped, clones placed) on one
+  fixed TREESCHEDULE query and on the guard point are exact, so a change
+  in the work they do shows up as a reviewed count change.
 """
 
 from __future__ import annotations
@@ -87,3 +90,30 @@ def test_kernels_guard_point_output_unchanged():
     fast = pack_vectors(items, p=64, overlap=OVERLAP)
     slow = pack_vectors_reference(items, p=64, overlap=OVERLAP)
     assert json.dumps(schedule_to_dict(fast)) == json.dumps(schedule_to_dict(slow))
+
+
+#: Exact work counts of the list-scheduling kernels.  ``placement_scans``
+#: is heap entries popped: run placement pops once per allowable site a
+#: run takes (plus the stale and set-aside entries it passes), where
+#: clone-by-clone placement re-popped every site of the run so far.  A
+#: change that moves a count must update it here and say why.
+TREESCHEDULE_COUNTS = {"placement_scans": 3428.0, "clones_placed": 3421.0}
+PACK_COUNTS = {"placement_scans": 1000.0, "clones_packed": 1000.0}
+
+
+def test_kernel_work_counts_are_pinned():
+    from repro.engine import MetricsRecorder
+    from repro.experiments import prepare_workload, schedule_query
+    from repro.store import NO_STORE
+
+    (query,) = prepare_workload(40, 1, 1996, store=NO_STORE)
+    metrics = MetricsRecorder()
+    schedule_query(
+        "treeschedule", query, p=256, f=0.7, epsilon=0.5,
+        metrics=metrics, store=NO_STORE,
+    )
+    assert {k: metrics.counters[k] for k in TREESCHEDULE_COUNTS} == TREESCHEDULE_COUNTS
+
+    metrics = MetricsRecorder()
+    pack_vectors(make_items(1000), p=64, overlap=OVERLAP, metrics=metrics)
+    assert dict(metrics.counters) == PACK_COUNTS

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Sequence
+from itertools import repeat
 
 from repro.exceptions import SchedulingError
 from repro.core.cloning import (
@@ -48,9 +49,9 @@ from repro.core.cloning import (
     response_optimal_degree,
 )
 from repro.core.granularity import CommunicationModel
+from repro.core.placement_heap import clone_run
 from repro.core.resource_model import OverlapModel
 from repro.core.schedule import OperatorHome, PhasedSchedule, Schedule
-from repro.core.site import PlacedClone
 from repro.engine.registry import ScheduleRequest, register
 from repro.engine.result import Instrumentation, ScheduleResult
 from repro.plans.generator import GeneratedQuery
@@ -100,17 +101,11 @@ def _place_operator(
     policy: CoordinatorPolicy,
 ) -> None:
     """Clone ``spec`` onto exactly the given sites (degree = len(sites))."""
-    clones = clone_work_vectors(spec, len(sites), comm, policy)
-    for k, (site_index, work) in enumerate(zip(sites, clones)):
-        schedule.place(
-            site_index,
-            PlacedClone(
-                operator=spec.name,
-                clone_index=k,
-                work=work,
-                t_seq=overlap.t_seq(work),
-            ),
-        )
+    n = len(sites)
+    clones = clone_work_vectors(spec, n, comm, policy)
+    schedule.place_operator(
+        spec.name, clone_run(sites, zip(repeat(spec.name), range(n), clones), overlap)
+    )
 
 
 def _allocate_blocks(works: list[float], site_pool: list[int]) -> list[list[int]]:

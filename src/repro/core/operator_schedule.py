@@ -33,6 +33,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import repeat
 
 from repro.exceptions import InfeasibleScheduleError, SchedulingError
 from repro.core.cloning import (
@@ -43,7 +44,7 @@ from repro.core.cloning import (
     coarse_grain_degree,
 )
 from repro.core.granularity import CommunicationModel
-from repro.core.placement_heap import SiteHeap
+from repro.core.placement_heap import SiteHeap, clone_run, place_runs
 from repro.core.resource_model import OverlapModel
 from repro.obs.names import (
     COUNTER_CLONES_PLACED,
@@ -53,7 +54,6 @@ from repro.obs.names import (
 )
 from repro.obs.tracer import current_tracer
 from repro.core.schedule import Schedule
-from repro.core.site import PlacedClone
 from repro.core.work_vector import WorkVector
 
 __all__ = ["RootedPlacement", "OperatorScheduleResult", "operator_schedule"]
@@ -211,32 +211,30 @@ def operator_schedule(
     # Step 1: place the work vectors of all rooted operators at their
     # respective sites.
     for placement in rooted:
+        name = placement.spec.name
         n = placement.degree
         if n > p:
             raise InfeasibleScheduleError(
-                f"rooted operator {placement.spec.name!r} has degree {n} > P={p}"
+                f"rooted operator {name!r} has degree {n} > P={p}"
             )
-        clones = clone_work_vectors(placement.spec, n, comm, policy)
-        for k, (site_index, work) in enumerate(zip(placement.site_indices, clones)):
+        for site_index in placement.site_indices:
             if not 0 <= site_index < p:
                 raise InfeasibleScheduleError(
-                    f"rooted operator {placement.spec.name!r}: site {site_index} "
+                    f"rooted operator {name!r}: site {site_index} "
                     f"outside 0..{p - 1}"
                 )
-            schedule.place(
-                site_index,
-                PlacedClone(
-                    operator=placement.spec.name,
-                    clone_index=k,
-                    work=work,
-                    t_seq=overlap.t_seq(work),
-                ),
-            )
-        chosen[placement.spec.name] = n
+        clones = clone_work_vectors(placement.spec, n, comm, policy)
+        schedule.place_operator(
+            name,
+            clone_run(
+                placement.site_indices, zip(repeat(name), range(n), clones), overlap
+            ),
+        )
+        chosen[name] = n
 
     # Step 2: degree of coarse-grain parallelism for every floating
     # operator, and the clone lists L_i.
-    pending: list[tuple[float, str, int, WorkVector]] = []
+    pending: list[tuple[str, int, WorkVector]] = []
     for spec in floating:
         if degrees is not None and spec.name in degrees:
             n = degrees[spec.name]
@@ -252,7 +250,7 @@ def operator_schedule(
             n = coarse_grain_degree(spec, p, f, comm, overlap, policy)
         chosen[spec.name] = n
         for k, work in enumerate(clone_work_vectors(spec, n, comm, policy)):
-            pending.append((work.length(), spec.name, k, work))
+            pending.append((spec.name, k, work))
 
     # Step 3: list scheduling in non-increasing order of l(w̄); ties in the
     # vector order are broken deterministically by operator name and clone
@@ -260,13 +258,23 @@ def operator_schedule(
     # l(work(s)) (Figure 3); sites tied on length are distinguished by
     # total load, then index — the paper permits any minimizer, and the
     # total-load tie-break avoids piling work onto a site whose length
-    # happens to sit on a different resource.  The minimizer query goes
-    # through a lazy min-heap (O(log p) amortized per clone) rather than a
-    # site rescan; the key ends in the site index, so the heap minimum is
-    # the exact site the linear scan would have chosen.
+    # happens to sit on a different resource.  The key ends in the site
+    # index, so a lazy min-heap's minimum is the exact site a linear scan
+    # would choose.  The order keeps each operator's equal-length clones
+    # (all but an EA1 coordinator carrying startup cost) in one run, and
+    # place_runs puts a run of k clones on the k smallest allowable keys
+    # at once: one heap pass, one T_seq and one checked bulk place per
+    # run, the same schedule as placing clone by clone.
+    def no_allowable_site(position: int) -> InfeasibleScheduleError:
+        op_name, k, _ = pending[position]
+        return InfeasibleScheduleError(
+            f"no allowable site left for clone {k} of {op_name!r} "
+            f"(degree {chosen[op_name]} on P={p} sites)"
+        )
+
     timer = metrics.timer(TIMER_LIST_SCHEDULE) if metrics is not None else nullcontext()
     with current_tracer().span(SPAN_LIST_PLACEMENT, clones=len(pending), p=p), timer:
-        pending.sort(key=lambda item: (-item[0], item[1], item[2]))
+        pending.sort(key=lambda item: (-item[2].length(), item[0], item[1]))
         heap = SiteHeap(
             schedule.sites,
             key=lambda s: (
@@ -275,23 +283,7 @@ def operator_schedule(
                 s.index,
             ),
         )
-        for _, op_name, k, work in pending:
-            best = heap.pick(lambda s: not s.hosts_operator(op_name))
-            if best is None:
-                raise InfeasibleScheduleError(
-                    f"no allowable site left for clone {k} of {op_name!r} "
-                    f"(degree {chosen[op_name]} on P={p} sites)"
-                )
-            schedule.place(
-                best.index,
-                PlacedClone(
-                    operator=op_name,
-                    clone_index=k,
-                    work=work,
-                    t_seq=overlap.t_seq(work),
-                ),
-            )
-            heap.update(best)
+        place_runs(schedule, heap, pending, overlap, no_allowable_site)
         if metrics is not None:
             metrics.count(COUNTER_PLACEMENT_SCANS, heap.scans)
             metrics.count(COUNTER_CLONES_PLACED, len(pending))

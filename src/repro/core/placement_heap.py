@@ -1,4 +1,4 @@
-"""A lazy min-heap over sites for O(log p) least-loaded placement.
+"""A lazy min-heap over sites, and the run-placement kernel built on it.
 
 The Figure 3 list-scheduling rule repeatedly asks for the *least filled
 allowable* site: the site minimizing a small key (current length, plus
@@ -14,8 +14,15 @@ replaces it with a heap using *lazy deletion*:
   and discarded when popped;
 * an entry that is fresh but not *allowable* for the current operator
   (constraint (A): the site already hosts a clone of it) is set aside and
-  re-pushed after the selection, costing O(log p) per clone of the same
-  operator already placed — at most ``N_i - 1`` per placement.
+  re-pushed after the selection.
+
+The list schedulers place a *run* at a time — a maximal block of one
+operator's consecutive clones in placement order — through
+:func:`place_runs`: one :meth:`SiteHeap.take` pops the run's ``k`` sites
+in one pass, so a site that hosts the operator is set aside once per run
+rather than once per clone, and a site the run fills is never re-popped
+within it.  :meth:`SiteHeap.pick`, one site per call, serves the repair
+layer, which still places clone by clone.
 
 Long-running incremental use (the serve pool keeps one heap alive
 across every repair delta of a run) adds three maintenance operations:
@@ -39,10 +46,16 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable, Iterable, Sequence
+from operator import attrgetter
 
-from repro.core.site import Site
+from repro.core.resource_model import OverlapModel
+from repro.core.schedule import Schedule
+from repro.core.site import PlacedClone, Site
+from repro.core.work_vector import WorkVector
 
-__all__ = ["SiteHeap", "least_loaded_key"]
+__all__ = ["SiteHeap", "clone_run", "least_loaded_key", "place_runs"]
+
+_site_index = attrgetter("index")
 
 
 def least_loaded_key(site: Site) -> tuple[float, int]:
@@ -123,6 +136,47 @@ class SiteHeap:
             heapq.heappush(heap, entry)
         return chosen
 
+    def take(self, operator: str, k: int) -> list[Site]:
+        """Pop the ``k`` minimum-key sites not hosting ``operator``, in key order.
+
+        One pass: stale entries are discarded, and fresh entries of sites
+        that already host ``operator`` are set aside and re-pushed once.
+        A second fresh entry of a taken site (queued when a site still in
+        the heap was updated with an unchanged key) is dropped.  The caller
+        must :meth:`update` every returned site.  When fewer than ``k``
+        allowable sites exist, the taken entries are re-pushed as well
+        and the shorter list is returned, leaving every site queued.
+        """
+        heap = self._heap
+        keys = self._keys
+        sites = self._sites
+        skipped: list[tuple[tuple, int]] = []
+        chosen: list[Site] = []
+        last = None
+        scans = 0
+        pop = heapq.heappop
+        while heap:
+            entry = pop(heap)
+            scans += 1
+            key, j = entry
+            if key != keys.get(j) or entry == last:
+                continue
+            site = sites[j]
+            if site.hosts_operator(operator):
+                skipped.append(entry)
+                continue
+            chosen.append(site)
+            last = entry
+            k -= 1
+            if not k:
+                break
+        self.scans += scans
+        if k:
+            skipped.extend((keys[site.index], site.index) for site in chosen)
+        for entry in skipped:
+            heapq.heappush(heap, entry)
+        return chosen
+
     def update(self, site: Site) -> None:
         """Re-key ``site`` after its load changed and queue the fresh entry.
 
@@ -132,11 +186,13 @@ class SiteHeap:
         :meth:`rebuild`, bounding lazy-deletion garbage during long
         incremental runs.
         """
+        j = site.index
         k = self._key(site)
-        self._sites[site.index] = site
-        self._keys[site.index] = k
-        heapq.heappush(self._heap, (k, site.index))
-        if len(self._heap) > max(32, 3 * len(self._sites)):
+        self._sites[j] = site
+        self._keys[j] = k
+        heap = self._heap
+        heapq.heappush(heap, (k, j))
+        if len(heap) > 32 and len(heap) > 3 * len(self._sites):
             self.rebuild()
 
     def add_batch(self, sites: Sequence[Site]) -> None:
@@ -188,3 +244,81 @@ class SiteHeap:
     def tracked_sites(self) -> frozenset[int]:
         """Indices of the sites currently tracked (live, not discarded)."""
         return frozenset(self._sites)
+
+
+def clone_run(
+    site_indices: Iterable[int],
+    clones: Iterable[tuple[str, int, WorkVector]],
+    overlap: OverlapModel,
+) -> list[tuple[int, PlacedClone]]:
+    """Pair ``(operator, clone_index, work)`` clones with their sites.
+
+    Builds the argument of :meth:`Schedule.place_operator`.  ``T_seq`` is
+    computed once per distinct work vector: under EA1 every clone after
+    the coordinator carries the same :class:`WorkVector` object, so a run
+    of ``n`` clones evaluates the overlap model at most twice.
+    """
+    run = []
+    last = None
+    t = 0.0
+    for site_index, (operator, k, work) in zip(site_indices, clones):
+        if work is not last:
+            t = overlap.t_seq(work)
+            last = work
+        run.append((site_index, PlacedClone(operator, k, work, t)))
+    return run
+
+
+def place_runs(
+    schedule: Schedule,
+    heap: SiteHeap,
+    items: Sequence[tuple[str, int, WorkVector]],
+    overlap: OverlapModel,
+    infeasible: Callable[[int], Exception],
+) -> None:
+    """Place ordered ``(operator, clone_index, work)`` items on least-key sites.
+
+    The list-scheduling kernel behind :func:`operator_schedule` step 3
+    and the ``LEAST_LOADED_LENGTH`` rule of :func:`pack_vectors`.  Its
+    result equals placing each item in turn on the minimum-key allowable
+    site, but it works one *run* at a time: a maximal block of
+    consecutive items of one operator.  Placing a clone on site ``s``
+    makes ``s`` unallowable for the rest of its run and leaves every
+    other key alone, so a run of ``k`` clones lands on the ``k``
+    smallest allowable keys, in key order.  Each run costs one
+    :meth:`SiteHeap.take`, one ``T_seq`` per distinct work vector
+    (:func:`clone_run`) and one checked :meth:`Schedule.place_operator`.
+
+    Raises ``infeasible(position)`` with the position in ``items`` of the
+    first clone that finds no allowable site, the clone a per-clone loop
+    would have failed on.
+    """
+    take = heap.take
+    update = heap.update
+    place_operator = schedule.place_operator
+    n = len(items)
+    start = 0
+    while start < n:
+        operator, k, work = items[start]
+        end = start + 1
+        while end < n and items[end][0] == operator:
+            end += 1
+        sites = take(operator, end - start)
+        if len(sites) < end - start:
+            raise infeasible(start + len(sites))
+        if end == start + 1:
+            # A lone clone (every coordinator carrying startup cost) skips
+            # the pairing loop; the checks and the fold are the same.
+            site = sites[0]
+            place_operator(
+                operator,
+                [(site.index, PlacedClone(operator, k, work, overlap.t_seq(work)))],
+            )
+            update(site)
+        else:
+            place_operator(
+                operator, clone_run(map(_site_index, sites), items[start:end], overlap)
+            )
+            for site in sites:
+                update(site)
+        start = end

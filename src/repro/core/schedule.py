@@ -19,6 +19,7 @@ makespans.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
@@ -219,6 +220,68 @@ class Schedule:
         for i, c in enumerate(clone.work.components):
             self._total_work[i] += c
         self._clone_count += 1
+
+    def place_operator(
+        self, operator: str, placements: Sequence[tuple[int, PlacedClone]]
+    ) -> None:
+        """Place a run of ``operator``'s clones, one ``(site, clone)`` pair each.
+
+        The bulk form of :meth:`place`: every check it makes (site index
+        range, out-of-service site, dimensionality, constraint (A) against
+        the schedule *and* within the run), plus that each clone belongs
+        to ``operator``, runs before anything is mutated.  Site loads,
+        homes and the total-work vector are then folded pair by pair in
+        the given order, so the result is bit-identical to calling
+        :meth:`place` once per pair.
+        """
+        count = len(placements)
+        if not count:
+            return
+        sites = self._sites
+        p = len(sites)
+        d = self._d
+        disabled = self._disabled
+        checked = None
+        for j, clone in placements:
+            if not 0 <= j < p:
+                self._check_site_index(j)
+            if j in disabled:
+                raise SchedulingError(f"site {j} is out of service")
+            if clone.operator != operator:
+                raise SchedulingError(
+                    f"clone {clone.clone_index} of {clone.operator!r} "
+                    f"in a run of {operator!r}"
+                )
+            if clone.work is not checked:
+                if clone.work.d != d:
+                    raise SchedulingError(
+                        f"site {j}: clone of {operator!r} has d={clone.work.d}, "
+                        f"site has d={d}"
+                    )
+                checked = clone.work
+            if sites[j].hosts_operator(operator):
+                raise self._constraint_a(j, operator)
+        if count > 1:
+            taken: set[int] = set()
+            for j, _ in placements:
+                if j in taken:
+                    raise self._constraint_a(j, operator)
+                taken.add(j)
+        homes = self._homes.setdefault(operator, [])
+        total = self._total_work
+        for j, clone in placements:
+            sites[j]._add(clone)
+            homes.append((clone.clone_index, j))
+            total = list(map(add, total, clone.work.components))
+        self._total_work = total
+        self._clone_count += count
+
+    @staticmethod
+    def _constraint_a(site_index: int, operator: str) -> SchedulingError:
+        return SchedulingError(
+            f"site {site_index}: already hosts a clone of {operator!r} "
+            "(constraint (A) of Section 5.3)"
+        )
 
     def disable_site(self, site_index: int) -> None:
         """Take a site out of service (no new placements allowed on it)."""

@@ -177,6 +177,14 @@ class Site:
                 f"site {self.index}: already hosts a clone of {clone.operator!r} "
                 "(constraint (A) of Section 5.3)"
             )
+        self._add(clone)
+
+    def _add(self, clone: PlacedClone) -> None:
+        """Fold ``clone`` into the running statistics, unchecked.
+
+        The caller has already made :meth:`place`'s checks (see
+        :meth:`~repro.core.schedule.Schedule.place_operator`).
+        """
         self._clones.append(clone)
         self._operators.add(clone.operator)
         load = self._load

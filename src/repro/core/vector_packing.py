@@ -25,7 +25,9 @@ placement step is engineered to avoid rescans:
   (:class:`~repro.core.placement_heap.SiteHeap`) keyed on the
   capacity-normalized length ``(l(work(s))/capacity, index)`` — equal to
   ``(l(work(s)), index)`` bit-for-bit on a homogeneous cluster — giving
-  O(log p) amortized placement instead of an O(p) scan per clone;
+  O(log p) amortized placement instead of an O(p) scan per clone; each
+  run of one operator's consecutive clones is placed in one step by
+  :func:`~repro.core.placement_heap.place_runs`;
 * ``FIRST_FIT`` early-exits at the lowest-indexed allowable site and —
   like every other non-heap rule — never constructs or maintains a
   :class:`SiteHeap` (heap construction is gated on the rule, so linear
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from repro.exceptions import InfeasibleScheduleError, SchedulingError
-from repro.core.placement_heap import SiteHeap, least_loaded_key
+from repro.core.placement_heap import SiteHeap, least_loaded_key, place_runs
 from repro.core.resource_model import OverlapModel
 from repro.core.schedule import Schedule
 from repro.obs.names import (
@@ -286,25 +288,18 @@ def _pack_least_loaded(
 ) -> int:
     """Place pre-sorted clones under the ``LEAST_LOADED_LENGTH`` rule.
 
-    Returns the placement-scan count (heap entries examined).
+    Runs of one operator's consecutive clones go through
+    :func:`~repro.core.placement_heap.place_runs`.  Returns the
+    placement-scan count (heap entries examined).
     """
     heap = SiteHeap(schedule.sites, key=least_loaded_key)
-    for item in ordered:
-        op = item.operator
-        site = heap.pick(lambda s: not s.hosts_operator(op))
-        if site is None:
-            raise _no_allowable_site(item)
-        j = site.index
-        schedule.place(
-            j,
-            PlacedClone(
-                operator=item.operator,
-                clone_index=item.clone_index,
-                work=item.work,
-                t_seq=overlap.t_seq(item.work),
-            ),
-        )
-        heap.update(schedule.site(j))
+    place_runs(
+        schedule,
+        heap,
+        [(item.operator, item.clone_index, item.work) for item in ordered],
+        overlap,
+        lambda position: _no_allowable_site(ordered[position]),
+    )
     return heap.scans
 
 
