@@ -11,10 +11,13 @@ the warm-store round trip.
 from __future__ import annotations
 
 import tempfile
+from collections import Counter
 
 import pytest
 
+import repro.search.search as search_module
 from repro.search import search_plans
+from repro.search.screen import ScreenContext
 from repro.store import NO_STORE, ArtifactStore
 
 from _helpers import publish
@@ -91,3 +94,32 @@ def test_plansearch_rankings_consistent(searches):
         times = [sp.response_time for sp in result.candidates]
         assert times == sorted(times)
         assert result.winner.key == result.candidates[0].key
+
+
+def test_plansearch_work_counts_are_pinned(monkeypatch):
+    """Exact work of one pruned search at the guard point.
+
+    The exhaustive DP bounds all 429 plans from subplan summaries; a plan
+    is built as a tree (``ScreenContext.plan``) and hashed (``plan_key``)
+    only when it is about to be scored, so the 421 pruned plans cost
+    neither.  A change that moves these counts must say why.
+    """
+    calls: Counter[str] = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        search_module, "plan_key", counted("plan_key", search_module.plan_key)
+    )
+    monkeypatch.setattr(ScreenContext, "plan", counted("built", ScreenContext.plan))
+    graph, catalog = make_query()
+    stats = search_plans(graph, catalog, p=P, store=NO_STORE, **SEARCH_KW).stats
+    assert (stats.enumerated, stats.unique, stats.pruned, stats.scored) == (
+        429, 429, 421, 8,
+    )
+    assert calls == {"plan_key": 8, "built": 8}

@@ -9,7 +9,8 @@ provides the deterministic searcher:
   plan ↔ payload codec (the dedupe key, the score-cache key and the
   winner-schedule key are the same canonical-JSON bytes);
 * :mod:`repro.search.enumerator` — exhaustive connected-subset DP for
-  small join graphs, seeded greedy/mutation moves for large ones;
+  small join graphs (plan trees, or unbuilt plans as screen structure
+  keys), seeded greedy/mutation moves for large ones;
 * :mod:`repro.search.screen` — provably valid response-time lower
   bounds, read off subplan summaries memoized for the whole search,
   pruning dominated candidates before a schedule is ever computed;

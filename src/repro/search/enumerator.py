@@ -12,7 +12,12 @@ Two regimes, selected by the candidate count:
   rule), sharing subplans between candidates.  A counting pass
   (:func:`count_exhaustive_plans`) runs first so enumeration is only
   materialized when the space fits under the cap — a chain of ``n``
-  relations has Catalan(``n-1``) shapes, so the count grows fast.
+  relations has Catalan(``n-1``) shapes, so the count grows fast.  One
+  DP serves two fragment types: :func:`enumerate_exhaustive_plans`
+  builds plan trees, and :func:`exhaustive_candidates` yields each plan
+  as its root's :class:`~repro.search.screen.ScreenContext` structure
+  key, so the search can bound every plan and build only those it
+  scores.  The DP never yields two plans with the same structure.
 
 * **Seeded local search** (large graphs).  A deterministic greedy start
   (:func:`greedy_plan`: always contract the edge with the smallest
@@ -23,7 +28,7 @@ Two regimes, selected by the candidate count:
   sorted edge lists, never set/dict iteration order).
 
 Every public function returns plans in a deterministic order; callers
-dedupe by :func:`~repro.search.canonical.plan_key`.
+dedupe local-search plans by :func:`~repro.search.canonical.plan_key`.
 """
 
 from __future__ import annotations
@@ -43,10 +48,12 @@ from repro.plans.join_tree import (
 from repro.plans.query_graph import QueryGraph
 from repro.plans.relations import Catalog
 from repro.search.canonical import canonical_plan
+from repro.search.screen import ScreenContext
 
 __all__ = [
     "count_exhaustive_plans",
     "enumerate_exhaustive_plans",
+    "exhaustive_candidates",
     "greedy_plan",
     "random_plan",
     "mutate_plan",
@@ -133,6 +140,49 @@ def count_exhaustive_plans(graph: QueryGraph, *, limit: int) -> int:
     return count(frozenset(graph.relations))
 
 
+def _exhaustive(graph: QueryGraph, *, limit: int, leaf, join) -> list:
+    """Every distinct bushy plan of ``graph``, as the DP builds it.
+
+    ``leaf(name)`` makes the fragment of one relation and
+    ``join(left, right)`` joins two, ``left`` being the component of the
+    cut edge's smaller-named endpoint.  Fragments of every connected
+    subset are built once and shared; the result lists the root
+    fragments in DP order.  No two of them have the same structure: a
+    plan's root split fixes the cut edge, and the two sides recurse.
+
+    Raises
+    ------
+    PlanStructureError
+        If the plan space exceeds ``limit`` (check
+        :func:`count_exhaustive_plans` first).
+    """
+    total = count_exhaustive_plans(graph, limit=limit)
+    if total > limit:
+        raise PlanStructureError(
+            f"plan space exceeds the exhaustive cap ({limit}); "
+            "use the local-search regime"
+        )
+    adj = _adjacency(graph)
+    memo: dict[frozenset[str], list] = {}
+
+    def plans(subset: frozenset[str]) -> list:
+        if len(subset) == 1:
+            (name,) = subset
+            return [leaf(name)]
+        if subset in memo:
+            return memo[subset]
+        out = [
+            join(left, right)
+            for left_set, right_set in _splits(adj, subset)
+            for left in plans(left_set)
+            for right in plans(right_set)
+        ]
+        memo[subset] = out
+        return out
+
+    return plans(frozenset(graph.relations))
+
+
 def enumerate_exhaustive_plans(
     graph: QueryGraph, catalog: Catalog, *, limit: int
 ) -> list[PlanNode]:
@@ -149,31 +199,37 @@ def enumerate_exhaustive_plans(
         If the plan space exceeds ``limit`` (check
         :func:`count_exhaustive_plans` first).
     """
-    total = count_exhaustive_plans(graph, limit=limit)
-    if total > limit:
-        raise PlanStructureError(
-            f"plan space exceeds the exhaustive cap ({limit}); "
-            "use the local-search regime"
-        )
-    adj = _adjacency(graph)
-    memo: dict[frozenset[str], list[PlanNode]] = {}
-
-    def plans(subset: frozenset[str]) -> list[PlanNode]:
-        if len(subset) == 1:
-            (name,) = subset
-            return [BaseRelationNode(catalog.get(name))]
-        if subset in memo:
-            return memo[subset]
-        out: list[PlanNode] = []
-        for left_set, right_set in _splits(adj, subset):
-            for left in plans(left_set):
-                for right in plans(right_set):
-                    out.append(_join(left, right, "X"))
-        memo[subset] = out
-        return out
-
-    roots = plans(frozenset(graph.relations))
+    roots = _exhaustive(
+        graph,
+        limit=limit,
+        leaf=lambda name: BaseRelationNode(catalog.get(name)),
+        join=lambda left, right: _join(left, right, "X"),
+    )
     return [canonical_plan(plan) for plan in roots]
+
+
+def exhaustive_candidates(
+    graph: QueryGraph, catalog: Catalog, ctx: ScreenContext, *, limit: int
+) -> list[tuple]:
+    """The plans of :func:`enumerate_exhaustive_plans`, unbuilt.
+
+    Each plan is its root's structure key in ``ctx``, in the same
+    order: :meth:`ScreenContext.bound` bounds it and
+    :meth:`ScreenContext.plan` builds its canonical tree.  Every shared
+    non-root subplan is interned (and summarized) once, so no plan
+    tree is built or walked.
+
+    Raises
+    ------
+    PlanStructureError
+        If the plan space exceeds ``limit``.
+    """
+    return _exhaustive(
+        graph,
+        limit=limit,
+        leaf=lambda name: ScreenContext.leaf_key(catalog.get(name)),
+        join=ctx.join_key,
+    )
 
 
 def _join(left: PlanNode, right: PlanNode, join_id: str) -> JoinNode:

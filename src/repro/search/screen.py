@@ -27,17 +27,25 @@ TREESCHEDULE response time from two sides, mirroring the Section 7 bound
 
 Both sides are computed bottom-up from **subplan summaries** without
 expanding the candidate into an operator tree.  Every subtree below the
-root is interned to a small id — a leaf by ``(relation, tuples)``, a
-join by ``(method, materialize, build_id, probe_id)`` — and summarized
-once per :class:`ScreenContext`: its operators' ``n = 1`` total work
-vectors, its output operator's ``(closed, open)`` pair and its internal
-``h``.  None of these depend on what lies above the subtree, because its
-output always feeds a pipeline consumer.  A candidate's bound then
-combines its two children's summaries with the root join's own
-operators, which have no pipeline consumer and are never materialized.
-The DP shares subplans between candidates and local-search mutations
-keep most of a plan, so almost every subtree is summarized once per
-search.
+root has a *structure key* — a leaf ``(relation, tuples)``, a join
+``(method, materialize, build_id, probe_id)`` — and is interned to a
+small id and summarized once per :class:`ScreenContext`: its operators'
+``n = 1`` total work vectors, its output operator's ``(closed, open)``
+pair and its internal ``h``.  None of these depend on what lies above
+the subtree, because its output always feeds a pipeline consumer.  A
+candidate is its root's structure key, and its bound
+(:meth:`ScreenContext.bound`) combines its two children's summaries
+with the root join's own operators, which have no pipeline consumer and
+are never materialized.
+
+Keys come from two places.  :func:`candidate_lower_bounds` reads them
+off plan trees (:meth:`ScreenContext.root_key`), for the local search,
+whose mutations keep most of a plan.  The exhaustive DP
+(:func:`~repro.search.enumerator.exhaustive_candidates`) builds them
+directly with :meth:`ScreenContext.join_key`, so its plans are bounded
+without any tree being built or walked; :meth:`ScreenContext.plan`
+builds the canonical tree of the few that get scored.  Either way every
+shared subtree is summarized once per search.
 """
 
 from __future__ import annotations
@@ -59,6 +67,7 @@ from repro.cost.params import SystemParameters
 from repro.exceptions import PlanStructureError
 from repro.plans.join_tree import BaseRelationNode, JoinMethod, JoinNode, PlanNode
 from repro.plans.physical_ops import OperatorKind
+from repro.plans.relations import Relation
 
 __all__ = ["ScreenContext", "candidate_lower_bounds"]
 
@@ -137,9 +146,10 @@ class ScreenContext:
         #: ``(kind, input, output, has_pipeline_consumer)`` ->
         #: ``(t_min, n = 1 total work components)``.
         self._operators: dict[tuple, tuple[float, tuple[float, ...]]] = {}
-        #: subplan key -> id, and id -> summary.
+        #: subplan structure key -> id, and id -> summary and key.
         self._ids: dict[tuple, int] = {}
         self._summaries: list[_Summary] = []
+        self._keys: list[tuple] = []
 
     def _operator(
         self, kind: OperatorKind, input_tuples: int, output_tuples: int, consumer: bool
@@ -162,28 +172,78 @@ class ScreenContext:
         self._operators[key] = cached = (t_min, total)
         return cached
 
-    def _summary_id(self, node: PlanNode) -> int:
-        """Intern the subtree at ``node`` (never the root) and summarize it."""
-        if isinstance(node, BaseRelationNode):
-            key: tuple = (node.relation.name, node.relation.tuples)
-        elif isinstance(node, JoinNode):
-            key = (
-                node.method,
-                node.materialize_output,
-                self._summary_id(node.build_side),
-                self._summary_id(node.probe_side),
+    @staticmethod
+    def leaf_key(relation: Relation) -> tuple:
+        """The structure key of a base-relation subplan."""
+        return (relation.name, relation.tuples)
+
+    def join_key(self, left: tuple, right: tuple) -> tuple:
+        """The structure key of a hash join of two subplans' keys.
+
+        ``left`` must be the key of the canonical edge's smaller-named
+        endpoint's fragment: the smaller output builds and on a
+        cardinality tie ``left`` builds, the orientation rule of the
+        plan enumerator.  Both inputs are interned (and summarized).
+        """
+        left_id = self._intern(left)
+        right_id = self._intern(right)
+        if self._summaries[left_id].tuples <= self._summaries[right_id].tuples:
+            return (JoinMethod.HASH, False, left_id, right_id)
+        return (JoinMethod.HASH, False, right_id, left_id)
+
+    def root_key(self, plan: PlanNode) -> tuple:
+        """The structure key of ``plan``'s root; its subtrees are interned."""
+        if isinstance(plan, BaseRelationNode):
+            return self.leaf_key(plan.relation)
+        if isinstance(plan, JoinNode):
+            return (
+                plan.method,
+                plan.materialize_output,
+                self._intern(self.root_key(plan.build_side)),
+                self._intern(self.root_key(plan.probe_side)),
             )
-        else:
-            raise PlanStructureError(f"unknown plan node type {type(node).__name__}")
+        raise PlanStructureError(f"unknown plan node type {type(plan).__name__}")
+
+    def _intern(self, key: tuple) -> int:
+        """The id of a non-root subplan's structure key, summarizing it once."""
         summary_id = self._ids.get(key)
         if summary_id is None:
-            if isinstance(node, BaseRelationNode):
-                summary = self._scan(node.relation.tuples, consumer=True)
+            if len(key) == 2:
+                summary = self._scan(key[1], consumer=True)
             else:
                 summary = self._join(*key, is_root=False)
             summary_id = self._ids[key] = len(self._summaries)
             self._summaries.append(summary)
+            self._keys.append(key)
         return summary_id
+
+    def plan(self, key: tuple) -> PlanNode:
+        """The canonical plan whose root has structure ``key``.
+
+        Join ids are assigned in post-order (``J0`` first), exactly as
+        :func:`~repro.search.canonical.canonical_plan` assigns them, so
+        the tree equals the canonical copy of any plan with this key.
+        """
+        counter = 0
+
+        def build(key: tuple) -> PlanNode:
+            nonlocal counter
+            if len(key) == 2:
+                return BaseRelationNode(Relation(name=key[0], tuples=key[1]))
+            method, materialize, build_id, probe_id = key
+            build_side = build(self._keys[build_id])
+            probe_side = build(self._keys[probe_id])
+            join = JoinNode(
+                f"J{counter}",
+                build_side,
+                probe_side,
+                method=method,
+                materialize_output=materialize,
+            )
+            counter += 1
+            return join
+
+        return build(key)
 
     def _scan(self, tuples: int, *, consumer: bool) -> _Summary:
         t, total = self._operator(OperatorKind.SCAN, 0, tuples, consumer)
@@ -238,27 +298,19 @@ class ScreenContext:
             output = add(OperatorKind.RESCAN, 0, out, True, (store,))
         h = max(left.h, right.h, *(closed + open_max for closed, open_max in segments))
         columns = tuple(
-            left_column + right_column + tuple(total[k] for total in own)
-            for k, (left_column, right_column) in enumerate(
-                zip(left.columns, right.columns)
+            left_column + right_column + own_column
+            for left_column, right_column, own_column in zip(
+                left.columns, right.columns, zip(*own)
             )
         )
         return _Summary(out, output, h, columns)
 
-    def _lower_bound(self, plan: PlanNode) -> float:
-        """The valid response-time lower bound of one candidate plan."""
-        if isinstance(plan, JoinNode):
-            summary = self._join(
-                plan.method,
-                plan.materialize_output,
-                self._summary_id(plan.build_side),
-                self._summary_id(plan.probe_side),
-                is_root=True,
-            )
-        elif isinstance(plan, BaseRelationNode):
-            summary = self._scan(plan.relation.tuples, consumer=False)
+    def bound(self, key: tuple) -> float:
+        """The valid response-time lower bound of the plan with root ``key``."""
+        if len(key) == 2:
+            summary = self._scan(key[1], consumer=False)
         else:
-            raise PlanStructureError(f"unknown plan node type {type(plan).__name__}")
+            summary = self._join(*key, is_root=True)
         h = summary.h
         if self.max_capacity is not None:
             h /= self.max_capacity
@@ -277,4 +329,4 @@ def candidate_lower_bounds(
     functions of the plan structure and the context, independent of
     candidate order, worker count and store state.
     """
-    return [ctx._lower_bound(plan) for plan in plans]
+    return [ctx.bound(ctx.root_key(plan)) for plan in plans]

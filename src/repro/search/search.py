@@ -5,18 +5,29 @@ search whose scoring function is the scheduled response time:
 
 1. **Enumerate** (``plan_enumerate`` span).  Small plan spaces are
    enumerated exhaustively by the connected-subset DP
-   (:mod:`repro.search.enumerator`); larger ones run a seeded
-   beam-style local search (greedy + random starts, subtree-reshape
-   mutations) driven by :class:`random.Random` — no numpy required.
-2. **Dedupe.**  Candidates are collapsed by canonical plan hash
-   (:func:`~repro.search.canonical.plan_key`) before anything is
+   (:func:`~repro.search.enumerator.exhaustive_candidates`), which
+   interns every shared subplan in the screen's memo and yields each
+   plan as its root's structure key, without building a tree.  Larger
+   spaces run a seeded beam-style local search (greedy + random
+   starts, subtree-reshape mutations) driven by :class:`random.Random`
+   — no numpy required — whose plans are collapsed by canonical plan
+   hash (:func:`~repro.search.canonical.plan_key`) before anything is
    scheduled.
-3. **Screen** (``plan_screen`` span).  Every pending candidate gets a
+2. **Screen** (``plan_screen`` span).  Every pending candidate gets a
    valid response-time lower bound from the memoized screen
-   (:mod:`repro.search.screen`), which reuses subplan summaries across
-   the whole search; candidates whose bound exceeds the incumbent's
-   exact score are pruned without ever being scheduled.
-4. **Score** (``plan_score`` spans).  Survivors are scheduled in
+   (:mod:`repro.search.screen`): an exhaustive candidate from its two
+   children's subplan summaries, a local-search plan by
+   :func:`~repro.search.screen.candidate_lower_bounds`.
+3. **Rank.**  Candidates are taken best-first in ``(bound, key)``
+   order.  Sorting by bound needs no plan; an exhaustive candidate's
+   canonical tree is built, and its ``plan_key`` computed, only when
+   the scan reaches its bound (a run of equal bounds is keyed whole, so
+   ties break by key).  Once the next bound exceeds the incumbent's
+   exact score, every remaining candidate is pruned unbuilt.  Without
+   pruning (``prune=False`` or the Pareto mode) every bound is taken as
+   0, so all candidates form one run: each is built, keyed and scored,
+   in key order.
+4. **Score** (``plan_score`` spans).  Ranked candidates are scheduled in
    fixed-size chunks through a
    :class:`~repro.experiments.parallel.ParallelRunner` — bit-identical
    winners at any worker count — with per-candidate objective payloads
@@ -35,7 +46,10 @@ from __future__ import annotations
 
 import random
 import time
+from collections import deque
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.core.cloning import DEFAULT_COORDINATOR_POLICY, CoordinatorPolicy
 from repro.core.cluster import ClusterSpec
@@ -67,7 +81,7 @@ from repro.plans.relations import Catalog
 from repro.search.canonical import plan_key
 from repro.search.enumerator import (
     count_exhaustive_plans,
-    enumerate_exhaustive_plans,
+    exhaustive_candidates,
     greedy_plan,
     mutate_plan,
     random_plan,
@@ -118,10 +132,12 @@ class PlanSearchStats:
 
     ``enumerated`` counts every generated candidate (duplicates
     included); ``unique`` the distinct structures after canonical-hash
-    dedupe; ``pruned`` the candidates eliminated by the lower-bound
-    screen; ``scored`` the exact schedules obtained, of which
-    ``store_hits`` came from the artifact store (``store_misses`` were
-    scheduled cold — a warm re-search reports zero here).
+    dedupe (the exhaustive DP yields no duplicates, so both are its plan
+    count); ``pruned`` the candidates eliminated by the lower-bound
+    screen (exhaustive ones are never built); ``scored`` the exact
+    schedules obtained, of which ``store_hits`` came from the artifact
+    store (``store_misses`` were scheduled cold — a warm re-search
+    reports zero here).
     """
 
     enumerated: int
@@ -164,6 +180,60 @@ class PlanSearchResult:
     def best(self) -> ScoredPlan:
         """Alias of :attr:`winner`."""
         return self.winner
+
+
+class _Ranking:
+    """Candidates in ``(lower bound, plan key)`` order, built on demand.
+
+    Sorting by bound needs no plan.  Only when :meth:`pop` reaches a run
+    of equal bounds does ``build`` turn each of its candidates into
+    ``(key, plan)``, and the run is sorted by key.  The pop order is
+    therefore exactly a sort by ``(bound, key)``, while candidates that
+    are never popped are never built.
+    """
+
+    def __init__(
+        self,
+        bounds: Sequence[float],
+        candidates: Sequence,
+        build: Callable[..., tuple[str, PlanNode]],
+    ) -> None:
+        self._pending = sorted(zip(bounds, candidates), key=itemgetter(0))
+        self._next = 0
+        self._ready: deque[tuple[float, str, PlanNode]] = deque()
+        self._build = build
+
+    def __len__(self) -> int:
+        return len(self._ready) + len(self._pending) - self._next
+
+    def peek(self) -> float:
+        """The bound of the next candidate."""
+        if self._ready:
+            return self._ready[0][0]
+        return self._pending[self._next][0]
+
+    def pop(self) -> tuple[float, str, PlanNode]:
+        """The next ``(bound, key, plan)``."""
+        if not self._ready:
+            start = end = self._next
+            bound = self._pending[start][0]
+            while end < len(self._pending) and self._pending[end][0] == bound:
+                end += 1
+            run = [
+                (bound, *self._build(candidate))
+                for _, candidate in self._pending[start:end]
+            ]
+            run.sort(key=itemgetter(1))
+            self._ready.extend(run)
+            self._next = end
+        return self._ready.popleft()
+
+    def drop(self) -> int:
+        """Discard every remaining candidate; returns how many there were."""
+        remaining = len(self)
+        self._ready.clear()
+        self._next = len(self._pending)
+        return remaining
 
 
 def search_plans(
@@ -237,8 +307,16 @@ def search_plans(
     """
     if p < 1:
         raise ConfigurationError(f"number of sites must be >= 1, got {p}")
-    if chunk_size < 1:
-        raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
+    for name, value, least in (
+        ("chunk_size", chunk_size, 1),
+        ("beam_width", beam_width, 1),
+        ("max_exhaustive", max_exhaustive, 0),
+        ("init_samples", init_samples, 0),
+        ("generations", generations, 0),
+        ("mutations_per_parent", mutations_per_parent, 0),
+    ):
+        if value < least:
+            raise ConfigurationError(f"{name} must be >= {least}, got {value}")
     if cluster is not None:
         if cluster.p != p:
             raise ConfigurationError(
@@ -291,28 +369,43 @@ def search_plans(
             fresh.append((key, plan))
         return fresh
 
-    def score_round(fresh: list[tuple[str, PlanNode]]) -> None:
-        """Screen, order, chunk-schedule; updates ``scored``/incumbent."""
-        if not fresh:
+    def root_bounds(roots: list[tuple]) -> list[float]:
+        return [ctx.bound(root) for root in roots]
+
+    def build_root(root: tuple) -> tuple[str, PlanNode]:
+        plan = ctx.plan(root)
+        return plan_key(plan), plan
+
+    def keyed_bounds(fresh: list[tuple[str, PlanNode]]) -> list[float]:
+        return candidate_lower_bounds([plan for _, plan in fresh], ctx)
+
+    def keyed(item: tuple[str, PlanNode]) -> tuple[str, PlanNode]:
+        return item
+
+    def score_round(candidates: list, bounds_of, build) -> None:
+        """Screen, rank, chunk-schedule; updates ``scored``/incumbent.
+
+        ``bounds_of(candidates)`` bounds them (pruning only) and
+        ``build(candidate)`` gives ``(key, plan)`` (see :class:`_Ranking`).
+        The incumbent moves only between chunks.  Once the next bound
+        exceeds it, so does every later one: the rest is pruned unbuilt.
+        """
+        if not candidates:
             return
         if prune:
-            with current_tracer().span(SPAN_PLAN_SCREEN, candidates=len(fresh)):
-                bounds = candidate_lower_bounds([plan for _, plan in fresh], ctx)
-            order = sorted(
-                ((lb, key, plan) for (key, plan), lb in zip(fresh, bounds)),
-                key=lambda item: (item[0], item[1]),
-            )
+            with current_tracer().span(SPAN_PLAN_SCREEN, candidates=len(candidates)):
+                bounds = bounds_of(candidates)
         else:
-            order = [(0.0, key, plan) for key, plan in sorted(fresh)]
-        while order:
-            if prune and state["incumbent"] is not None:
-                survivors = [
-                    item for item in order if item[0] <= state["incumbent"]
-                ]
-                state["pruned"] += len(order) - len(survivors)
-                order = survivors
-            chunk = order[:chunk_size]
-            order = order[chunk_size:]
+            bounds = [0.0] * len(candidates)
+        ranking = _Ranking(bounds, candidates, build)
+        while ranking:
+            incumbent = state["incumbent"]
+            chunk: list[tuple[float, str, PlanNode]] = []
+            while ranking and len(chunk) < chunk_size:
+                if prune and incumbent is not None and ranking.peek() > incumbent:
+                    state["pruned"] += ranking.drop()
+                    break
+                chunk.append(ranking.pop())
             if not chunk:
                 break
             values = runner.run(
@@ -344,17 +437,19 @@ def search_plans(
             SPAN_PLAN_ENUMERATE, exhaustive=exhaustive, space=space
         ):
             if exhaustive:
-                initial = enumerate_exhaustive_plans(
-                    graph, catalog, limit=max_exhaustive
+                roots = exhaustive_candidates(
+                    graph, catalog, ctx, limit=max_exhaustive
                 )
             else:
                 initial = [greedy_plan(graph, catalog)]
                 initial += [
                     random_plan(graph, catalog, rng) for _ in range(init_samples)
                 ]
-        score_round(dedupe(initial))
-
-        if not exhaustive:
+        if exhaustive:
+            state["enumerated"] = len(roots)
+            score_round(roots, root_bounds, build_root)
+        else:
+            score_round(dedupe(initial), keyed_bounds, keyed)
             for _ in range(generations):
                 parents = sorted(
                     scored.values(),
@@ -368,7 +463,7 @@ def search_plans(
                 fresh = dedupe(children)
                 if not fresh:
                     break
-                score_round(fresh)
+                score_round(fresh, keyed_bounds, keyed)
 
         if not scored:
             raise ConfigurationError(
@@ -399,7 +494,7 @@ def search_plans(
             store_misses += 1
     stats = PlanSearchStats(
         enumerated=state["enumerated"],
-        unique=len(seen),
+        unique=state["enumerated"] if exhaustive else len(seen),
         pruned=state["pruned"],
         scored=len(scored),
         store_hits=store_hits,

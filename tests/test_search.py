@@ -217,6 +217,16 @@ class TestSearch:
             search_plans(graph, catalog, p=0)
         with pytest.raises(ConfigurationError):
             search_plans(graph, catalog, p=4, chunk_size=0)
+        for bad in (
+            {"max_exhaustive": -3},
+            {"init_samples": -2},
+            {"beam_width": 0},
+            {"generations": -1},
+            {"mutations_per_parent": -1},
+        ):
+            (name, value), = bad.items()
+            with pytest.raises(ConfigurationError, match=name):
+                search_plans(graph, catalog, p=4, store=NO_STORE, **bad)
 
     def test_single_relation_query(self):
         graph, catalog = make_query({"A": 5_000}, [])
