@@ -361,6 +361,8 @@ def coarse_grain_degree(
     coarse-grain bound of Proposition 4.1 and ``N_rt`` is the
     response-time-optimal degree (A4 enforcement, Section 6.1).
     """
+    if p < 1:
+        raise SchedulingError(f"number of sites must be >= 1, got {p}")
     n_cg = comm.n_max(f, spec.processing_area, spec.data_volume)
     n_cap = min(n_cg, p)
     if n_cap <= 1:

@@ -72,6 +72,9 @@ class CommunicationModel:
     beta: float
 
     def __post_init__(self) -> None:
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.alpha < 0.0:
             raise ConfigurationError(f"startup cost alpha must be >= 0, got {self.alpha}")
         if self.beta < 0.0:
@@ -119,16 +122,22 @@ class CommunicationModel:
         Parameters
         ----------
         f:
-            Granularity parameter (must be ``> 0``).
+            Granularity parameter (must be ``> 0`` and finite).
         w_p:
-            Processing area ``W_p(op)``.
+            Processing area ``W_p(op)`` (``>= 0`` and finite).
         data_volume:
-            ``D``, bytes moved over the interconnect.
+            ``D``, bytes moved over the interconnect (finite).
         """
-        if f <= 0.0:
-            raise ConfigurationError(f"granularity parameter f must be > 0, got {f}")
-        if w_p < 0.0:
-            raise ConfigurationError(f"processing area must be >= 0, got {w_p}")
+        if not 0.0 < f < math.inf:
+            raise ConfigurationError(
+                f"granularity parameter f must be > 0 and finite, got {f}"
+            )
+        if not 0.0 <= w_p < math.inf:
+            raise ConfigurationError(
+                f"processing area w_p must be >= 0 and finite, got {w_p}"
+            )
+        if not math.isfinite(data_volume):
+            raise ConfigurationError(f"data_volume must be finite, got {data_volume}")
         cap = f * w_p
         transfer = self.beta * data_volume
         budget = cap - transfer

@@ -33,6 +33,7 @@ sensitivity studies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.exceptions import ConfigurationError
@@ -89,6 +90,8 @@ class SystemParameters:
             "tuples_per_page": self.tuples_per_page,
         }
         for name, value in positive.items():
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
             if value <= 0:
                 raise ConfigurationError(f"{name} must be > 0, got {value}")
         non_negative = {
@@ -102,6 +105,8 @@ class SystemParameters:
             "instr_probe_table": self.instr_probe_table,
         }
         for name, value in non_negative.items():
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
             if value < 0:
                 raise ConfigurationError(f"{name} must be >= 0, got {value}")
 

@@ -24,7 +24,15 @@ Three instrument kinds, mirroring the Prometheus data model:
     statistic — never more than one ``growth`` factor above the true
     value.  No stored samples, no randomness, O(buckets) memory.
     Supports both cumulative and *windowed* quantiles (observations
-    since the previous sample tick).
+    since the previous sample tick).  One sample of a histogram costs
+    O(log B + w) for ``B`` buckets and ``w`` observations in the window:
+    a Fenwick tree over the bucket counts serves each cumulative
+    quantile, and the window walks and clears only the buckets it
+    touched.
+
+Every instrument rejects NaN and infinite values at the call, and
+:meth:`TimeSeriesRegistry.jsonl` refuses to write a non-finite number,
+so the JSONL stream stays valid JSON.
 
 A :class:`TimeSeriesRegistry` owns the instruments and the sample
 stream: :meth:`TimeSeriesRegistry.sample` appends one plain-dict record
@@ -69,6 +77,9 @@ INSTRUMENT_TYPES = ("counter", "gauge", "histogram")
 #: Quantiles recorded per histogram sample (cumulative and windowed).
 SKETCH_QUANTILES = (50.0, 95.0, 99.0)
 
+#: Record keys of :data:`SKETCH_QUANTILES` (``"p50"``, ``"p95"``, ``"p99"``).
+_QUANTILE_KEYS = tuple(f"p{q:g}" for q in SKETCH_QUANTILES)
+
 
 def _finite_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
@@ -81,6 +92,12 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _fenwick_path(k: int, size: int) -> Iterable[int]:
+    while k < size:
+        yield k
+        k += k & -k
+
+
 class LogBucketSketch:
     """Deterministic log-bucket histogram sketch.
 
@@ -91,15 +108,41 @@ class LogBucketSketch:
     defaults (``lo=1e-3``, ``growth=2**0.25``, 96 buckets) the finite
     range tops out at ``1e-3 * 2**23.75`` ≈ 1.4e4 seconds with a
     guaranteed relative quantile error of at most ``growth - 1`` ≈ 19%.
+    Observations must be finite; NaN and infinities raise ``ValueError``.
 
     :meth:`quantile` uses the same nearest-rank rule as
     ``ServiceReport`` (``rank = max(1, ceil(q/100 · count))``), so the
     exact order statistic lands in the bucket whose upper boundary the
     sketch returns: ``exact <= sketch <= exact * growth`` for any
-    observation above ``lo``.
+    observation above ``lo``.  The overflow bucket reports the largest
+    finite boundary.
+
+    Cost, with ``B`` buckets and ``w`` observations in the current
+    window: :meth:`observe` is O(log B) (one Fenwick-tree update over the
+    cumulative counts); :attr:`count` and :attr:`window_count` are O(1);
+    a cumulative quantile is one O(log B) Fenwick descent; the window
+    quantiles walk only the buckets the window touched, in index order
+    (O(w log w) for any number of quantiles); and :meth:`mark_window`
+    clears only those buckets.  One sample of all
+    :data:`SKETCH_QUANTILES` therefore costs O(log B + w), not O(B) per
+    quantile.
     """
 
-    __slots__ = ("lo", "growth", "boundaries", "counts", "window_counts", "count", "total")
+    __slots__ = (
+        "lo",
+        "growth",
+        "boundaries",
+        "counts",
+        "window_counts",
+        "count",
+        "total",
+        "_upper",
+        "_tree",
+        "_tree_paths",
+        "_log_growth",
+        "_touched",
+        "_window_count",
+    )
 
     def __init__(self, *, lo: float = 1e-3, growth: float = 2.0 ** 0.25, buckets: int = 96) -> None:
         if not lo > 0.0 or not math.isfinite(lo):
@@ -119,62 +162,143 @@ class LogBucketSketch:
         self.window_counts = [0] * (buckets + 1)
         self.count = 0
         self.total = 0.0
+        # The value a quantile reports per bucket: its upper boundary,
+        # and the largest finite one for the overflow bucket.
+        self._upper = self.boundaries + (self.boundaries[-1],)
+        # Fenwick tree over ``counts``, 1-based: node k holds the count
+        # of buckets (k - lowbit(k), k].  Padding it to a power of two
+        # spares the descent a bounds check: every prefix past the last
+        # bucket counts all observations, which no rank exceeds.
+        self._tree = [0] * (1 << (buckets + 1).bit_length())
+        # The nodes an observation in bucket i increments: i+1, then up
+        # by the lowest set bit.
+        self._tree_paths = tuple(
+            tuple(_fenwick_path(i + 1, len(self._tree))) for i in range(buckets + 1)
+        )
+        self._log_growth = math.log(self.growth)
+        # Buckets the current window has touched, each listed once.
+        self._touched: list[int] = []
+        self._window_count = 0
 
     def _bucket_index(self, value: float) -> int:
+        boundaries = self.boundaries
+        top = len(boundaries) - 1
         if value <= self.lo:
             return 0
-        if value > self.boundaries[-1]:
-            return len(self.boundaries)
+        if value > boundaries[top]:
+            return top + 1
         # ceil(log_growth(value / lo)), nudged so exact boundaries map to
         # their own bucket; the linear confirm step keeps float log noise
         # from ever crossing a boundary.
-        i = int(math.ceil(math.log(value / self.lo) / math.log(self.growth) - 1e-12))
-        i = max(0, min(i, len(self.boundaries) - 1))
-        while i > 0 and value <= self.boundaries[i - 1]:
+        i = math.ceil(math.log(value / self.lo) / self._log_growth - 1e-12)
+        if i > top:
+            i = top
+        elif i < 0:
+            i = 0
+        while i > 0 and value <= boundaries[i - 1]:
             i -= 1
-        while value > self.boundaries[i]:
+        while value > boundaries[i]:
             i += 1
         return i
 
     def observe(self, value: float) -> None:
         """Record one observation (cumulative and current window)."""
-        i = self._bucket_index(float(value))
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"observation must be finite, got {value!r}")
+        i = self._bucket_index(value)
         self.counts[i] += 1
+        if not self.window_counts[i]:
+            self._touched.append(i)
         self.window_counts[i] += 1
+        self._window_count += 1
         self.count += 1
-        self.total += float(value)
+        self.total += value
+        tree = self._tree
+        for k in self._tree_paths[i]:
+            tree[k] += 1
 
     def mark_window(self) -> None:
         """Close the current window (called at each sample tick)."""
-        for i in range(len(self.window_counts)):
-            self.window_counts[i] = 0
+        window_counts = self.window_counts
+        for i in self._touched:
+            window_counts[i] = 0
+        self._touched.clear()
+        self._window_count = 0
 
-    def _quantile_over(self, counts: list[int], q: float) -> float:
-        population = sum(counts)
-        if population == 0:
-            return 0.0
-        rank = min(population, max(1, math.ceil(q / 100.0 * population)))
+    @staticmethod
+    def _ranks(qs: Iterable[float], population: int) -> list[int]:
+        """Nearest ranks ``min(population, max(1, ceil(q/100 · population)))``."""
+        ranks = []
+        for q in qs:
+            rank = math.ceil(q / 100.0 * population)
+            # Comparisons, not min()/max(): the same value at a third of the cost.
+            ranks.append(population if rank > population else rank if rank > 1 else 1)
+        return ranks
+
+    def quantiles(self, qs: Iterable[float] = SKETCH_QUANTILES) -> list[float]:
+        """Cumulative nearest-rank quantiles (``qs`` in percent).
+
+        One Fenwick descent per quantile: the answer is the first bucket
+        whose prefix count reaches the rank.
+        """
+        if not self.count:
+            return [0.0 for _ in qs]
+        tree = self._tree
+        upper = self._upper
+        out = []
+        for rank in self._ranks(qs, self.count):
+            # Find the largest ``pos`` whose prefix count is below the
+            # rank; bucket ``pos`` (0-based) then holds the rank.
+            pos = 0
+            step = len(tree) >> 1
+            while step:
+                below = tree[pos + step]
+                if below < rank:
+                    pos += step
+                    rank -= below
+                step >>= 1
+            out.append(upper[pos])
+        return out
+
+    def window_quantiles(self, qs: Iterable[float] = SKETCH_QUANTILES) -> list[float]:
+        """Quantiles over the observations since the last window mark.
+
+        One walk over the touched buckets, in index order, answers
+        ascending ``qs``; a rank below the walk's position restarts it.
+        """
+        if not self._window_count:
+            return [0.0 for _ in qs]
+        touched = self._touched
+        touched.sort()
+        window_counts = self.window_counts
+        upper = self._upper
+        out = []
         seen = 0
-        for i, bucket_count in enumerate(counts):
-            seen += bucket_count
-            if seen >= rank:
-                # The overflow bucket has no finite upper boundary;
-                # report the largest finite one (documented saturation).
-                return self.boundaries[min(i, len(self.boundaries) - 1)]
-        return self.boundaries[-1]  # pragma: no cover - defensive
+        j = 0
+        i = touched[0]
+        for rank in self._ranks(qs, self._window_count):
+            if rank <= seen - window_counts[i]:
+                seen = j = 0
+            while seen < rank:
+                i = touched[j]
+                seen += window_counts[i]
+                j += 1
+            out.append(upper[i])
+        return out
 
     def quantile(self, q: float) -> float:
         """Cumulative nearest-rank quantile (``q`` in percent)."""
-        return self._quantile_over(self.counts, q)
+        return self.quantiles((q,))[0]
 
     def window_quantile(self, q: float) -> float:
         """Quantile over the observations since the last window mark."""
-        return self._quantile_over(self.window_counts, q)
+        return self.window_quantiles((q,))[0]
 
     @property
     def window_count(self) -> int:
         """Observations recorded since the last window mark."""
-        return sum(self.window_counts)
+        return self._window_count
 
     def bucket_pairs(self) -> list[tuple[float, int]]:
         """Cumulative ``(upper_boundary, count)`` pairs, +Inf last."""
@@ -221,6 +345,8 @@ class CounterInstrument(_Instrument):
 
     def add(self, amount: float = 1.0) -> None:
         """Increase the total (negative amounts are a caller bug)."""
+        if not math.isfinite(amount):
+            raise ValueError(f"counter {self.name!r} needs a finite amount, got {amount!r}")
         if amount < 0.0:
             raise ValueError(f"counter {self.name!r} cannot decrease (add {amount})")
         self.value += float(amount)
@@ -230,6 +356,8 @@ class CounterInstrument(_Instrument):
 
         Still monotone: totals below the current value raise.
         """
+        if not math.isfinite(total):
+            raise ValueError(f"counter {self.name!r} needs a finite total, got {total!r}")
         if total < self.value:
             raise ValueError(
                 f"counter {self.name!r} cannot go from {self.value} back to {total}"
@@ -253,6 +381,8 @@ class GaugeInstrument(_Instrument):
         self.value = 0.0
 
     def set(self, value: float) -> None:
+        if not math.isfinite(value):
+            raise ValueError(f"gauge {self.name!r} needs a finite value, got {value!r}")
         self.value = float(value)
 
     def sample_record(self, at: float) -> dict[str, Any]:
@@ -278,28 +408,40 @@ class HistogramInstrument(_Instrument):
     ) -> None:
         super().__init__(name, help_text)
         self.sketch = LogBucketSketch(lo=lo, growth=growth, buckets=buckets)
+        # The last cumulative quantiles and the count they were taken at:
+        # they move only when the count does.
+        self._quantiles = dict.fromkeys(_QUANTILE_KEYS, 0.0)
+        self._quantiles_count = 0
 
     def observe(self, value: float) -> None:
-        self.sketch.observe(value)
+        try:
+            self.sketch.observe(value)
+        except ValueError as exc:
+            raise ValueError(f"histogram {self.name!r}: {exc}") from None
 
     def quantile(self, q: float) -> float:
         return self.sketch.quantile(q)
 
     def sample_record(self, at: float) -> dict[str, Any]:
         sketch = self.sketch
+        count = sketch.count
+        if count != self._quantiles_count:
+            self._quantiles = dict(zip(_QUANTILE_KEYS, sketch.quantiles()))
+            self._quantiles_count = count
+        window_count = sketch.window_count
         record: dict[str, Any] = {
             "t": at,
             "name": self.name,
             "type": self.kind,
-            "count": sketch.count,
+            "count": count,
             "sum": sketch.total,
-            "quantiles": {
-                f"p{q:g}": sketch.quantile(q) for q in SKETCH_QUANTILES
-            },
-            "window_count": sketch.window_count,
-            "window_quantiles": {
-                f"p{q:g}": sketch.window_quantile(q) for q in SKETCH_QUANTILES
-            },
+            "quantiles": self._quantiles.copy(),
+            "window_count": window_count,
+            "window_quantiles": (
+                dict(zip(_QUANTILE_KEYS, sketch.window_quantiles()))
+                if window_count
+                else dict.fromkeys(_QUANTILE_KEYS, 0.0)
+            ),
         }
         sketch.mark_window()
         return record
@@ -369,13 +511,14 @@ class TimeSeriesRegistry:
         ``window_*`` fields cover exactly the observations in between.
         """
         at = float(at)
+        if not math.isfinite(at):
+            raise ValueError(f"metrics registry sample time must be finite, got {at!r}")
         if self._last_at is not None and at < self._last_at:
             raise ValueError(
                 f"sample times must be non-decreasing ({at} after {self._last_at})"
             )
         self._last_at = at
-        for instrument in self._instruments.values():
-            self.samples.append(instrument.sample_record(at))
+        self.samples += [instrument.sample_record(at) for instrument in self._instruments.values()]
         return len(self._instruments)
 
     def series(self, name: str) -> list[dict[str, Any]]:
@@ -395,7 +538,8 @@ class TimeSeriesRegistry:
     def jsonl(self) -> str:
         """The whole sample stream, one schema-tagged JSON object per line."""
         return "".join(
-            json.dumps({"schema": METRICS_SCHEMA, **record}, sort_keys=True) + "\n"
+            json.dumps({"schema": METRICS_SCHEMA, **record}, sort_keys=True, allow_nan=False)
+            + "\n"
             for record in self.samples
         )
 
@@ -428,10 +572,15 @@ def validate_metrics_payload(payload: Any) -> list[str]:
     ``{"samples": [...]}`` container.  Returns human-readable problems
     (empty when valid).  Per record: schema tag (when present), a
     non-negative numeric ``t``, a non-empty ``name``, a known ``type``,
-    a finite ``value`` for counters/gauges, and ``count``/``sum``/
-    ``quantiles`` for histograms.  Across the stream: timestamps are
-    non-decreasing and every counter series is monotone — the two
-    invariants the virtual-clock sampler guarantees by construction.
+    a finite ``value`` for counters/gauges, and for histograms an integer
+    ``count`` and ``window_count``, a finite ``sum``, and ``quantiles``
+    and ``window_quantiles`` maps of finite values, non-decreasing from
+    p50 to p99, all 0 when the window is empty.  Across the stream:
+    timestamps are non-decreasing, every counter series is monotone,
+    every histogram ``count`` series never decreases, and each
+    ``window_count`` is the growth of ``count`` since the series'
+    previous sample (its whole ``count`` in the first) — the invariants
+    the virtual-clock sampler guarantees by construction.
     """
     problems: list[str] = []
     if isinstance(payload, dict):
@@ -445,6 +594,7 @@ def validate_metrics_payload(payload: Any) -> list[str]:
 
     last_t: float | None = None
     counter_totals: dict[str, float] = {}
+    histogram_counts: dict[str, int] = {}
     declared_types: dict[str, str] = {}
     for i, record in enumerate(samples):
         if not isinstance(record, dict):
@@ -489,20 +639,71 @@ def validate_metrics_payload(payload: Any) -> list[str]:
                 counter_totals[name] = float(value)
         else:  # histogram
             count = record.get("count")
-            if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+            window_count = record.get("window_count")
+            if not _count(count):
                 _problem(problems, i, "histogram missing integer 'count' >= 0")
+            else:
+                previous = histogram_counts.get(name, 0)
+                if count < previous:
+                    _problem(
+                        problems, i, f"histogram {name!r} count decreases {previous} -> {count}"
+                    )
+                elif _count(window_count) and window_count != count - previous:
+                    _problem(
+                        problems,
+                        i,
+                        f"histogram {name!r} window_count {window_count} != "
+                        f"count {count} - previous count {previous}",
+                    )
+                histogram_counts[name] = count
+            if not _count(window_count):
+                _problem(problems, i, "histogram missing integer 'window_count' >= 0")
             if not _finite_number(record.get("sum")):
                 _problem(problems, i, "histogram missing finite numeric 'sum'")
-            quantiles = record.get("quantiles")
-            if not isinstance(quantiles, dict) or not quantiles:
-                _problem(problems, i, "histogram missing 'quantiles' object")
-            else:
-                for key, value in quantiles.items():
-                    if not _finite_number(value):
-                        _problem(
-                            problems, i, f"quantile {key!r} is not a finite number"
-                        )
+            _check_quantiles(problems, i, record, "quantiles", "quantile")
+            window = _check_quantiles(
+                problems, i, record, "window_quantiles", "window quantile"
+            )
+            if window_count == 0 and any(value != 0 for value in window):
+                _problem(problems, i, "window quantiles of an empty window are not 0")
     return problems
+
+
+def _count(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _check_quantiles(
+    problems: list[str], index: int, record: dict, field: str, label: str
+) -> list[float]:
+    """Check a histogram's ``{"p<percent>": value}`` map; return its values.
+
+    Values must be finite and non-decreasing in the percent.
+    """
+    quantiles = record.get(field)
+    if not isinstance(quantiles, dict) or not quantiles:
+        _problem(problems, index, f"histogram missing {field!r} object")
+        return []
+    ranked: list[tuple[float, str, float]] = []
+    for key, value in quantiles.items():
+        if not _finite_number(value):
+            _problem(problems, index, f"{label} {key!r} is not a finite number")
+            continue
+        try:
+            percent = float(key[1:]) if isinstance(key, str) and key[:1] == "p" else math.nan
+        except ValueError:
+            percent = math.nan
+        if not 0.0 <= percent <= 100.0:
+            _problem(problems, index, f"{label} key {key!r} is not 'p<percent>'")
+            continue
+        ranked.append((percent, key, value))
+    ranked.sort()
+    for (_, low_key, low), (_, high_key, high) in zip(ranked, ranked[1:]):
+        if high < low:
+            _problem(
+                problems, index, f"{label} {high_key} {high} is below {low_key} {low}"
+            )
+    return [value for _, _, value in ranked]
 
 
 def parse_metrics_jsonl(lines: "Iterable[str]") -> list[dict[str, Any]]:

@@ -102,7 +102,7 @@ class FluidExecutor:
     @property
     def backlog_seconds(self) -> float:
         """Total remaining stand-alone work of the running set."""
-        return sum(q.remaining for q in self._running.values())
+        return sum([q.remaining for q in self._running.values()])
 
     def launch(self, name: str, demand: float, hosts: tuple[int, ...], now: float) -> None:
         """Admit a placed query into the fluid race."""

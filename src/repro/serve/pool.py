@@ -198,6 +198,16 @@ class SitePool:
             if count == self.max_coresident:
                 self._open += 1
 
+    @property
+    def occupied_sites(self) -> int:
+        """Sites hosting at least one query (O(1), unlike :meth:`utilization`)."""
+        return self._occupied
+
+    @property
+    def resident_queries(self) -> int:
+        """Queries resident in the pool."""
+        return len(self._homes)
+
     def residents_of(self, site_index: int) -> int:
         """Distinct query-operators resident on one site."""
         return self._residents[site_index]

@@ -25,12 +25,13 @@ correctness tests run without it.)
 
 **The SLO monitor** scores every completion against its class's
 :class:`SLOTarget`: rolling attainment over the last ``window``
-completions, cumulative attainment, and the error-budget *burn rate*
+completions and the error-budget *burn rate*
 ``(1 - attainment) / (1 - objective)`` — burn 1.0 means the class is
 spending its budget exactly as provisioned, above 1.0 it will exhaust
-the budget early.  Each miss lands as one breach instant (a ``ph:"i"``
-trace event in the fleet timeline) and bumps the service recorder's
-``slo_breaches`` counter.
+the budget early.  A running hit count per class, updated as the window
+evicts its oldest completion, makes both O(1) per sample.  Each miss
+lands as one breach instant (a ``ph:"i"`` trace event in the fleet
+timeline) and bumps the service recorder's ``slo_breaches`` counter.
 
 **The fleet timeline** accumulates per-site residency intervals (which
 query occupied which site, when);
@@ -50,6 +51,7 @@ log-bucket growth factor above the summary's exact nearest-rank p95.
 from __future__ import annotations
 
 import asyncio
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
@@ -138,9 +140,9 @@ class TelemetryConfig:
     batch_slo: SLOTarget = SLOTarget(target=120.0, objective=0.8)
 
     def __post_init__(self) -> None:
-        if not self.interval > 0.0 or self.interval != self.interval:
+        if not 0.0 < self.interval < math.inf:
             raise ConfigurationError(
-                f"telemetry interval must be > 0, got {self.interval}"
+                f"telemetry interval must be > 0 and finite, got {self.interval}"
             )
         if self.window < 1:
             raise ConfigurationError(
@@ -193,8 +195,8 @@ class ServiceTelemetry:
         self._slo_window: dict[str, deque[bool]] = {
             cls: deque(maxlen=config.window) for cls in SLO_CLASSES
         }
-        self._slo_total: dict[str, int] = dict.fromkeys(SLO_CLASSES, 0)
-        self._slo_hits: dict[str, int] = dict.fromkeys(SLO_CLASSES, 0)
+        # Hits inside each rolling window, kept in step with its evictions.
+        self._slo_window_hits: dict[str, int] = dict.fromkeys(SLO_CLASSES, 0)
         self._last_completion_at: float | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
 
@@ -331,11 +333,12 @@ class ServiceTelemetry:
         if target is None:
             return
         ok = latency <= target.target
-        self._slo_window[slo].append(ok)
-        self._slo_total[slo] += 1
-        if ok:
-            self._slo_hits[slo] += 1
-        else:
+        window = self._slo_window[slo]
+        if len(window) == window.maxlen:
+            self._slo_window_hits[slo] -= window[0]
+        window.append(ok)
+        self._slo_window_hits[slo] += ok
+        if not ok:
             breach = {
                 "job": name,
                 "slo": slo,
@@ -357,7 +360,7 @@ class ServiceTelemetry:
         window = self._slo_window[slo]
         if not window:
             return 1.0
-        return sum(window) / len(window)
+        return self._slo_window_hits[slo] / len(window)
 
     def burn_rate(self, slo: str) -> float:
         """Rolling error-budget burn: miss rate over ``1 - objective``."""
@@ -378,9 +381,8 @@ class ServiceTelemetry:
             self._g_queue_latency.set(self.admission.queued_latency)
             self._g_queue_batch.set(self.admission.queued_batch)
             self._g_queue_parked.set(self.admission.parked)
-            occupancy = self.pool.utilization()
-            self._g_occupied.set(occupancy["occupied_sites"])
-            self._g_residents.set(occupancy["resident_queries"])
+            self._g_occupied.set(self.pool.occupied_sites)
+            self._g_residents.set(self.pool.resident_queries)
             if utilization is None:
                 utilization = (
                     self.executor.busy_site_seconds / (self.p * now) if now else 0.0

@@ -184,6 +184,15 @@ class TestDegreeSelection:
         with pytest.raises(SchedulingError):
             response_optimal_degree(spec(), 0, COMM, OVERLAP)
 
+    @pytest.mark.parametrize("p", [0, -3])
+    @pytest.mark.parametrize("select", ["response", "coarse"])
+    def test_both_degree_rules_reject_p_below_one(self, p, select):
+        with pytest.raises(SchedulingError, match="number of sites must be >= 1"):
+            if select == "response":
+                response_optimal_degree(spec(), p, COMM, OVERLAP)
+            else:
+                coarse_grain_degree(spec(), p, 0.7, COMM, OVERLAP)
+
     def test_coarse_grain_degree_caps(self):
         s = spec(cpu=30.0, disk=30.0, data=1e6)
         p = 64

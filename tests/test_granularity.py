@@ -42,6 +42,13 @@ class TestCommunicationModel:
         with pytest.raises(ConfigurationError):
             CommunicationModel(alpha=0.0, beta=-1.0)
 
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, field, value):
+        kwargs = {"alpha": 0.015, "beta": 0.6e-6, field: value}
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            CommunicationModel(**kwargs)
+
     def test_bad_degree_rejected(self):
         model = CommunicationModel(alpha=0.015, beta=0.6e-6)
         with pytest.raises(ConfigurationError):
@@ -81,6 +88,23 @@ class TestNMax:
             model.n_max(0.0, 10.0, 0.0)
         with pytest.raises(ConfigurationError):
             model.n_max(-0.5, 10.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            ((math.nan, 10.0, 0.0), "granularity parameter f"),
+            ((math.inf, 10.0, 0.0), "granularity parameter f"),
+            ((0.7, math.nan, 0.0), "processing area w_p"),
+            ((0.7, math.inf, 0.0), "processing area w_p"),
+            ((0.7, 10.0, math.nan), "data_volume"),
+            ((0.7, 10.0, math.inf), "data_volume"),
+            ((0.7, 10.0, -math.inf), "data_volume"),
+        ],
+    )
+    def test_non_finite_arguments_rejected(self, args, field):
+        model = CommunicationModel(alpha=0.015, beta=0.6e-6)
+        with pytest.raises(ConfigurationError, match=field):
+            model.n_max(*args)
 
     def test_negative_processing_area(self):
         model = CommunicationModel(alpha=0.015, beta=0.6e-6)

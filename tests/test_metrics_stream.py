@@ -6,6 +6,7 @@ exposition writers, and the payload validator are all pure stdlib.
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -198,6 +199,60 @@ class TestTimeSeriesRegistry:
         assert validate_metrics_payload(parse_metrics_jsonl(jsonl.open())) == []
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: LogBucketSketch().observe(NAN), "observation must be finite"),
+        (lambda: LogBucketSketch().observe(INF), "observation must be finite"),
+        (lambda: LogBucketSketch().observe(-INF), "observation must be finite"),
+        (lambda: HistogramInstrument("lat").observe(NAN), "histogram 'lat'"),
+        (lambda: HistogramInstrument("lat").observe(INF), "histogram 'lat'"),
+        (lambda: GaugeInstrument("depth").set(NAN), "gauge 'depth'"),
+        (lambda: GaugeInstrument("depth").set(-INF), "gauge 'depth'"),
+        (lambda: CounterInstrument("done").add(NAN), "counter 'done'"),
+        (lambda: CounterInstrument("done").add(INF), "counter 'done'"),
+        (lambda: CounterInstrument("done").set_total(NAN), "counter 'done'"),
+        (lambda: CounterInstrument("done").set_total(INF), "counter 'done'"),
+        (lambda: TimeSeriesRegistry().sample(NAN), "sample time must be finite"),
+        (lambda: TimeSeriesRegistry().sample(INF), "sample time must be finite"),
+    ],
+)
+def test_non_finite_values_are_rejected_at_the_call(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_rejected_values_leave_no_trace():
+    registry = TimeSeriesRegistry()
+    histogram = registry.histogram("lat")
+    histogram.observe(0.0)  # non-positive finite values stay legal
+    histogram.observe(-2.0)
+    with pytest.raises(ValueError):
+        histogram.observe(NAN)
+    registry.sample(1.0)
+    with pytest.raises(ValueError):
+        registry.sample(NAN)
+    registry.sample(2.0)
+    with pytest.raises(ValueError):
+        registry.sample(1.5)  # the time guard still holds after a NaN
+    assert histogram.sketch.count == 2 and histogram.sketch.total == -2.0
+    assert validate_metrics_payload(parse_metrics_jsonl(registry.jsonl().splitlines())) == []
+
+
+def test_jsonl_refuses_non_finite_numbers():
+    registry = TimeSeriesRegistry()
+    gauge = registry.gauge("g")
+    registry.sample(0.0)
+    gauge.value = INF  # bypassing set(): the exporter is the last line
+    registry.sample(1.0)
+    with pytest.raises(ValueError):
+        registry.jsonl()
+
+
 class TestValidateMetricsPayload:
     def _sample(self, **over):
         record = {"t": 1.0, "name": "g", "type": "gauge", "value": 2.0}
@@ -261,6 +316,8 @@ class TestValidateMetricsPayload:
             "count": 2,
             "sum": 3.0,
             "quantiles": {"p50": 1.0, "p95": 2.0},
+            "window_count": 2,
+            "window_quantiles": {"p50": 1.0, "p95": 2.0},
         }
         assert validate_metrics_payload([good]) == []
         problems = validate_metrics_payload(
@@ -276,6 +333,69 @@ class TestValidateMetricsPayload:
         assert "finite numeric 'sum'" in joined
         assert "'quantiles' object" in joined
         assert "quantile 'p50' is not a finite number" in joined
+
+    def _histogram_series(self):
+        registry = TimeSeriesRegistry()
+        histogram = registry.histogram("h")
+        registry.sample(0.0)
+        for t, values in enumerate(([0.5, 2.0, 9.0], [], [0.1]), start=1):
+            for value in values:
+                histogram.observe(value)
+            registry.sample(float(t))
+        return json.loads(json.dumps(parse_metrics_jsonl(registry.jsonl().splitlines())))
+
+    @pytest.mark.parametrize(
+        "index, corrupt, message",
+        [
+            (2, {"count": 2}, "histogram 'h' count decreases 3 -> 2"),
+            (1, {"count": 4}, "histogram 'h' window_count 3 != count 4 - previous count 0"),
+            (3, {"window_count": 0}, "window_count 0 != count 4 - previous count 3"),
+            (0, {"window_count": 1}, "window_count 1 != count 0 - previous count 0"),
+            (1, {"window_count": -1}, "histogram missing integer 'window_count' >= 0"),
+            (1, {"count": 3.0}, "histogram missing integer 'count' >= 0"),
+            (1, {"window_quantiles": None}, "histogram missing 'window_quantiles' object"),
+            (
+                1,
+                {"window_quantiles": {"p50": 1.0, "p95": float("inf"), "p99": 9.0}},
+                "window quantile 'p95' is not a finite number",
+            ),
+            (
+                2,
+                {"window_quantiles": {"p50": 0.0, "p95": 0.0, "p99": 0.5}},
+                "window quantiles of an empty window are not 0",
+            ),
+            (
+                1,
+                {"quantiles": {"p50": 2.0, "p95": 1.0, "p99": 9.0}},
+                "quantile p95 1.0 is below p50 2.0",
+            ),
+            (
+                1,
+                {"window_quantiles": {"p50": 2.0, "p95": 9.0, "p99": 8.0}},
+                "window quantile p99 8.0 is below p95 9.0",
+            ),
+            (1, {"quantiles": {"median": 1.0}}, "quantile key 'median' is not 'p<percent>'"),
+        ],
+    )
+    def test_histogram_series_invariants(self, index, corrupt, message):
+        records = self._histogram_series()
+        assert validate_metrics_payload(records) == []
+        records[index].update(corrupt)
+        problems = validate_metrics_payload(records)
+        assert any(message in p for p in problems), problems
+
+    def test_histogram_series_are_tracked_per_name(self):
+        records = self._histogram_series()
+        other = [{**record, "name": "h2"} for record in records]
+        merged = [r for pair in zip(records, other) for r in pair]
+        assert validate_metrics_payload(merged) == []
+
+    def test_golden_serve_stream_meets_the_series_invariants(self):
+        path = Path(__file__).parent / "data" / "golden_serve" / "telemetry" / "metrics.jsonl"
+        with path.open(encoding="utf-8") as fh:
+            records = parse_metrics_jsonl(fh)
+        assert sum(r["type"] == "histogram" for r in records) > 0
+        assert validate_metrics_payload(records) == []
 
     def test_booleans_are_not_numbers(self):
         problems = validate_metrics_payload([self._sample(value=True)])

@@ -82,6 +82,27 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             SystemParameters(instr_hash_tuple=-5)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "cpu_mips",
+            "disk_seconds_per_page",
+            "alpha_startup_seconds",
+            "beta_seconds_per_byte",
+            "tuple_bytes",
+            "tuples_per_page",
+            "instr_read_page",
+            "instr_write_page",
+            "instr_extract_tuple",
+            "instr_hash_tuple",
+            "instr_probe_table",
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected_by_name(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            SystemParameters(**{field: value})
+
     def test_hashable_for_caching(self):
         # prepare_workload caches on SystemParameters; it must be hashable.
         assert hash(SystemParameters()) == hash(SystemParameters())

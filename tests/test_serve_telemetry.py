@@ -237,6 +237,8 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             TelemetryConfig(interval=float("nan"))
         with pytest.raises(ConfigurationError):
+            TelemetryConfig(interval=float("inf"))  # would sample only twice
+        with pytest.raises(ConfigurationError):
             TelemetryConfig(window=0)
         targets = TelemetryConfig().targets()
         assert set(targets) == {"latency", "batch"}
