@@ -14,8 +14,9 @@ the optimization is sold on:
 * repairing a 3-site failure via incremental rescheduling beats a cold
   re-pack by at least 4x at the guard point's size;
 * the kernels' work counts (heap entries popped, clones placed) on one
-  fixed TREESCHEDULE query and on the guard point are exact, so a change
-  in the work they do shows up as a reviewed count change.
+  fixed TREESCHEDULE query and on the guard point, and the ``T_par``
+  evaluations three algorithms make on that query, are exact, so a
+  change in the work they do shows up as a reviewed count change.
 """
 
 from __future__ import annotations
@@ -99,20 +100,40 @@ def test_kernels_guard_point_output_unchanged():
 #: change that moves a count must update it here and say why.
 TREESCHEDULE_COUNTS = {"placement_scans": 3428.0, "clones_placed": 3421.0}
 PACK_COUNTS = {"placement_scans": 1000.0, "clones_packed": 1000.0}
+#: ``ParallelTimeCurve.t_par`` evaluations (one ``T_seq`` each) per
+#: algorithm on the same query.  Degree selection bisects the convex
+#: ``T_par`` curve; the scan it replaced took 3,502 / 2,592 / 4,404.
+#: MALLEABLE's family walk evaluates one degree per step on top of that.
+T_PAR_COUNTS = {"treeschedule": 1077, "synchronous": 957, "malleable": 2639}
 
 
-def test_kernel_work_counts_are_pinned():
+def test_kernel_work_counts_are_pinned(monkeypatch):
+    from repro.core.cloning import ParallelTimeCurve
     from repro.engine import MetricsRecorder
     from repro.experiments import prepare_workload, schedule_query
     from repro.store import NO_STORE
 
+    evaluations = [0]
+    t_par = ParallelTimeCurve.t_par
+
+    def counted(self, n, overlap):
+        evaluations[0] += 1
+        return t_par(self, n, overlap)
+
+    monkeypatch.setattr(ParallelTimeCurve, "t_par", counted)
     (query,) = prepare_workload(40, 1, 1996, store=NO_STORE)
-    metrics = MetricsRecorder()
-    schedule_query(
-        "treeschedule", query, p=256, f=0.7, epsilon=0.5,
-        metrics=metrics, store=NO_STORE,
-    )
-    assert {k: metrics.counters[k] for k in TREESCHEDULE_COUNTS} == TREESCHEDULE_COUNTS
+    counts = {}
+    for algorithm in T_PAR_COUNTS:
+        evaluations[0] = 0
+        metrics = MetricsRecorder()
+        schedule_query(
+            algorithm, query, p=256, f=0.7, epsilon=0.5,
+            metrics=metrics, store=NO_STORE,
+        )
+        counts[algorithm] = evaluations[0]
+        if algorithm == "treeschedule":
+            assert {k: metrics.counters[k] for k in TREESCHEDULE_COUNTS} == TREESCHEDULE_COUNTS
+    assert counts == T_PAR_COUNTS
 
     metrics = MetricsRecorder()
     pack_vectors(make_items(1000), p=64, overlap=OVERLAP, metrics=metrics)

@@ -303,47 +303,86 @@ def response_optimal_degree(
     Section 6.1 implementation note requires that this degree is never
     exceeded, enforcing assumption A4 on the range of degrees in use.
     Ties are broken toward the *smaller* degree (less communication for
-    the same response time): a degree replaces the running best only
-    when it is faster by a relative margin of ``1e-12``.
+    the same response time): scanning degrees upward, a degree replaces
+    the running best only when it is faster by a relative margin of
+    ``1e-12``, and the scan stops at the first degree whose ``T_par`` does
+    not fall below its predecessor's.  This function returns that scan's
+    degree in ``O(log p)`` evaluations of ``T_seq``, each degree's ``T_par``
+    computed at most once:
 
-    The scan stops at the first degree ``m`` whose ``T_par`` does not fall
-    below its predecessor's.  It evaluates ``T_seq`` once per degree up to
-    ``m``: ``N_rt + 1`` times rather than ``p``, plus one for a degree past
-    ``N_rt`` that falls by less than the margin (a near-tie at the
-    minimum).  The stop is exact because
-    ``T_par(op, .)`` is convex in ``N``:
+    1. *Bisection.*  ``T_par(op, .)`` is convex in ``N``:
 
-    * under EA1, ``T_par(op, N)`` is the ``T_seq`` of the coordinator
-      (:class:`ParallelTimeCurve`), whose component ``i`` is
-      ``b_i/N + s_i*N`` with ``b_i, s_i >= 0`` — convex in ``N``;
-    * ``T_seq`` is convex and non-decreasing componentwise (the contract
-      of :class:`OverlapModel`; EA2's ``eps*max + (1-eps)*sum`` is both),
-      and a convex non-decreasing function of convex functions is convex.
+       * under EA1, ``T_par(op, N)`` is the ``T_seq`` of the coordinator
+         (:class:`ParallelTimeCurve`), whose component ``i`` is
+         ``b_i/N + s_i*N`` with ``b_i, s_i >= 0`` — convex in ``N``;
+       * ``T_seq`` is convex and non-decreasing componentwise (the
+         contract of :class:`OverlapModel`; EA2's
+         ``eps*max + (1-eps)*sum`` is both), and a convex non-decreasing
+         function of convex functions is convex.
 
-    Convexity makes the increments ``T(N) - T(N-1)`` non-decreasing, so
-    once ``T(m) >= T(m-1)`` every later ``T(k) >= T(m-1)``.  ``T(m-1)`` is
-    either the running best or a degree that failed to beat it by the
-    margin, so ``T(m-1) >= best*(1 - 1e-12)``, and no later degree can
-    replace the best either: the full scan over ``1..p`` returns the same
-    degree.  Rounding moves each computed ``T_par`` by a few ulps; a
-    rounding-induced stop can only happen where the exact curve is flat to
-    that precision, at its minimum, where the ``b_i/N`` curvature keeps any
-    further descent far below the ``1e-12`` margin.  A full-scan oracle
-    test pins the result.
+       Its increments ``T(N) - T(N-1)`` never decrease, so "``T(N)`` falls
+       below ``T(N-1)``" holds for a prefix of ``2..p`` and fails after it.
+       Bisecting that predicate finds ``m``, the first degree that does not
+       fall (``p + 1`` if the curve falls all the way), with two ``T_par``
+       evaluations per step.  Once ``T(m) >= T(m-1)``, every later
+       ``T(k) >= T(m-1) >= best*(1 - 1e-12)``, so no later degree can
+       replace the running best: the scan stops at ``m``.
+    2. *Walk-back.*  Inside the falling prefix the running best is the last
+       degree that beat the best before it by the margin, which need not be
+       ``m - 1`` where the curve is flat to within the margin.  A degree
+       ``k`` that beats its *predecessor* by the margin is the running best
+       at ``k`` (the best so far is never faster than ``T(k-1)``), so the
+       function walks back from ``m - 1`` to the last such degree.
+    3. *Replay.*  From that anchor it replays the scan's rule over the
+       degrees up to ``m - 1``, all already evaluated, so ties and
+       near-ties resolve exactly as the scan resolves them.
+
+    Rounding moves each computed ``T_par`` by a few ulps, so the computed
+    predicate is monotone only where the exact curve falls by more than
+    that.  A computed non-fall can therefore appear only where the exact
+    curve is flat to rounding precision, at its minimum, after the last
+    step that beats the ``1e-12`` margin; the walk-back passes over every
+    degree of that flat stretch and stops the replay at the first non-fall
+    it sees, where the scan would stop.  ``tests/test_degree_oracle.py``
+    checks the result against a full scan, exact ties included.
     """
     if p < 1:
         raise SchedulingError(f"number of sites must be >= 1, got {p}")
     curve = ParallelTimeCurve(spec, comm, policy)
-    best_n = 1
-    best_t = prev = curve.t_par(1, overlap)
-    for n in range(2, p + 1):
-        t = curve.t_par(n, overlap)
-        if t >= prev:
+    times: dict[int, float] = {}
+
+    def t_par(n: int) -> float:
+        t = times.get(n)
+        if t is None:
+            times[n] = t = curve.t_par(n, overlap)
+        return t
+
+    # 1. The first degree in 2..p (or p + 1) whose T_par does not fall.
+    lo, stop = 1, p + 1
+    while stop - lo > 1:
+        mid = (lo + stop) // 2
+        if t_par(mid) < t_par(mid - 1):
+            lo = mid
+        else:
+            stop = mid
+    # 2. Walk back to the last degree that beat its predecessor by the
+    #    margin, stopping the replay at any non-fall on the way.
+    anchor = stop - 1
+    while anchor > 1:
+        t, prev = t_par(anchor), t_par(anchor - 1)
+        if t < prev * (1.0 - 1e-12):
             break
+        if t >= prev:
+            stop = anchor
+        anchor -= 1
+    # 3. Replay the scan's tie rule from the anchor to the stop.
+    best_n = anchor
+    best_t = t_par(anchor)
+    for n in range(anchor + 1, stop):
+        t = times[n]
         if t < best_t * (1.0 - 1e-12):
             best_t = t
             best_n = n
-        prev = t
     return best_n
 
 
@@ -367,5 +406,4 @@ def coarse_grain_degree(
     n_cap = min(n_cg, p)
     if n_cap <= 1:
         return 1
-    n_rt = response_optimal_degree(spec, n_cap, comm, overlap, policy)
-    return max(1, min(n_cap, n_rt))
+    return response_optimal_degree(spec, n_cap, comm, overlap, policy)

@@ -117,7 +117,11 @@ class CommunicationModel:
         A degenerate model with ``alpha == 0`` imposes no startup penalty,
         so any degree is coarse grain provided ``beta*D <= f*W_p``; we
         return a sentinel of ``2**31`` in that case (callers always clamp
-        to the number of sites ``P``).
+        to the number of sites ``P``).  The same sentinel caps the bound
+        when the quotient reaches ``2**31`` or is not finite (a tiny
+        positive ``alpha``): no cluster has that many sites, and settling
+        so large a floor one step at a time would never end past ``2**53``,
+        where ``alpha*(n+1)`` stops changing.
 
         Parameters
         ----------
@@ -143,7 +147,12 @@ class CommunicationModel:
         budget = cap - transfer
         if self.alpha == 0.0:
             return 2**31 if budget >= 0.0 else 1
-        n = int(math.floor(budget / self.alpha))
+        quotient = budget / self.alpha
+        if not quotient < 2**31:
+            return 2**31
+        if quotient < 1.0:  # includes -inf when beta*D overflows
+            return 1
+        n = int(math.floor(quotient))
         # The rounded quotient can land one step off the exact boundary
         # (e.g. 0.225 / 0.015 == 14.999...); settle n against the
         # Definition 4.1 test ``alpha*N + beta*D <= f*W_p`` itself.

@@ -72,7 +72,7 @@ class OverlapModel(ABC):
     **convex**.  The first makes the coordinator the slowest clone under
     EA1, so ``T_par(op, N)`` is the coordinator's ``T_seq``; with the
     second, ``T_par(op, .)`` is convex in ``N`` and
-    :func:`~repro.core.cloning.response_optimal_degree` may stop at the
+    :func:`~repro.core.cloning.response_optimal_degree` may bisect for the
     first degree that does not speed the operator up.  EA2's convex
     combination ``eps * max + (1 - eps) * sum`` has both properties.
     """

@@ -1,15 +1,19 @@
 """Differential oracle for degree selection (Equation (1), Section 6.1).
 
 :class:`~repro.core.cloning.ParallelTimeCurve` hoists everything that
-does not depend on the degree, and :func:`response_optimal_degree` stops
-at the first degree whose ``T_par`` does not fall.  The reference below
-takes the long way: clone vectors from :class:`WorkVector` arithmetic,
-the maximum ``T_seq`` over both kinds of clone, and a scan over every
-degree ``1..p``.  Degrees must agree exactly, ``T_par`` and the clone and
-total vectors bit for bit, and the scan must stop right after ``N_rt``.
+does not depend on the degree, and :func:`response_optimal_degree`
+bisects the convex ``T_par`` curve for the first degree that does not
+fall, then walks back and replays the scan's tie rule.  The reference
+below takes the long way: clone vectors from :class:`WorkVector`
+arithmetic, the maximum ``T_seq`` over both kinds of clone, and a scan
+over every degree ``1..p``.  Degrees must agree exactly, ``T_par`` and the
+clone and total vectors bit for bit, and degree selection must stay
+within the bisection's ``O(log p)`` evaluation bound, exact ties included.
 """
 
 from __future__ import annotations
+
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,6 +86,20 @@ def reference_degree(times):
     return best_n
 
 
+#: ``c`` in the bound ``2*ceil(log2(p + 1)) + c``: the walk-back evaluates
+#: one more degree per step it takes past the bisection's last probe pair,
+#: i.e. per degree of a stretch flat to within the tie margin.  Over 3,000
+#: draws each of :func:`problems` and :func:`exact_ties` no call needed more
+#: than ``2*ceil(log2(p + 1)) - 1``; ``c = 2`` admits a flat stretch of three
+#: degrees without any of the bisection's memo hits.
+WALK_BACK = 2
+
+
+def evaluation_bound(p: int) -> int:
+    """The bisection's ``T_seq`` budget: two per step, plus :data:`WALK_BACK`."""
+    return 2 * math.ceil(math.log2(p + 1)) + WALK_BACK
+
+
 def bits(values):
     return [float(v).hex() for v in values]
 
@@ -125,26 +143,83 @@ def problems(draw, max_p: int = 4096):
     )
 
 
+@st.composite
+def exact_ties(draw):
+    """Operators whose ``T_par`` ties (or nearly ties) at degrees ``m, m+1``.
+
+    With ``beta = 0``, the whole startup on one axis and no overlap
+    (``eps = 0``, ``T_seq`` = the component sum), ``T(n) = sum(B)/n + alpha*n``
+    for the base vector ``B``, and ``alpha = sum(B) / (m(m+1))`` makes
+    ``T(m) == T(m+1)``.  Scaling ``alpha`` by ``1 ± 1e-13`` or ``1 + 1e-15``
+    puts the two degrees within the ``1e-12`` tie margin of each other,
+    ``1 ± 1e-11`` just outside it; ``eps > 0`` bends the curve around the tie.
+    """
+    d = draw(st.integers(min_value=1, max_value=4))
+    work = draw(
+        st.lists(st.one_of(st.just(0.0), magnitude(-3.0, 3.0)), min_size=d, max_size=d)
+    )
+    m = draw(st.integers(min_value=1, max_value=3000))
+    scale = draw(
+        st.sampled_from([1.0, 1.0 - 1e-13, 1.0 + 1e-13, 1.0 - 1e-11, 1.0 + 1e-11, 1.0 + 1e-15])
+    )
+    epsilon = draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)))
+    axis = draw(st.integers(min_value=0, max_value=d - 1))
+    p = max(1, m + draw(st.integers(min_value=-2, max_value=3)))
+    return (
+        OperatorSpec(name="tie", work=WorkVector(work)),
+        p,
+        CommunicationModel(alpha=sum(work) / (m * (m + 1)) * scale, beta=0.0),
+        epsilon,
+        CoordinatorPolicy(cpu_axis=axis, network_axis=axis),
+    )
+
+
 # ----------------------------------------------------------------------
 # The oracle.
 # ----------------------------------------------------------------------
+def check_against_full_scan(spec, p, comm, epsilon, policy):
+    """Assert the scan's degree within the bisection's evaluation bound."""
+    overlap = CountingOverlap(epsilon)
+    n_rt = response_optimal_degree(spec, p, comm, overlap, policy)
+    times = reference_times(spec, p, comm, ConvexCombinationOverlap(epsilon), policy)
+    assert n_rt == reference_degree(times)
+    assert len(overlap.calls) <= evaluation_bound(p)
+    return n_rt, times
+
+
 @settings(max_examples=80, deadline=None)
 @given(problems())
 def test_response_optimal_degree_matches_full_scan(problem):
-    spec, p, comm, epsilon, policy = problem
-    overlap = CountingOverlap(epsilon)
-    n_rt = response_optimal_degree(spec, p, comm, overlap, policy)
-    evaluations = len(overlap.calls)
+    check_against_full_scan(*problem)
 
-    times = reference_times(spec, p, comm, ConvexCombinationOverlap(epsilon), policy)
-    assert n_rt == reference_degree(times)
-    # One T_seq per degree up to the first one that does not fall.
-    stop = next((n for n in range(2, p + 1) if times[n - 1] >= times[n - 2]), p)
-    assert evaluations == stop
-    assert evaluations <= n_rt + 2
-    if evaluations == n_rt + 2:
-        # A near-tie: degree N_rt + 1 fell, but by less than the margin.
-        assert times[n_rt - 1] * MARGIN <= times[n_rt] < times[n_rt - 1]
+
+@settings(max_examples=80, deadline=None)
+@given(exact_ties())
+def test_ties_resolve_like_the_full_scan(problem):
+    check_against_full_scan(*problem)
+
+
+@settings(max_examples=30, deadline=None)
+@given(problems())
+def test_curve_without_startup_falls_to_p(problem):
+    """With ``alpha = 0`` every degree speeds up a working operator."""
+    spec, p, _, epsilon, policy = problem
+    n_rt, times = check_against_full_scan(
+        spec, p, CommunicationModel(alpha=0.0, beta=0.0), epsilon, policy
+    )
+    assert n_rt == (p if times[0] > 0.0 else 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(problems())
+def test_flat_curve_keeps_one_clone(problem):
+    """An operator with no work and no startup is equally fast at any degree."""
+    spec, p, _, epsilon, policy = problem
+    idle = OperatorSpec(name="idle", work=WorkVector([0.0] * spec.d))
+    n_rt, times = check_against_full_scan(
+        idle, p, CommunicationModel(alpha=0.0, beta=0.0), epsilon, policy
+    )
+    assert n_rt == 1 and set(times) == {0.0}
 
 
 @settings(max_examples=100, deadline=None)
@@ -178,10 +253,11 @@ def test_coarse_grain_degree_matches_full_scan(problem, f):
 
 
 def test_paper_operator_stops_after_the_optimum():
-    """A Table 2 operator on 4096 sites evaluates ``N_rt + 1`` degrees, not ``P``."""
+    """A Table 2 operator on 4096 sites evaluates 22 degrees, not ``N_rt + 1 = 35``."""
     spec = OperatorSpec(name="scan", work=WorkVector([10.0, 5.0, 0.0]), data_volume=1e6)
     comm = CommunicationModel(alpha=0.015, beta=0.6e-6)
     overlap = CountingOverlap(0.5)
-    n_rt = response_optimal_degree(spec, 4096, comm, overlap)
-    assert 1 < n_rt < 100
-    assert len(overlap.calls) == n_rt + 1
+    assert response_optimal_degree(spec, 4096, comm, overlap) == 34
+    assert len(overlap.calls) == 22
+    # Each degree's T_par is evaluated at most once.
+    assert len({w.components for w in overlap.calls}) == 22

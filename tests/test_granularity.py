@@ -82,6 +82,26 @@ class TestNMax:
         assert model.n_max(0.7, 10.0, 1e3) == 2**31
         assert model.n_max(0.7, 0.0, 1e6) == 1
 
+    @pytest.mark.parametrize("alpha", [1e-10, 1e-20, 1e-200, 1e-300, 1e-320, 5e-324])
+    def test_tiny_alpha_returns_the_sentinel(self, alpha):
+        # The quotient (7e10 .. inf) is past any cluster size: the bound
+        # is the alpha == 0 sentinel, at once and without an OverflowError.
+        model = CommunicationModel(alpha=alpha, beta=0.0)
+        assert model.n_max(0.7, 10.0, 0.0) == 2**31
+
+    def test_quotient_just_below_the_sentinel_is_settled(self):
+        # 7 / (7 / (2**31 - 1)) lands on (or a step from) 2**31 - 1, which
+        # the Definition 4.1 test then settles exactly as before.
+        model = CommunicationModel(alpha=7.0 / (2**31 - 1), beta=0.0)
+        n = model.n_max(0.7, 10.0, 0.0)
+        assert 2**31 - 2 <= n <= 2**31
+        assert model.alpha * n <= 7.0 < model.alpha * (n + 1)
+
+    def test_overflowing_transfer_floors_at_one(self):
+        # beta*D overflows to inf, so the quotient is -inf, not an error.
+        model = CommunicationModel(alpha=0.015, beta=1e300)
+        assert model.n_max(0.7, 10.0, 1e300) == 1
+
     def test_invalid_f(self):
         model = CommunicationModel(alpha=0.015, beta=0.6e-6)
         with pytest.raises(ConfigurationError):
