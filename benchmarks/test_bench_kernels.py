@@ -16,14 +16,25 @@ the optimization is sold on:
 * the kernels' work counts (heap entries popped, clones placed) on one
   fixed TREESCHEDULE query and on the guard point, and the ``T_par``
   evaluations three algorithms make on that query, are exact, so a
-  change in the work they do shows up as a reviewed count change.
+  change in the work they do shows up as a reviewed count change;
+* so are the repair counts: the reschedule case's repair (clones moved,
+  heap entries popped, and the repaired schedule's hash) and a serve
+  pool's multi-clone installs.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 
-from repro import ConvexCombinationOverlap, pack_vectors, pack_vectors_reference
+from repro import (
+    ConvexCombinationOverlap,
+    ScheduleDelta,
+    WorkVector,
+    pack_vectors,
+    pack_vectors_reference,
+    reschedule_schedule,
+)
 from repro.serialization import schedule_to_dict
 
 from _helpers import publish
@@ -32,6 +43,7 @@ from kernel_bench import (
     PRE_PR2_SECONDS,
     RESCHEDULE_N,
     RESCHEDULE_P,
+    RESCHEDULE_REMOVED_SITES,
     SCALE_POINT,
     make_items,
     write_bench,
@@ -138,3 +150,63 @@ def test_kernel_work_counts_are_pinned(monkeypatch):
     metrics = MetricsRecorder()
     pack_vectors(make_items(1000), p=64, overlap=OVERLAP, metrics=metrics)
     assert dict(metrics.counters) == PACK_COUNTS
+
+
+#: The reschedule case (``kernel_bench.run_reschedule``): every displaced
+#: clone is a run of one, so each pops one heap entry.
+RESCHEDULE_COUNTS = {
+    "reschedules": 1.0,
+    "clones_moved": 47.0,
+    "sites_drained": 3.0,
+    "sites_restored": 0.0,
+    "placement_scans": 47.0,
+}
+RESCHEDULE_SHA256 = "ae27a74b2161d6fb298adb9fdaecd6ef8dc1c981db008d5f5c201b2db976ef66"
+#: Serve-pool installs of 8-clone queries on p=16.  The last one places
+#: a run of eight equal clones among uneven loads: one ``take`` pops its
+#: eight sites (clone-by-clone placement re-popped filled sites: 21).
+POOL_INSTALL_SCANS = [8.0, 8.0, 8.0, 8.0]
+POOL_INSTALL_HOMES = [
+    (0, 1, 2, 3, 4, 5, 6, 7),
+    (8, 9, 10, 11, 12, 13, 14, 15),
+    (9, 10, 11, 12, 13, 14, 15, 1),
+    (8, 2, 3, 4, 5, 6, 7, 10),
+]
+
+
+def test_repair_work_counts_are_pinned():
+    from repro.engine import MetricsRecorder
+    from repro.serve.pool import SitePool
+
+    schedule = pack_vectors(make_items(RESCHEDULE_N), p=RESCHEDULE_P, overlap=OVERLAP)
+    metrics = MetricsRecorder()
+    reschedule_schedule(
+        schedule,
+        ScheduleDelta(remove_sites=RESCHEDULE_REMOVED_SITES),
+        overlap=OVERLAP,
+        metrics=metrics,
+    )
+    assert dict(metrics.counters) == RESCHEDULE_COUNTS
+    encoded = json.dumps(schedule_to_dict(schedule), sort_keys=True).encode()
+    assert hashlib.sha256(encoded).hexdigest() == RESCHEDULE_SHA256
+
+    metrics = MetricsRecorder()
+    pool = SitePool(p=16, overlap=OVERLAP, metrics=metrics)
+    scans, homes = [], []
+
+    def install(name, loads):
+        before = metrics.counters.get("placement_scans", 0.0)
+        homes.append(pool.install(name, loads))
+        scans.append(metrics.counters["placement_scans"] - before)
+
+    for name, comps in (
+        ("q0", [3.0, 1.0, 0.5]),
+        ("q1", [1.0, 2.0, 0.5]),
+        ("q2", [0.5, 0.5, 4.0]),
+    ):
+        work = WorkVector(comps)
+        install(name, [work + work] + [work] * 7)  # heavier coordinator
+    pool.retire("q1")
+    install("q3", [WorkVector([1.0, 1.0, 1.0])] * 8)
+    assert scans == POOL_INSTALL_SCANS
+    assert homes == POOL_INSTALL_HOMES

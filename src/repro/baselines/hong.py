@@ -31,6 +31,7 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from repro.exceptions import SchedulingError
 from repro.core.cloning import (
@@ -43,8 +44,8 @@ from repro.core.cloning import (
 from repro.core.granularity import CommunicationModel
 from repro.core.resource_model import OverlapModel
 from repro.core.operator_schedule import operator_schedule
+from repro.core.placement_heap import clone_run
 from repro.core.schedule import OperatorHome, PhasedSchedule, Schedule
-from repro.core.site import PlacedClone
 from repro.core.work_vector import Resource, vector_sum
 from repro.engine.registry import ScheduleRequest, register
 from repro.engine.result import Instrumentation, ScheduleResult
@@ -140,18 +141,14 @@ def hong_schedule(
                         f"{op.name!r} scheduled before its anchor {anchor!r}"
                     ) from None
                 clones = clone_work_vectors(spec, home.degree, comm, policy)
-                for k, (site_index, work) in enumerate(
-                    zip(home.site_indices, clones)
-                ):
-                    schedule.place(
-                        site_index,
-                        PlacedClone(
-                            operator=spec.name,
-                            clone_index=k,
-                            work=work,
-                            t_seq=overlap.t_seq(work),
-                        ),
-                    )
+                schedule.place_operator(
+                    spec.name,
+                    clone_run(
+                        home.site_indices,
+                        zip(repeat(spec.name), range(home.degree), clones),
+                        overlap,
+                    ),
+                )
                 degrees[spec.name] = home.degree
 
         # Classify and pair the tasks that still have floating work.

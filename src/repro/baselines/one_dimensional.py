@@ -29,7 +29,11 @@ from repro.core.cloning import (
     coarse_grain_degree,
 )
 from repro.core.granularity import CommunicationModel
-from repro.core.operator_schedule import OperatorScheduleResult, RootedPlacement
+from repro.core.operator_schedule import (
+    OperatorScheduleResult,
+    RootedPlacement,
+    _place_rooted,
+)
 from repro.core.resource_model import OverlapModel
 from repro.core.schedule import Schedule
 from repro.core.site import PlacedClone
@@ -80,36 +84,16 @@ def scalar_list_schedule(
         raise SchedulingError("duplicate operator names")
 
     schedule = Schedule(p, d, capacities)
-    chosen: dict[str, int] = {}
-    scalar_load = [0.0] * p
     caps = [site.capacity for site in schedule.sites]
 
-    # Rooted operators first: fixed homes, scalar load still accrues so
-    # the packer routes floating clones away from them.
-    for placement in rooted:
-        n = placement.degree
-        if n > p:
-            raise InfeasibleScheduleError(
-                f"rooted operator {placement.spec.name!r} has degree {n} > P={p}"
-            )
-        clones = clone_work_vectors(placement.spec, n, comm, policy)
-        for k, (site_index, work) in enumerate(zip(placement.site_indices, clones)):
-            if not 0 <= site_index < p:
-                raise InfeasibleScheduleError(
-                    f"rooted operator {placement.spec.name!r}: site {site_index} "
-                    f"outside 0..{p - 1}"
-                )
-            schedule.place(
-                site_index,
-                PlacedClone(
-                    operator=placement.spec.name,
-                    clone_index=k,
-                    work=work,
-                    t_seq=overlap.t_seq(work),
-                ),
-            )
-            scalar_load[site_index] += work.total()
-        chosen[placement.spec.name] = n
+    # Rooted operators first, at their fixed homes (OPERATORSCHEDULE's
+    # step 1); their scalar load still accrues, clone by clone in
+    # placement order, so the packer routes floating clones away from them.
+    chosen = _place_rooted(schedule, rooted, comm, overlap, policy)
+    scalar_load = [
+        sum((clone.work.total() for clone in site.clones), 0.0)
+        for site in schedule.sites
+    ]
 
     pending = []
     for spec in floating:

@@ -140,6 +140,50 @@ def _common_dimensionality(
     return d
 
 
+def _place_rooted(
+    schedule: Schedule,
+    rooted: Sequence[RootedPlacement],
+    comm: CommunicationModel,
+    overlap: OverlapModel,
+    policy: CoordinatorPolicy,
+) -> dict[str, int]:
+    """Figure 3 step 1: place every rooted operator's clones at its fixed sites.
+
+    One checked :meth:`Schedule.place_operator` per operator, in order.
+    Returns each rooted operator's degree.
+
+    Raises
+    ------
+    InfeasibleScheduleError
+        If a rooted degree exceeds ``P`` or a home site lies outside
+        ``0..P-1``.
+    """
+    p = schedule.p
+    degrees: dict[str, int] = {}
+    for placement in rooted:
+        name = placement.spec.name
+        n = placement.degree
+        if n > p:
+            raise InfeasibleScheduleError(
+                f"rooted operator {name!r} has degree {n} > P={p}"
+            )
+        for site_index in placement.site_indices:
+            if not 0 <= site_index < p:
+                raise InfeasibleScheduleError(
+                    f"rooted operator {name!r}: site {site_index} "
+                    f"outside 0..{p - 1}"
+                )
+        clones = clone_work_vectors(placement.spec, n, comm, policy)
+        schedule.place_operator(
+            name,
+            clone_run(
+                placement.site_indices, zip(repeat(name), range(n), clones), overlap
+            ),
+        )
+        degrees[name] = n
+    return degrees
+
+
 def operator_schedule(
     floating: Sequence[OperatorSpec],
     rooted: Sequence[RootedPlacement] = (),
@@ -206,31 +250,10 @@ def operator_schedule(
     _check_unique_names(floating, rooted)
     d = _common_dimensionality(floating, rooted)
     schedule = Schedule(p, d, capacities)
-    chosen: dict[str, int] = {}
 
     # Step 1: place the work vectors of all rooted operators at their
     # respective sites.
-    for placement in rooted:
-        name = placement.spec.name
-        n = placement.degree
-        if n > p:
-            raise InfeasibleScheduleError(
-                f"rooted operator {name!r} has degree {n} > P={p}"
-            )
-        for site_index in placement.site_indices:
-            if not 0 <= site_index < p:
-                raise InfeasibleScheduleError(
-                    f"rooted operator {name!r}: site {site_index} "
-                    f"outside 0..{p - 1}"
-                )
-        clones = clone_work_vectors(placement.spec, n, comm, policy)
-        schedule.place_operator(
-            name,
-            clone_run(
-                placement.site_indices, zip(repeat(name), range(n), clones), overlap
-            ),
-        )
-        chosen[name] = n
+    chosen = _place_rooted(schedule, rooted, comm, overlap, policy)
 
     # Step 2: degree of coarse-grain parallelism for every floating
     # operator, and the clone lists L_i.

@@ -16,13 +16,13 @@ replaces it with a heap using *lazy deletion*:
   (constraint (A): the site already hosts a clone of it) is set aside and
   re-pushed after the selection.
 
-The list schedulers place a *run* at a time — a maximal block of one
-operator's consecutive clones in placement order — through
-:func:`place_runs`: one :meth:`SiteHeap.take` pops the run's ``k`` sites
-in one pass, so a site that hosts the operator is set aside once per run
-rather than once per clone, and a site the run fills is never re-popped
-within it.  :meth:`SiteHeap.pick`, one site per call, serves the repair
-layer, which still places clone by clone.
+Every heap placement — OPERATORSCHEDULE step 3, the shelf packer's
+least-loaded rule and schedule repair — places a *run* at a time, a
+maximal block of one operator's consecutive clones in placement order,
+through :func:`place_runs`: one :meth:`SiteHeap.take` pops the run's
+``k`` sites in one pass, so a site that hosts the operator is set aside
+once per run rather than once per clone, and a site the run fills is
+never re-popped within it.
 
 Long-running incremental use (the serve pool keeps one heap alive
 across every repair delta of a run) adds three maintenance operations:
@@ -106,35 +106,6 @@ class SiteHeap:
 
     def __len__(self) -> int:
         return len(self._sites)
-
-    def pick(self, allowable: Callable[[Site], bool]) -> Site | None:
-        """Pop the minimum-key site satisfying ``allowable``.
-
-        Fresh-but-unallowable entries are retained (re-pushed before
-        returning); stale entries are discarded.  Returns ``None`` when
-        no allowable site exists.  The caller must follow a successful
-        pick with :meth:`update` after mutating the chosen site.
-        """
-        heap = self._heap
-        keys = self._keys
-        skipped: list[tuple[tuple, int]] = []
-        chosen: Site | None = None
-        while heap:
-            entry = heapq.heappop(heap)
-            self.scans += 1
-            k, j = entry
-            if k != keys.get(j):
-                # Stale: a fresher entry for j is (or was) queued, or the
-                # site was discarded since this entry was pushed.
-                continue
-            site = self._sites[j]
-            if allowable(site):
-                chosen = site
-                break
-            skipped.append(entry)
-        for entry in skipped:
-            heapq.heappush(heap, entry)
-        return chosen
 
     def take(self, operator: str, k: int) -> list[Site]:
         """Pop the ``k`` minimum-key sites not hosting ``operator``, in key order.

@@ -16,9 +16,13 @@ items appended.  :func:`reschedule_schedule` applies the delta to a
    removed wherever they reside;
 2. the pending clones — displaced plus newly added — are re-sorted with
    the usual :class:`~repro.core.vector_packing.SortKey` and placed on
-   the *enabled* sites only, through the same lazy
-   :class:`~repro.core.placement_heap.SiteHeap` rule the shelf packer
-   uses (so repair cost is O(moved · log p), not O(n · p)).
+   the *enabled* sites only, by the shelf packer's own placement step:
+   under ``LEAST_LOADED_LENGTH`` each run of one operator's consecutive
+   clones takes its sites in one pass of the lazy
+   :class:`~repro.core.placement_heap.SiteHeap`
+   (:func:`~repro.core.placement_heap.place_runs`), so repair cost is
+   O(moved · log p), not O(n · p); ``FIRST_FIT`` and
+   ``MIN_RESULTING_LENGTH`` scan the enabled sites.
 
 Determinism: the repaired schedule is byte-identical to
 :func:`reschedule_reference` — a naive oracle that replays the surviving
@@ -30,7 +34,8 @@ equals cold-packing the concatenated item list, which pins down the
 
 Only deterministic placement rules are supported: ``ROUND_ROBIN`` and
 ``RANDOM`` carry hidden state (cursor position, RNG stream) that a
-repair cannot reconstruct, so they are rejected.
+repair cannot reconstruct, so they are rejected before the delta is
+applied.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 
 from repro.exceptions import SchedulingError
-from repro.core.placement_heap import SiteHeap, least_loaded_key
+from repro.core.placement_heap import SiteHeap
 from repro.core.resource_model import OverlapModel
 from repro.core.schedule import Schedule
 from repro.core.site import PlacedClone
@@ -47,8 +52,8 @@ from repro.core.vector_packing import (
     CloneItem,
     PlacementRule,
     SortKey,
-    _no_allowable_site,
-    _reference_site_length,
+    _choose_site_reference,
+    _place_sorted,
     _sorted_items,
 )
 from repro.obs.names import (
@@ -62,6 +67,13 @@ from repro.obs.names import (
     TIMER_RESCHEDULE,
 )
 from repro.obs.tracer import current_tracer
+
+#: The deterministic rules a repair can replay against an existing schedule.
+_REPAIR_RULES = (
+    PlacementRule.LEAST_LOADED_LENGTH,
+    PlacementRule.FIRST_FIT,
+    PlacementRule.MIN_RESULTING_LENGTH,
+)
 
 __all__ = [
     "ScheduleDelta",
@@ -283,77 +295,13 @@ def _drain_and_mutate(
     return pending, operators_removed, moved, touched
 
 
-def _place_pending(
-    schedule: Schedule,
-    ordered: list[CloneItem],
-    overlap: OverlapModel,
-    rule: PlacementRule,
-    heap: SiteHeap | None = None,
-) -> int:
-    """Place re-sorted pending clones on the enabled sites; return scans.
-
-    ``heap`` is a caller-kept heap over the enabled sites with current
-    cached keys; it is rebuilt first, so it pops exactly what a fresh
-    heap would and the scan count is the same.
-    """
-    if rule is PlacementRule.LEAST_LOADED_LENGTH:
-        if heap is None:
-            heap = SiteHeap(schedule.enabled_sites(), key=least_loaded_key)
-        else:
-            heap.rebuild()
-        scans_before = heap.scans
-        for item in ordered:
-            op = item.operator
-            site = heap.pick(lambda s: not s.hosts_operator(op))
-            if site is None:
-                raise _no_allowable_site(item)
-            j = site.index
-            schedule.place(
-                j,
-                PlacedClone(
-                    operator=item.operator,
-                    clone_index=item.clone_index,
-                    work=item.work,
-                    t_seq=overlap.t_seq(item.work),
-                ),
-            )
-            heap.update(schedule.site(j))
-        return heap.scans - scans_before
-    if rule in (PlacementRule.FIRST_FIT, PlacementRule.MIN_RESULTING_LENGTH):
-        scans = 0
-        for item in ordered:
-            best = -1
-            best_len = 0.0
-            examined = 0
-            for site in schedule.enabled_sites():
-                examined += 1
-                if site.hosts_operator(item.operator):
-                    continue
-                if rule is PlacementRule.FIRST_FIT:
-                    best = site.index
-                    break
-                resulting = site.normalized_resulting_length(item.work)
-                if best < 0 or resulting < best_len:
-                    best = site.index
-                    best_len = resulting
-            if best < 0:
-                raise _no_allowable_site(item)
-            scans += examined
-            schedule.place(
-                best,
-                PlacedClone(
-                    operator=item.operator,
-                    clone_index=item.clone_index,
-                    work=item.work,
-                    t_seq=overlap.t_seq(item.work),
-                ),
-            )
-        return scans
-    raise SchedulingError(
-        f"placement rule {rule.value!r} is not supported for incremental "
-        "repair (stateful or randomized rules cannot be replayed "
-        "deterministically against an existing schedule)"
-    )
+def _check_repair_rule(rule: PlacementRule) -> None:
+    if rule not in _REPAIR_RULES:
+        raise SchedulingError(
+            f"placement rule {rule.value!r} is not supported for incremental "
+            "repair (stateful or randomized rules cannot be replayed "
+            "deterministically against an existing schedule)"
+        )
 
 
 def reschedule_schedule(
@@ -396,11 +344,14 @@ def reschedule_schedule(
         operator, double-remove, dimensionality mismatch) or the rule is
         not repairable.
     InfeasibleScheduleError
-        When a pending clone has no allowable enabled site.  The
-        schedule may be partially repaired in this case; callers
-        wanting all-or-nothing semantics repair a copy.
+        When a pending clone has no allowable enabled site.  The delta
+        and the pending clones placed before that clone stay applied;
+        under ``LEAST_LOADED_LENGTH`` a run (one operator's consecutive
+        pending clones) that falls short places none of its clones.
+        Callers wanting all-or-nothing semantics repair a copy.
     """
     _validate_delta_against(schedule, delta)
+    _check_repair_rule(rule)
     if heap is not None and rule is not PlacementRule.LEAST_LOADED_LENGTH:
         raise SchedulingError(
             f"a site heap serves only least-loaded repair, not {rule.value!r}"
@@ -426,8 +377,12 @@ def reschedule_schedule(
                 )
         scans = 0
         if pending:
+            if heap is not None:
+                # One fresh entry per in-service site: the heap then pops
+                # exactly what a fresh heap would, scan for scan.
+                heap.rebuild()
             ordered = _sorted_items(pending, sort, None)
-            scans = _place_pending(schedule, ordered, overlap, rule, heap)
+            scans = _place_sorted(schedule, ordered, overlap, rule, heap=heap)
         stats = RescheduleStats(
             clones_moved=moved,
             clones_added=len(delta.add_items),
@@ -464,11 +419,13 @@ def reschedule_reference(
     Leaves ``schedule`` untouched and returns a *fresh* repaired
     schedule built the slow way: replay every surviving placement onto
     an empty schedule (site by site, placement order), then pack the
-    displaced-plus-added clones with the O(p)-rescanning reference rule
-    restricted to the enabled sites.  The golden tests assert
+    displaced-plus-added clones one at a time with
+    :func:`~repro.core.vector_packing.pack_vectors_reference`'s
+    rescanning rule over the enabled sites.  The golden tests assert
     ``schedule_to_dict`` equality against the in-place fast path.
     """
     _validate_delta_against(schedule, delta)
+    _check_repair_rule(rule)
     removed_sites = set(delta.remove_sites)
     removed_ops = set(delta.remove_operators)
     capacities = (
@@ -496,36 +453,9 @@ def reschedule_reference(
         if j not in delta.restore_sites:
             fresh.disable_site(j)
     pending = displaced + list(delta.add_items)
-    if not pending:
-        return fresh
-    enabled = {s.index for s in fresh.enabled_sites()}
+    enabled = fresh.enabled_sites()
     for item in _sorted_items(pending, sort, None):
-        allowable = [
-            site
-            for site in fresh.sites
-            if site.index in enabled and not site.hosts_operator(item.operator)
-        ]
-        if not allowable:
-            raise _no_allowable_site(item)
-        if rule is PlacementRule.LEAST_LOADED_LENGTH:
-            j = min(
-                allowable,
-                key=lambda s: (_reference_site_length(s) / s.capacity, s.index),
-            ).index
-        elif rule is PlacementRule.FIRST_FIT:
-            j = min(allowable, key=lambda s: s.index).index
-        elif rule is PlacementRule.MIN_RESULTING_LENGTH:
-            def resulting(site) -> float:
-                load = site.load_vector()
-                return max(
-                    a + b for a, b in zip(load.components, item.work.components)
-                ) / site.capacity
-            j = min(allowable, key=lambda s: (resulting(s), s.index)).index
-        else:
-            raise SchedulingError(
-                f"placement rule {rule.value!r} is not supported for "
-                "incremental repair"
-            )
+        j = _choose_site_reference(enabled, item, rule, None, [0])
         fresh.place(
             j,
             PlacedClone(

@@ -19,7 +19,9 @@ site), so every produced packing is a feasible Definition 5.1 schedule.
 Kernel performance
 ------------------
 :func:`pack_vectors` is the inner loop of every figure sweep, so its
-placement step is engineered to avoid rescans:
+placement step — shared with schedule repair
+(:func:`~repro.core.reschedule.reschedule_schedule`), which runs it on
+the in-service sites — is engineered to avoid rescans:
 
 * ``LEAST_LOADED_LENGTH`` consults a lazy min-heap
   (:class:`~repro.core.placement_heap.SiteHeap`) keyed on the
@@ -61,7 +63,7 @@ from repro.obs.names import (
     TIMER_PACK_VECTORS,
 )
 from repro.obs.tracer import current_tracer
-from repro.core.site import PlacedClone
+from repro.core.site import PlacedClone, Site
 from repro.core.work_vector import WorkVector
 
 __all__ = [
@@ -149,13 +151,13 @@ def _no_allowable_site(item: CloneItem) -> InfeasibleScheduleError:
 
 
 def _choose_site_linear(
-    schedule: Schedule,
+    sites: Sequence[Site],
     item: CloneItem,
     rule: PlacementRule,
     rng: random.Random | None,
     rr_state: list[int],
 ) -> tuple[int, int]:
-    """Pick a site under one of the non-heap rules.
+    """Pick one of ``sites`` (the in-service sites) under a non-heap rule.
 
     Returns ``(site_index, sites_scanned)``; the scan count feeds the
     ``placement_scans`` instrumentation counter.
@@ -163,9 +165,7 @@ def _choose_site_linear(
     if rule is PlacementRule.MIN_RESULTING_LENGTH:
         best = -1
         best_len = 0.0
-        scanned = 0
-        for site in schedule.sites:
-            scanned += 1
+        for site in sites:
             if site.hosts_operator(item.operator):
                 continue
             resulting = site.normalized_resulting_length(item.work)
@@ -174,34 +174,87 @@ def _choose_site_linear(
                 best_len = resulting
         if best < 0:
             raise _no_allowable_site(item)
-        return best, scanned
+        return best, len(sites)
     if rule is PlacementRule.ROUND_ROBIN:
-        p = schedule.p
-        for offset in range(p):
-            j = (rr_state[0] + offset) % p
-            if not schedule.site(j).hosts_operator(item.operator):
-                rr_state[0] = (j + 1) % p
-                return j, offset + 1
+        n = len(sites)
+        for offset in range(n):
+            position = (rr_state[0] + offset) % n
+            site = sites[position]
+            if not site.hosts_operator(item.operator):
+                rr_state[0] = (position + 1) % n
+                return site.index, offset + 1
         raise _no_allowable_site(item)
     if rule is PlacementRule.FIRST_FIT:
         # Early exit: the first allowable site in index order IS the
         # answer — no need to materialize the allowable set.
-        for site in schedule.sites:
+        for scanned, site in enumerate(sites, 1):
             if not site.hosts_operator(item.operator):
-                return site.index, site.index + 1
+                return site.index, scanned
         raise _no_allowable_site(item)
     if rule is PlacementRule.RANDOM:
         if rng is None:
             raise SchedulingError("PlacementRule.RANDOM requires an rng")
         allowable = [
-            site.index
-            for site in schedule.sites
-            if not site.hosts_operator(item.operator)
+            site.index for site in sites if not site.hosts_operator(item.operator)
         ]
         if not allowable:
             raise _no_allowable_site(item)
-        return rng.choice(allowable), schedule.p
+        return rng.choice(allowable), len(sites)
     raise SchedulingError(f"unknown placement rule {rule!r}")
+
+
+def _place_sorted(
+    schedule: Schedule,
+    ordered: Sequence[CloneItem],
+    overlap: OverlapModel,
+    rule: PlacementRule,
+    rng: random.Random | None = None,
+    heap: SiteHeap | None = None,
+) -> int:
+    """Place already-sorted clones on the in-service sites; return scans.
+
+    The placement step shared by :func:`pack_vectors` and
+    :func:`~repro.core.reschedule.reschedule_schedule`.
+    ``LEAST_LOADED_LENGTH`` places each run of one operator's
+    consecutive clones in one step through
+    :func:`~repro.core.placement_heap.place_runs`, on ``heap`` (a
+    caller-kept heap over exactly the in-service sites, with current
+    keys) or on a fresh one.  The other rules choose clone by clone with
+    :func:`_choose_site_linear` and never build a heap.  The scan count
+    is heap entries popped or sites probed.
+
+    Raises :class:`InfeasibleScheduleError` naming the first clone with
+    no allowable site.  The clones before it stay placed; under
+    ``LEAST_LOADED_LENGTH`` none of that clone's run is placed.
+    """
+    if rule is PlacementRule.LEAST_LOADED_LENGTH:
+        if heap is None:
+            heap = SiteHeap(schedule.enabled_sites(), key=least_loaded_key)
+        before = heap.scans
+        place_runs(
+            schedule,
+            heap,
+            [(item.operator, item.clone_index, item.work) for item in ordered],
+            overlap,
+            lambda position: _no_allowable_site(ordered[position]),
+        )
+        return heap.scans - before
+    sites = schedule.enabled_sites()
+    rr_state = [0]
+    scans = 0
+    for item in ordered:
+        j, examined = _choose_site_linear(sites, item, rule, rng, rr_state)
+        scans += examined
+        schedule.place(
+            j,
+            PlacedClone(
+                operator=item.operator,
+                clone_index=item.clone_index,
+                work=item.work,
+                t_seq=overlap.t_seq(item.work),
+            ),
+        )
+    return scans
 
 
 def _validate_items(items: Sequence[CloneItem]) -> int:
@@ -254,53 +307,11 @@ def pack_vectors(
         SPAN_PACK_VECTORS, items=len(items), p=p, sort=sort.value, rule=rule.value
     ), timer:
         ordered = _sorted_items(items, sort, rng)
-        scans = 0
-        if rule is PlacementRule.LEAST_LOADED_LENGTH:
-            scans = _pack_least_loaded(schedule, ordered, overlap)
-        else:
-            # Linear rules (FIRST_FIT, ROUND_ROBIN, …) never construct or
-            # maintain a SiteHeap: heap work is gated on the rule, so
-            # e.g. FIRST_FIT pays only its own early-exit scans
-            # (observable through the placement_scans counter).
-            rr_state = [0]
-            for item in ordered:
-                j, examined = _choose_site_linear(schedule, item, rule, rng, rr_state)
-                scans += examined
-                schedule.place(
-                    j,
-                    PlacedClone(
-                        operator=item.operator,
-                        clone_index=item.clone_index,
-                        work=item.work,
-                        t_seq=overlap.t_seq(item.work),
-                    ),
-                )
+        scans = _place_sorted(schedule, ordered, overlap, rule, rng)
         if metrics is not None:
             metrics.count(COUNTER_PLACEMENT_SCANS, scans)
             metrics.count(COUNTER_CLONES_PACKED, len(items))
     return schedule
-
-
-def _pack_least_loaded(
-    schedule: Schedule,
-    ordered: list[CloneItem],
-    overlap: OverlapModel,
-) -> int:
-    """Place pre-sorted clones under the ``LEAST_LOADED_LENGTH`` rule.
-
-    Runs of one operator's consecutive clones go through
-    :func:`~repro.core.placement_heap.place_runs`.  Returns the
-    placement-scan count (heap entries examined).
-    """
-    heap = SiteHeap(schedule.sites, key=least_loaded_key)
-    place_runs(
-        schedule,
-        heap,
-        [(item.operator, item.clone_index, item.work) for item in ordered],
-        overlap,
-        lambda position: _no_allowable_site(ordered[position]),
-    )
-    return heap.scans
 
 
 # ----------------------------------------------------------------------
@@ -318,7 +329,7 @@ def _reference_site_length(site) -> float:
 
 
 def _choose_site_reference(
-    schedule: Schedule,
+    sites: Sequence[Site],
     item: CloneItem,
     rule: PlacementRule,
     rng: random.Random | None,
@@ -326,12 +337,11 @@ def _choose_site_reference(
 ) -> int:
     """The original O(p·d·clones) placement rule, kept verbatim in spirit.
 
-    Builds the full allowable list and recomputes site loads from the
-    placed clones; the optimized paths must match its choices exactly.
+    Builds the full allowable list from ``sites`` (the in-service sites)
+    and recomputes site loads from the placed clones; the optimized
+    paths must match its choices exactly.
     """
-    allowable = [
-        site for site in schedule.sites if not site.hosts_operator(item.operator)
-    ]
+    allowable = [site for site in sites if not site.hosts_operator(item.operator)]
     if not allowable:
         raise _no_allowable_site(item)
     if rule is PlacementRule.LEAST_LOADED_LENGTH:
@@ -347,12 +357,12 @@ def _choose_site_reference(
             ) / site.capacity
         return min(allowable, key=lambda s: (resulting(s), s.index)).index
     if rule is PlacementRule.ROUND_ROBIN:
-        p = schedule.p
-        for offset in range(p):
-            j = (rr_state[0] + offset) % p
-            if not schedule.site(j).hosts_operator(item.operator):
-                rr_state[0] = (j + 1) % p
-                return j
+        n = len(sites)
+        for offset in range(n):
+            position = (rr_state[0] + offset) % n
+            if not sites[position].hosts_operator(item.operator):
+                rr_state[0] = (position + 1) % n
+                return sites[position].index
         raise _no_allowable_site(item)
     if rule is PlacementRule.FIRST_FIT:
         return min(allowable, key=lambda s: s.index).index
@@ -385,7 +395,7 @@ def pack_vectors_reference(
     schedule = Schedule(p, d, capacities)
     rr_state = [0]
     for item in _sorted_items(items, sort, rng):
-        j = _choose_site_reference(schedule, item, rule, rng, rr_state)
+        j = _choose_site_reference(schedule.sites, item, rule, rng, rr_state)
         schedule.place(
             j,
             PlacedClone(

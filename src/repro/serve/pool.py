@@ -200,7 +200,7 @@ class SitePool:
 
     @property
     def occupied_sites(self) -> int:
-        """Sites hosting at least one query (O(1), unlike :meth:`utilization`)."""
+        """Sites hosting at least one query (O(1))."""
         return self._occupied
 
     @property
@@ -258,11 +258,3 @@ class SitePool:
         onto the pool at once.
         """
         return self._open >= k
-
-    def utilization(self) -> dict[str, float]:
-        """Snapshot for the report: occupancy and co-residency."""
-        return {
-            "occupied_sites": float(self._occupied),
-            "resident_queries": float(len(self._homes)),
-            "max_residents": float(max(self._residents)),
-        }

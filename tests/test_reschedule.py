@@ -258,14 +258,16 @@ class TestDeltaValidationAgainstSchedule:
 # FIRST_FIT repair never touches the heap
 # ----------------------------------------------------------------------
 def test_first_fit_repair_skips_heap(monkeypatch):
-    from repro.core import reschedule as core_reschedule
+    # Repair places through the packer's placement step, which is where a
+    # heap would be built.
+    from repro.core import vector_packing
 
     class Exploder:
         def __init__(self, *a, **kw):
             raise AssertionError("FIRST_FIT repair must not build a SiteHeap")
 
-    monkeypatch.setattr(core_reschedule, "SiteHeap", Exploder)
     base = packed()
+    monkeypatch.setattr(vector_packing, "SiteHeap", Exploder)
     metrics = MetricsRecorder()
     stats = reschedule_schedule(
         base, MIXED_DELTA, overlap=OVERLAP, rule=PlacementRule.FIRST_FIT,
@@ -337,6 +339,116 @@ def test_repair_matches_reference_property(params):
     mutated = base.copy()
     reschedule_schedule(mutated, delta, overlap=OVERLAP, sort=sort, rule=rule)
     assert schedule_to_dict(mutated) == schedule_to_dict(ref)
+
+
+# ----------------------------------------------------------------------
+# Hypothesis: chains of deltas, fresh heap vs one long-lived heap
+# ----------------------------------------------------------------------
+CHAIN_P = 6
+
+chain_step = st.tuples(
+    st.sets(st.integers(min_value=0, max_value=CHAIN_P - 1), max_size=2),  # remove
+    st.sets(st.integers(min_value=0, max_value=CHAIN_P - 1), max_size=2),  # restore
+    st.integers(min_value=0, max_value=2),                        # withdraw
+    st.lists(                                  # added operators
+        st.tuples(
+            st.integers(min_value=1, max_value=4),  # clones 0..k-1
+            st.booleans(),                          # heavier coordinator
+        ),
+        max_size=3,
+    ),
+    st.dictionaries(                           # set_capacities
+        st.integers(min_value=0, max_value=CHAIN_P - 1),
+        st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+        max_size=2,
+    ),
+)
+
+
+def chain_delta(schedule, step, index, rng):
+    """One valid delta against ``schedule`` from a drawn ``chain_step``."""
+    remove, restore, n_withdraw, added, capacities = step
+    disabled = schedule.disabled_sites
+    resident = sorted(schedule.operators)
+    add_items = []
+    for i, (k, heavy) in enumerate(added):
+        # Clones after the coordinator share one vector, as under EA1, so
+        # an added operator forms a run of k (or k - 1) under every sort.
+        work = WorkVector([rng.uniform(0.1, 5.0) for _ in range(3)])
+        for c in range(k):
+            vector = work + work if heavy and c == 0 else work
+            add_items.append(CloneItem(f"step{index}.{i}", c, vector))
+    return ScheduleDelta(
+        remove_sites=tuple(sorted(j for j in remove if j not in disabled)),
+        restore_sites=tuple(sorted(j for j in restore if j in disabled)),
+        remove_operators=tuple(
+            rng.sample(resident, min(n_withdraw, len(resident)))
+        ),
+        add_items=tuple(add_items),
+        set_capacities=tuple(sorted(capacities.items())),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=9999),
+    st.lists(chain_step, min_size=1, max_size=4),
+    st.sampled_from([SortKey.MAX_COMPONENT, SortKey.TOTAL, SortKey.INPUT_ORDER]),
+    st.sampled_from(REPAIR_RULES),
+)
+def test_repair_chain_matches_reference(seed, steps, sort, rule):
+    """Every step of a delta chain equals the reference, on either heap.
+
+    One side repairs with a fresh heap per step; the other keeps one heap
+    across the chain, as the serve pool does.  Added operators have up
+    to four clones, so runs longer than one reach repair directly.
+    """
+    from repro.core.placement_heap import SiteHeap, least_loaded_key
+
+    base = pack_vectors(items_of(15, seed=seed), p=CHAIN_P, overlap=OVERLAP,
+                        sort=sort, rule=rule)
+    fresh, kept = base, base.copy()
+    heap = (
+        SiteHeap(kept.enabled_sites(), key=least_loaded_key)
+        if rule is PlacementRule.LEAST_LOADED_LENGTH
+        else None
+    )
+    rng = random.Random(seed + 1)
+    for index, step in enumerate(steps):
+        delta = chain_delta(fresh, step, index, rng)
+        try:
+            ref = reschedule_reference(fresh, delta, overlap=OVERLAP,
+                                       sort=sort, rule=rule)
+        except InfeasibleScheduleError:
+            with pytest.raises(InfeasibleScheduleError):
+                reschedule_schedule(fresh, delta, overlap=OVERLAP,
+                                    sort=sort, rule=rule)
+            with pytest.raises(InfeasibleScheduleError):
+                reschedule_schedule(kept, delta, overlap=OVERLAP,
+                                    sort=sort, rule=rule, heap=heap)
+            return
+        stats = reschedule_schedule(fresh, delta, overlap=OVERLAP,
+                                    sort=sort, rule=rule)
+        kept_stats = reschedule_schedule(kept, delta, overlap=OVERLAP,
+                                         sort=sort, rule=rule, heap=heap)
+        assert schedule_to_dict(fresh) == schedule_to_dict(ref)
+        assert schedule_to_dict(kept) == schedule_to_dict(ref)
+        assert kept_stats == stats
+        fresh.validate()
+
+
+@pytest.mark.parametrize("rule", REPAIR_RULES)
+def test_short_run_places_none_of_its_clones(rule):
+    """A run that finds too few sites places nothing under the heap rule."""
+    base = pack_vectors(items_of(6, seed=2, max_clones=1), p=4, overlap=OVERLAP)
+    work = WorkVector([1.0, 1.0, 1.0])
+    delta = ScheduleDelta(
+        add_items=tuple(CloneItem("wide", k, work) for k in range(5))
+    )
+    with pytest.raises(InfeasibleScheduleError, match="clone 4 of 'wide'"):
+        reschedule_schedule(base, delta, overlap=OVERLAP, rule=rule)
+    placed = sum(site.hosts_operator("wide") for site in base.sites)
+    assert placed == (0 if rule is PlacementRule.LEAST_LOADED_LENGTH else 4)
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Run placement: one heap pass, one ``T_seq`` and one bulk place per run.
 
 ``operator_schedule`` step 3 and the ``LEAST_LOADED_LENGTH`` rule of
-``pack_vectors`` place each maximal run of one operator's consecutive
-clones at once (:func:`repro.core.placement_heap.place_runs`).  The
-per-clone loops they replaced are kept here, verbatim, as the oracle:
-one ``SiteHeap.pick``, one ``T_seq`` and one checked ``Schedule.place``
-per clone.  Hypothesis holds the two equal bit for bit (``float.hex``)
-on clone order per site, loads, lengths, ``max_t_seq``, homes and the
-schedule's total-work vector, and on the message of every infeasible
-case.
+``pack_vectors`` and ``reschedule_schedule`` place each maximal run of
+one operator's consecutive clones at once
+(:func:`repro.core.placement_heap.place_runs`).  The oracle here places
+clone by clone, with no heap: a linear min-scan over the allowable sites
+with the kernel's own key, one ``T_seq`` and one checked
+``Schedule.place`` per clone.  Hypothesis holds the two equal bit for
+bit (``float.hex``) on clone order per site, loads, lengths,
+``max_t_seq``, homes and the schedule's total-work vector, and on the
+message of every infeasible case.  Repair's runs are held to
+``reschedule_reference`` by ``tests/test_reschedule.py``.
 
 The rejection table pins :meth:`Schedule.place_operator`'s checks: each
 bad run raises :class:`SchedulingError` before anything is mutated.
@@ -52,6 +54,12 @@ OVERLAP = ConvexCombinationOverlap(0.5)
 # ----------------------------------------------------------------------
 # The per-clone reference loops
 # ----------------------------------------------------------------------
+def least_key_site(schedule, operator, key):
+    """The allowable site with the smallest key, by a linear min-scan."""
+    allowable = [s for s in schedule.sites if not s.hosts_operator(operator)]
+    return min(allowable, key=key) if allowable else None
+
+
 def per_clone_operator_schedule(
     floating, rooted=(), *, p, comm, overlap, f=0.7, degrees=None, capacities=None
 ):
@@ -96,29 +104,27 @@ def per_clone_operator_schedule(
         for k, work in enumerate(clone_work_vectors(spec, n, comm, policy)):
             pending.append((work.length(), spec.name, k, work))
     pending.sort(key=lambda item: (-item[0], item[1], item[2]))
-    heap = SiteHeap(
-        schedule.sites,
-        key=lambda s: (s.normalized_length(), s.normalized_total_load(), s.index),
-    )
     for _, op_name, k, work in pending:
-        best = heap.pick(lambda s, op=op_name: not s.hosts_operator(op))
+        best = least_key_site(
+            schedule,
+            op_name,
+            lambda s: (s.normalized_length(), s.normalized_total_load(), s.index),
+        )
         if best is None:
             raise InfeasibleScheduleError(
                 f"no allowable site left for clone {k} of {op_name!r} "
                 f"(degree {chosen[op_name]} on P={p} sites)"
             )
         schedule.place(best.index, PlacedClone(op_name, k, work, overlap.t_seq(work)))
-        heap.update(best)
     return schedule, chosen
 
 
 def per_clone_pack(items, *, p, overlap, sort, rng=None, capacities=None):
     """``pack_vectors``' least-loaded rule as it placed clone by clone."""
     schedule = Schedule(p, items[0].work.d, capacities)
-    heap = SiteHeap(schedule.sites, key=least_loaded_key)
     for item in _sorted_items(items, sort, rng):
         op = item.operator
-        site = heap.pick(lambda s, op=op: not s.hosts_operator(op))
+        site = least_key_site(schedule, op, least_loaded_key)
         if site is None:
             raise InfeasibleScheduleError(
                 f"no allowable site for clone {item.clone_index} of {item.operator!r}"
@@ -127,7 +133,6 @@ def per_clone_pack(items, *, p, overlap, sort, rng=None, capacities=None):
             site.index,
             PlacedClone(op, item.clone_index, item.work, overlap.t_seq(item.work)),
         )
-        heap.update(schedule.site(site.index))
     return schedule
 
 
@@ -383,8 +388,8 @@ def test_take_returns_smallest_allowable_keys_in_order():
     for k, site in enumerate(taken):
         site.place(PlacedClone("a", k, WorkVector([5.0]), 5.0))
         heap.update(site)
-    # Site 1 was re-pushed: it is still pickable.
-    assert heap.pick(lambda s: True).index == 1
+    # Site 1 was re-pushed: it is still there for another operator.
+    assert [s.index for s in heap.take("b", 1)] == [1]
 
 
 def test_take_drops_a_repeated_entry_of_a_taken_site():

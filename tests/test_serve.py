@@ -348,13 +348,13 @@ class TestSitePool:
 
     def test_utilization_snapshot(self):
         pool = self.make()
-        assert pool.utilization()["resident_queries"] == 0.0
+        assert pool.resident_queries == 0
+        assert pool.occupied_sites == 0
         pool.install("q0", _loads(1.0, 1.0))
         pool.install("q1", _loads(1.0))
-        snap = pool.utilization()
-        assert snap["resident_queries"] == 2.0
-        assert snap["occupied_sites"] == 3.0
-        assert snap["max_residents"] == 1.0
+        assert pool.resident_queries == 2
+        assert pool.occupied_sites == 3
+        assert [pool.residents_of(j) for j in range(pool.p)] == [1, 1, 1, 0]
 
     def test_placement_balances_load(self):
         # Repair placement uses the least-loaded rule, so equal installs

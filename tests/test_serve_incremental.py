@@ -137,13 +137,10 @@ class _Harness:
         open_sites = sum(1 for c in residents if c < pool.max_coresident)
         assert pool.has_capacity(open_sites)
         assert not pool.has_capacity(open_sites + 1)
-        assert pool.utilization() == {
-            "occupied_sites": float(sum(1 for c in residents if c)),
-            "resident_queries": float(
-                0 if schedule is None else len(schedule.operators)
-            ),
-            "max_residents": float(max(residents)),
-        }
+        assert pool.occupied_sites == sum(1 for c in residents if c)
+        assert pool.resident_queries == (
+            0 if schedule is None else len(schedule.operators)
+        )
         assert pool.running == frozenset(self.executor._running)
 
     def check_rates(self) -> None:

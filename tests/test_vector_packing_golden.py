@@ -192,7 +192,7 @@ def test_incremental_site_stats_match_recomputation(raw, p):
 # ----------------------------------------------------------------------
 # SiteHeap unit behaviour
 # ----------------------------------------------------------------------
-def test_site_heap_pick_skips_unallowable_and_counts_scans():
+def test_site_heap_take_skips_unallowable_and_counts_scans():
     from repro.core.site import PlacedClone, Site
 
     sites = [Site(j, 2) for j in range(3)]
@@ -203,18 +203,34 @@ def test_site_heap_pick_skips_unallowable_and_counts_scans():
     # Site 1 is the least-loaded allowable site once 'a'-hosting site 0 is
     # excluded; site 0 has load but sites 1 and 2 are empty, so site 1
     # wins on the index tie-break.
-    chosen = heap.pick(lambda s: not s.hosts_operator("a"))
+    (chosen,) = heap.take("a", 1)
     assert chosen.index == 1
-    assert heap.scans >= 1
+    assert heap.scans == 1
+    chosen.place(PlacedClone("a", 1, WorkVector([2.0, 0.0]), 2.0))
+    heap.update(chosen)
+    (chosen,) = heap.take("a", 1)
+    assert chosen.index == 2
+    assert heap.scans == 2
+    chosen.place(PlacedClone("a", 2, WorkVector([3.0, 0.0]), 3.0))
+    heap.update(chosen)
+    # Every site now hosts 'a': all three are popped, set aside and
+    # re-queued, so another operator still finds them in key order.
+    assert heap.take("a", 1) == []
+    assert heap.scans == 5
+    assert [s.index for s in heap.take("b", 3)] == [0, 1, 2]
+    assert heap.scans == 8
 
 
 def test_site_heap_returns_none_when_nothing_allowable():
-    from repro.core.site import Site
+    from repro.core.site import PlacedClone, Site
 
-    heap = SiteHeap([Site(0, 2), Site(1, 2)], key=lambda s: (s.length(), s.index))
-    assert heap.pick(lambda s: False) is None
-    # The skipped entries must survive for the next pick.
-    assert heap.pick(lambda s: True) is not None
+    sites = [Site(0, 2), Site(1, 2)]
+    for site in sites:
+        site.place(PlacedClone("a", site.index, WorkVector([0.0, 0.0]), 0.0))
+    heap = SiteHeap(sites, key=lambda s: (s.length(), s.index))
+    assert heap.take("a", 1) == []
+    # The skipped entries must survive for the next take.
+    assert [s.index for s in heap.take("b", 1)] == [0]
 
 
 @pytest.mark.parametrize("sort", list(SortKey))
@@ -258,14 +274,18 @@ def test_site_heap_stale_entries_are_discarded():
 
     sites = [Site(0, 2), Site(1, 2)]
     heap = SiteHeap(sites, key=lambda s: (s.length(), s.index))
-    first = heap.pick(lambda s: True)
-    assert first.index == 0
+    # Site 0 keeps its queued entry while it is re-keyed twice: the first
+    # re-key (length 5) leaves the original entry stale.
     sites[0].place(
         PlacedClone(operator="x", clone_index=0, work=WorkVector([5.0, 5.0]), t_seq=5.0)
     )
     heap.update(sites[0])
     # Site 0 now has length 5; the minimum must move to the empty site 1.
-    assert heap.pick(lambda s: True).index == 1
+    (first,) = heap.take("x", 1)
+    assert first.index == 1
+    assert heap.scans == 2  # the stale (0, 0) entry, then site 1
+    heap.update(first)
+    assert [s.index for s in heap.take("y", 2)] == [1, 0]
 
 
 def test_site_heap_discard_and_rebuild():
@@ -275,7 +295,9 @@ def test_site_heap_discard_and_rebuild():
     heap = SiteHeap(sites, key=lambda s: (s.length(), s.index))
     heap.discard_batch([0, 1, 99])   # unknown indices are ignored
     assert heap.tracked_sites() == frozenset({2, 3, 4, 5})
-    assert heap.pick(lambda s: True).index == 2
+    (site,) = heap.take("x", 1)
+    assert site.index == 2
+    heap.update(site)
     # Re-track a discarded site (e.g. restored after a fault).
     heap.add_batch([sites[0]])
     assert heap.tracked_sites() == frozenset({0, 2, 3, 4, 5})
@@ -285,7 +307,7 @@ def test_site_heap_discard_and_rebuild():
         PlacedClone(operator="x", clone_index=0, work=WorkVector([9.0, 9.0]), t_seq=9.0)
     )
     heap.update(sites[2])
-    assert heap.pick(lambda s: True).index == 0
+    assert [s.index for s in heap.take("y", 5)] == [0, 3, 4, 5, 2]
 
 
 @settings(max_examples=80)
@@ -300,8 +322,9 @@ def test_site_heap_discard_and_rebuild():
     )
 )
 def test_site_heap_tracks_minimum_through_maintenance(ops):
-    """After arbitrary place/discard/restore/rebuild traffic, pick() returns
-    the least-loaded live site and lazy-deletion garbage stays bounded."""
+    """After arbitrary place/discard/restore/rebuild traffic, take(op, 1)
+    returns the least-loaded live site and lazy-deletion garbage stays
+    bounded."""
     from repro.core.site import PlacedClone, Site
 
     sites = [Site(j, 2) for j in range(8)]
@@ -329,9 +352,9 @@ def test_site_heap_tracks_minimum_through_maintenance(ops):
     assert heap.tracked_sites() == frozenset(live)
     # Garbage bound: update() auto-rebuilds past max(32, 3·live).
     assert len(heap._heap) <= max(32, 3 * len(live)) + 1
-    picked = heap.pick(lambda s: True)
+    picked = heap.take("fresh", 1)
     if live:
         best = min(((sites[j].length(), j) for j in live))
-        assert (picked.length(), picked.index) == best
+        assert [(s.length(), s.index) for s in picked] == [best]
     else:
-        assert picked is None
+        assert picked == []
