@@ -147,7 +147,7 @@ def run_level(
         entry["telemetry_samples"] = int(
             service.metrics.counters.get("telemetry_samples", 0)
         )
-        entry["slo_breaches"] = len(service.telemetry.breaches)
+        entry["slo_breaches"] = int(service.metrics.counters.get("slo_breaches", 0))
     return entry
 
 

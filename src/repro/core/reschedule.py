@@ -85,7 +85,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScheduleDelta:
-    """One repair event against a single phase of a schedule.
+    """One repair event against one :class:`~repro.core.schedule.Schedule`.
+
+    A delta carries no phase: to repair phase ``k`` of a
+    :class:`~repro.core.schedule.PhasedSchedule`, pass
+    ``phased.phases[k]`` (or a copy of it) to :func:`reschedule_schedule`.
 
     Attributes
     ----------
@@ -108,9 +112,6 @@ class ScheduleDelta:
         placements change.  Mid-serve scale-up/down therefore costs
         O(moved · log p) for whatever the same delta displaces, never a
         cold re-pack.
-    phase_index:
-        Which phase of a :class:`~repro.core.schedule.PhasedSchedule`
-        the delta applies to (0 for single-phase schedules).
     """
 
     remove_sites: tuple[int, ...] = ()
@@ -118,7 +119,6 @@ class ScheduleDelta:
     remove_operators: tuple[str, ...] = ()
     add_items: tuple[CloneItem, ...] = ()
     set_capacities: tuple[tuple[int, float], ...] = ()
-    phase_index: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "remove_sites", tuple(self.remove_sites))
@@ -141,10 +141,6 @@ class ScheduleDelta:
                     f"delta sets site {j} capacity to {c!r}; must be "
                     "positive and finite"
                 )
-        if self.phase_index < 0:
-            raise SchedulingError(
-                f"phase index must be >= 0, got {self.phase_index}"
-            )
         for name, seq in (
             ("remove_sites", self.remove_sites),
             ("restore_sites", self.restore_sites),
@@ -317,9 +313,10 @@ def reschedule_schedule(
     """Repair ``schedule`` in place after ``delta``; return what was done.
 
     The schedule is mutated directly — repair at the ``p = 10^3`` scale
-    must not pay an O(n) copy; callers that need the original intact
-    copy it first (:meth:`Schedule.copy <repro.core.schedule.Schedule.copy>`,
-    which the engine-level entry point does by default).
+    must not pay an O(n) copy.  Callers that need the original intact,
+    or all-or-nothing semantics, repair a copy:
+    ``reschedule_schedule(phase.copy(), delta, overlap=...)``
+    (:meth:`Schedule.copy <repro.core.schedule.Schedule.copy>`).
 
     ``metrics`` optionally takes a
     :class:`~repro.engine.metrics.MetricsRecorder` (duck-typed — core
@@ -359,7 +356,6 @@ def reschedule_schedule(
     timer = metrics.timer(TIMER_RESCHEDULE) if metrics is not None else nullcontext()
     with current_tracer().span(
         SPAN_RESCHEDULE_REPAIR,
-        phase=delta.phase_index,
         removed=len(delta.remove_sites),
         restored=len(delta.restore_sites),
         resized=len(delta.set_capacities),

@@ -19,10 +19,10 @@ This package is the hub the whole vertical stack plugs into:
 * :mod:`repro.engine.metrics` — lightweight observability: context-manager
   timers and counters for benchmarks that need to know where
   schedule-construction time goes.
-* :mod:`repro.engine.reschedule` — the incremental-repair entry point:
-  apply a :class:`~repro.core.reschedule.ScheduleDelta` to a previously
-  produced :class:`ScheduleResult` through a registered repair strategy,
-  yielding a new result without a cold re-pack.
+
+Schedule repair is not an engine concern: it edits one phase
+:class:`~repro.core.schedule.Schedule` in place through
+:func:`repro.core.reschedule.reschedule_schedule`.
 """
 
 from repro.engine.metrics import MetricsRecorder
@@ -30,17 +30,9 @@ from repro.engine.registry import (
     RegisteredScheduler,
     ScheduleRequest,
     available_algorithms,
-    available_reschedulers,
     describe_algorithms,
     get_algorithm,
-    get_rescheduler,
     register,
-    register_rescheduler,
-)
-from repro.engine.reschedule import (
-    reschedule,
-    reschedule_cached,
-    reschedule_store_payload,
 )
 from repro.engine.result import (
     Instrumentation,
@@ -57,12 +49,6 @@ __all__ = [
     "describe_algorithms",
     "get_algorithm",
     "register",
-    "available_reschedulers",
-    "get_rescheduler",
-    "register_rescheduler",
-    "reschedule",
-    "reschedule_cached",
-    "reschedule_store_payload",
     "Instrumentation",
     "ScheduleResult",
     "ShelfTimeline",

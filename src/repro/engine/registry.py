@@ -47,9 +47,6 @@ __all__ = [
     "get_algorithm",
     "available_algorithms",
     "describe_algorithms",
-    "register_rescheduler",
-    "get_rescheduler",
-    "available_reschedulers",
 ]
 
 
@@ -300,59 +297,3 @@ def describe_algorithms() -> dict[str, RegisteredScheduler]:
     _ensure_builtins_loaded()
     return {name: _SCHEDULERS[name] for name in available_algorithms()}
 
-
-# ----------------------------------------------------------------------
-# Rescheduler registry (incremental repair strategies)
-# ----------------------------------------------------------------------
-#: Repair strategies for :func:`repro.engine.reschedule.reschedule`.  A
-#: rescheduler is a callable ``(schedule, delta, *, overlap, sort, rule,
-#: metrics) -> RescheduleStats`` mutating the given phase schedule in
-#: place; the engine entry point handles copying, result assembly and
-#: store keying around it.
-_RESCHEDULERS: dict[str, Callable] = {}
-
-_RESCHEDULER_MODULES = ("repro.engine.reschedule",)
-
-
-def register_rescheduler(name: str) -> Callable[[Callable], Callable]:
-    """Decorator adding a repair strategy to the rescheduler registry."""
-    if not name:
-        raise ConfigurationError("rescheduler name must be non-empty")
-
-    def decorator(fn: Callable) -> Callable:
-        _RESCHEDULERS[name] = fn
-        return fn
-
-    return decorator
-
-
-def _ensure_reschedulers_loaded() -> None:
-    import importlib
-
-    for module in _RESCHEDULER_MODULES:
-        importlib.import_module(module)
-
-
-def get_rescheduler(name: str) -> Callable:
-    """Resolve a repair-strategy name.
-
-    Raises
-    ------
-    ConfigurationError
-        If ``name`` is not registered; the message lists the registered
-        names.
-    """
-    _ensure_reschedulers_loaded()
-    try:
-        return _RESCHEDULERS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown rescheduler {name!r}; expected one of "
-            f"{available_reschedulers()}"
-        ) from None
-
-
-def available_reschedulers() -> tuple[str, ...]:
-    """All registered repair-strategy names, in registration order."""
-    _ensure_reschedulers_loaded()
-    return tuple(_RESCHEDULERS)

@@ -47,6 +47,7 @@ from repro.experiments.figures import FIGURES
 from repro.experiments.report import render_figure, render_parameters
 from repro.experiments.robustness import DEFAULT_INTENSITIES, robustness_sweep
 from repro.experiments.sensitivity import parameter_sensitivity
+from repro.obs.names import COUNTER_SLO_BREACHES
 from repro.sim.policies import SharingPolicy
 from repro.store import ENV_CACHE_DIR, NO_STORE, ArtifactStore
 
@@ -569,7 +570,8 @@ def _run_serve(args, config, store, session=None) -> int:
         wrote = f", wrote {args.metrics_out}" if args.metrics_out else ""
         print(
             f"[telemetry] {len(telemetry.registry.samples)} samples, "
-            f"{len(telemetry.breaches)} SLO breaches{wrote}",
+            f"{int(telemetry.metrics.counters.get(COUNTER_SLO_BREACHES, 0))} "
+            f"SLO breaches{wrote}",
             file=sys.stderr,
         )
     print(f"[serve] ran in {report.wall_seconds:.2f}s wall", file=sys.stderr)

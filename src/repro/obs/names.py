@@ -9,9 +9,8 @@ The ``KNOWN_*`` sets are derived from the declarations; the
 trace files) against them.
 
 The same string may be declared under two kinds when both time the
-same region: ``pack_vectors``, ``reschedule``, ``plan_search`` and
-``serve`` are each a :class:`~repro.engine.metrics.MetricsRecorder`
-timer *and* a span.
+same region: ``pack_vectors``, ``plan_search`` and ``serve`` are each
+a :class:`~repro.engine.metrics.MetricsRecorder` timer *and* a span.
 
 Import-weight contract: stdlib only — ``repro.core`` imports this module
 at load time.
@@ -175,7 +174,6 @@ SPAN_SIMULATE_PHASED = declare("span", "simulate_phased", "One phased fluid simu
 SPAN_SIMULATE_PHASE = declare("span", "simulate_phase", "One simulated phase.")
 SPAN_SWEEP = declare("span", "sweep", "One parallel-runner batch of sweep points.")
 SPAN_POINT = declare("span", "point", "One sweep point.")
-SPAN_RESCHEDULE = declare("span", "reschedule", "One reschedule dispatch.")
 SPAN_RESCHEDULE_REPAIR = declare("span", "reschedule_repair", "One kernel repair pass.")
 SPAN_CAPACITY_CHANGE = declare(
     "span", "capacity_change", "An elastic capacity change applied to a serve pool."

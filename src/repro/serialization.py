@@ -32,9 +32,7 @@ from typing import Any
 from repro.exceptions import ConfigurationError, ReproError
 from repro.core.cloning import OperatorSpec
 from repro.core.cluster import ClusterSpec, SiteClass
-from repro.core.reschedule import ScheduleDelta
 from repro.core.schedule import OperatorHome, PhasedSchedule, Schedule
-from repro.core.vector_packing import CloneItem
 from repro.core.site import PlacedClone, Site
 from repro.core.work_vector import WorkVector
 from repro.cost.params import SystemParameters
@@ -54,8 +52,6 @@ __all__ = [
     "cluster_spec_from_dict",
     "schedule_to_dict",
     "schedule_from_dict",
-    "schedule_delta_to_dict",
-    "schedule_delta_from_dict",
     "phased_schedule_to_dict",
     "phased_schedule_from_dict",
     "instrumentation_to_dict",
@@ -349,52 +345,6 @@ def schedule_from_dict(payload: dict[str, Any]) -> Schedule:
     for j in payload.get("disabled_sites", []):
         schedule.disable_site(int(j))
     return schedule
-
-
-def schedule_delta_to_dict(delta: ScheduleDelta) -> dict[str, Any]:
-    """Serialize a repair delta (also the store-key payload for repairs)."""
-    payload = {
-        "schema": _SCHEMA,
-        "remove_sites": list(delta.remove_sites),
-        "restore_sites": list(delta.restore_sites),
-        "remove_operators": list(delta.remove_operators),
-        "add_items": [
-            {
-                "operator": item.operator,
-                "clone_index": item.clone_index,
-                "work": work_vector_to_dict(item.work),
-            }
-            for item in delta.add_items
-        ],
-        "phase_index": delta.phase_index,
-    }
-    # Conditional emission keeps capacity-free deltas — and therefore
-    # their store keys — byte-identical to the pre-capacity codec.
-    if delta.set_capacities:
-        payload["set_capacities"] = [[j, c] for j, c in delta.set_capacities]
-    return payload
-
-
-def schedule_delta_from_dict(payload: dict[str, Any]) -> ScheduleDelta:
-    """Deserialize a repair delta (re-validates its invariants)."""
-    _check_schema(payload)
-    return ScheduleDelta(
-        remove_sites=tuple(int(j) for j in payload.get("remove_sites", [])),
-        restore_sites=tuple(int(j) for j in payload.get("restore_sites", [])),
-        remove_operators=tuple(payload.get("remove_operators", [])),
-        add_items=tuple(
-            CloneItem(
-                operator=_expect(item, "operator"),
-                clone_index=int(_expect(item, "clone_index")),
-                work=work_vector_from_dict(_expect(item, "work")),
-            )
-            for item in payload.get("add_items", [])
-        ),
-        set_capacities=tuple(
-            (int(j), float(c)) for j, c in payload.get("set_capacities", [])
-        ),
-        phase_index=int(payload.get("phase_index", 0)),
-    )
 
 
 def phased_schedule_to_dict(phased: PhasedSchedule) -> dict[str, Any]:

@@ -160,8 +160,9 @@ class ServiceTelemetry:
     The service calls :meth:`on_placed` / :meth:`on_completed` from its
     placement and completion paths, runs :meth:`run` as a sampler task,
     and calls :meth:`finish` once the report exists.  Everything
-    observed lands in :attr:`registry` (instruments + sample stream),
-    :attr:`breaches` (SLO misses), and the fleet-timeline accumulators.
+    observed lands in :attr:`registry` (instruments + sample stream)
+    and the fleet-timeline accumulators; each SLO miss is one breach
+    instant and one ``slo_breaches`` count on :attr:`metrics`.
     """
 
     def __init__(
@@ -191,7 +192,6 @@ class ServiceTelemetry:
         self._instants: list[tuple[str, float, dict[str, Any]]] = []
 
         # SLO monitor state.
-        self.breaches: list[dict[str, Any]] = []
         self._slo_window: dict[str, deque[bool]] = {
             cls: deque(maxlen=config.window) for cls in SLO_CLASSES
         }
@@ -339,17 +339,8 @@ class ServiceTelemetry:
         window.append(ok)
         self._slo_window_hits[slo] += ok
         if not ok:
-            breach = {
-                "job": name,
-                "slo": slo,
-                "latency": _round(latency),
-                "target": target.target,
-                "at": _round(at),
-            }
-            self.breaches.append(breach)
-            self._instants.append(
-                (INSTANT_SLO_BREACH, at, {k: v for k, v in breach.items() if k != "at"})
-            )
+            args = {"job": name, "slo": slo, "latency": _round(latency), "target": target.target}
+            self._instants.append((INSTANT_SLO_BREACH, at, args))
             self.metrics.count(COUNTER_SLO_BREACHES)
 
     # ------------------------------------------------------------------

@@ -337,41 +337,6 @@ class FaultPlan:
         """The fault bundle for one (phase, site), or ``None``."""
         return self.sites.get((phase_index, site_index))
 
-    def reschedule_deltas(self):
-        """Per-phase repair deltas for this plan's site *failures*.
-
-        Maps each phase index with at least one failing site to a
-        ``(failure, recovery)`` pair of
-        :class:`~repro.core.reschedule.ScheduleDelta`: the failure delta
-        removes the failing sites (their clones are displaced onto the
-        survivors), the recovery delta restores them after the restart.
-        Feeding the failure delta to
-        :func:`repro.engine.reschedule.reschedule` yields the repaired
-        placement an executor would switch to instead of waiting out the
-        restart — the simulator's re-run accounting and this repair path
-        describe the same injected events, so robustness sweeps can
-        compare "wait for restart" against "reschedule around the
-        failure" on identical fault draws.
-
-        Site order within a delta is ascending, and phases are emitted
-        in execution order, so the mapping is as deterministic as the
-        plan itself.
-        """
-        from repro.core.reschedule import ScheduleDelta
-
-        by_phase: dict[int, list[int]] = {}
-        for (phase_index, site_index), bundle in self.sites.items():
-            if bundle.fail_at is not None:
-                by_phase.setdefault(phase_index, []).append(site_index)
-        deltas: dict[int, tuple[ScheduleDelta, ScheduleDelta]] = {}
-        for phase_index in sorted(by_phase):
-            failed = tuple(sorted(by_phase[phase_index]))
-            deltas[phase_index] = (
-                ScheduleDelta(remove_sites=failed, phase_index=phase_index),
-                ScheduleDelta(restore_sites=failed, phase_index=phase_index),
-            )
-        return deltas
-
     @property
     def is_empty(self) -> bool:
         """True when the plan injects nothing (zero-fault identity path)."""

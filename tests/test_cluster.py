@@ -52,8 +52,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.serialization import (
     cluster_spec_from_dict,
     cluster_spec_to_dict,
-    schedule_delta_from_dict,
-    schedule_delta_to_dict,
     schedule_from_dict,
     schedule_to_dict,
 )
@@ -239,10 +237,6 @@ class TestUniformByteIdentity:
         # every historical cache entry.
         assert "capacities" not in payload
 
-    def test_capacity_free_delta_serializes_without_key(self):
-        delta = ScheduleDelta(remove_sites=(1,))
-        assert "set_capacities" not in schedule_delta_to_dict(delta)
-
     @PROPERTY_SETTINGS
     @given(
         seed=st.integers(min_value=0, max_value=2**16),
@@ -371,12 +365,6 @@ class TestHeterogeneousOracles:
 
 
 class TestSetCapacitiesDelta:
-    def test_delta_round_trips(self):
-        delta = ScheduleDelta(set_capacities=((2, 0.5), (0, 4.0)))
-        payload = schedule_delta_to_dict(delta)
-        assert payload["set_capacities"] == [[2, 0.5], [0, 4.0]]
-        assert schedule_delta_from_dict(payload) == delta
-
     def test_delta_rejects_bad_values(self):
         with pytest.raises(SchedulingError):
             ScheduleDelta(set_capacities=((0, 0.0),))

@@ -1,16 +1,13 @@
-"""Incremental rescheduling: delta semantics, golden identity, engine wiring.
+"""Incremental rescheduling: delta semantics, golden identity, tracing.
 
-The repair contract has three legs:
+The repair contract has two legs:
 
 * :func:`repro.core.reschedule.reschedule_schedule` mutated in place is
   *byte-identical* (``schedule_to_dict``) to the naive
   :func:`~repro.core.reschedule.reschedule_reference` oracle, for every
   supported sort × rule combination and for hypothesis-generated deltas;
 * an append-only delta under ``SortKey.INPUT_ORDER`` equals cold-packing
-  the concatenated item list — repair == re-pack of the mutated input;
-* the engine entry point (:func:`repro.engine.reschedule.reschedule`)
-  re-derives homes/degrees/instrumentation, never aliases store keys
-  across deltas, and leaves the previous result intact by default.
+  the concatenated item list — repair == re-pack of the mutated input.
 """
 
 from __future__ import annotations
@@ -34,22 +31,8 @@ from repro import (
     reschedule_reference,
     reschedule_schedule,
 )
-from repro.core.schedule import PhasedSchedule
-from repro.engine import (
-    MetricsRecorder,
-    ScheduleResult,
-    available_reschedulers,
-    get_rescheduler,
-    reschedule,
-    reschedule_cached,
-    reschedule_store_payload,
-)
-from repro.serialization import (
-    schedule_delta_from_dict,
-    schedule_delta_to_dict,
-    schedule_from_dict,
-    schedule_to_dict,
-)
+from repro.engine import MetricsRecorder
+from repro.serialization import schedule_from_dict, schedule_to_dict
 
 OVERLAP = ConvexCombinationOverlap(0.5)
 
@@ -100,10 +83,6 @@ class TestScheduleDelta:
         item = CloneItem(operator="x", clone_index=0, work=WorkVector([1.0]))
         with pytest.raises(SchedulingError):
             ScheduleDelta(add_items=(item, item))
-
-    def test_rejects_negative_phase(self):
-        with pytest.raises(SchedulingError):
-            ScheduleDelta(phase_index=-1)
 
     def test_is_empty(self):
         assert ScheduleDelta().is_empty
@@ -452,174 +431,31 @@ def test_short_run_places_none_of_its_clones(rule):
 
 
 # ----------------------------------------------------------------------
-# Engine entry point
+# Tracing
 # ----------------------------------------------------------------------
-def synthetic_result(p=8, phases=2):
-    phased = PhasedSchedule()
-    for k in range(phases):
-        phased.append(
-            pack_vectors(items_of(20, seed=k, max_clones=1), p=p,
-                         overlap=OVERLAP),
-            f"shelf-{k}",
-        )
-    return ScheduleResult(algorithm="treeschedule", phased_schedule=phased)
+def test_repair_span_when_tracing():
+    from repro.obs.tracer import Tracer, use_tracer
 
-
-class TestEngineReschedule:
-    def test_registry(self):
-        assert "repair" in available_reschedulers()
-        assert callable(get_rescheduler("repair"))
-        with pytest.raises(Exception):
-            get_rescheduler("no-such-strategy")
-
-    def test_repaired_result_shape(self):
-        prev = synthetic_result()
-        delta = ScheduleDelta(remove_sites=(0,), phase_index=1)
-        out = reschedule(prev, delta, overlap=OVERLAP)
-        assert out is not prev
-        assert out.algorithm == prev.algorithm
-        assert out.phase_labels == prev.phase_labels
-        # Only the targeted phase changed.
-        assert 0 in out.phased_schedule.phases[1].disabled_sites
-        assert 0 not in prev.phased_schedule.phases[1].disabled_sites
-        assert out.phased_schedule.phases[0] is prev.phased_schedule.phases[0]
-        assert out.response_time == out.phased_schedule.response_time()
-        assert out.degrees == {
-            op: home.degree for op, home in out.homes.items()
-        }
-
-    def test_instrumentation_counters(self):
-        out = reschedule(
-            synthetic_result(), ScheduleDelta(remove_sites=(2,)),
-            overlap=OVERLAP,
-        )
-        counters = out.instrumentation.counters
-        assert counters["reschedules"] == 1.0
-        assert counters["sites_drained"] == 1.0
-        assert counters["clones_moved"] >= 1.0
-        assert out.instrumentation.timers["reschedule"] > 0.0
-
-    def test_caller_metrics_merged(self):
-        metrics = MetricsRecorder()
-        metrics.count("unrelated", 5)
-        out = reschedule(
-            synthetic_result(), ScheduleDelta(remove_sites=(1,)),
-            overlap=OVERLAP, metrics=metrics,
-        )
-        assert metrics.counters["reschedules"] == 1.0
-        assert metrics.counters["unrelated"] == 5.0
-        # The result's own instrumentation stays scoped to this repair.
-        assert "unrelated" not in out.instrumentation.counters
-
-    def test_span_tree_when_tracing(self):
-        from repro.obs.tracer import Tracer, use_tracer
-
-        with use_tracer(Tracer()):
-            out = reschedule(
-                synthetic_result(), ScheduleDelta(remove_sites=(1,)),
-                overlap=OVERLAP,
-            )
-        roots = out.instrumentation.spans
-        assert [s["name"] for s in roots] == ["reschedule"]
-        assert roots[0]["attributes"]["strategy"] == "repair"
-        assert "response_time" in roots[0]["attributes"]
-        children = [c["name"] for c in roots[0]["children"]]
-        assert "reschedule_repair" in children
-
-    def test_mutate_flag(self):
-        prev = synthetic_result()
-        reschedule(prev, ScheduleDelta(remove_sites=(3,)), overlap=OVERLAP,
-                   mutate=True)
-        assert 3 in prev.phased_schedule.phases[0].disabled_sites
-
-    def test_bound_only_rejected(self):
-        bound = ScheduleResult.from_value("optbound", 12.5)
-        with pytest.raises(SchedulingError):
-            reschedule(bound, ScheduleDelta(remove_sites=(0,)), overlap=OVERLAP)
-
-    def test_phase_out_of_range_rejected(self):
-        with pytest.raises(SchedulingError):
-            reschedule(
-                synthetic_result(phases=2),
-                ScheduleDelta(remove_sites=(0,), phase_index=2),
-                overlap=OVERLAP,
-            )
-
-    def test_failed_repair_leaves_prev_intact(self):
-        items = [
-            CloneItem(operator="wide", clone_index=k,
-                      work=WorkVector([1.0, 1.0, 1.0]))
-            for k in range(4)
-        ]
-        phased = PhasedSchedule()
-        phased.append(pack_vectors(items, p=4, overlap=OVERLAP), "only")
-        prev = ScheduleResult(algorithm="treeschedule", phased_schedule=phased)
-        before = schedule_to_dict(prev.phased_schedule.phases[0])
-        with pytest.raises(InfeasibleScheduleError):
-            reschedule(prev, ScheduleDelta(remove_sites=(0,)), overlap=OVERLAP)
-        assert schedule_to_dict(prev.phased_schedule.phases[0]) == before
-
-
-# ----------------------------------------------------------------------
-# Store keying: repaired results never alias
-# ----------------------------------------------------------------------
-class TestStoreKeying:
-    def test_payload_incorporates_delta(self):
-        d1 = ScheduleDelta(remove_sites=(1,))
-        d2 = ScheduleDelta(remove_sites=(2,))
-        assert reschedule_store_payload("base", d1) != \
-            reschedule_store_payload("base", d2)
-        assert reschedule_store_payload("base", d1) != \
-            reschedule_store_payload("other", d1)
-        assert reschedule_store_payload("base", d1, name="x") != \
-            reschedule_store_payload("base", d1, name="y")
-
-    def test_distinct_store_keys(self, tmp_path):
-        from repro.store import ArtifactStore, KIND_RESULT
-
-        store = ArtifactStore(str(tmp_path))
-        d1 = ScheduleDelta(remove_sites=(1,))
-        d2 = ScheduleDelta(remove_sites=(1,), phase_index=1)
-        k1 = store.key(KIND_RESULT, reschedule_store_payload("base", d1))
-        k2 = store.key(KIND_RESULT, reschedule_store_payload("base", d2))
-        assert k1 != k2
-
-    def test_cached_repair_round_trips(self, tmp_path):
-        from repro.store import ArtifactStore
-
-        store = ArtifactStore(str(tmp_path))
-        prev = synthetic_result()
-        delta = ScheduleDelta(remove_sites=(2,))
-        first = reschedule_cached(prev, delta, overlap=OVERLAP,
-                                  base_key="base", store=store)
-        second = reschedule_cached(prev, delta, overlap=OVERLAP,
-                                   base_key="base", store=store)
-        assert second.response_time == first.response_time
-        assert schedule_to_dict(second.phased_schedule.phases[0]) == \
-            schedule_to_dict(first.phased_schedule.phases[0])
+    late = CloneItem(operator="late", clone_index=0,
+                     work=WorkVector([1.0, 1.0, 1.0]))
+    delta = ScheduleDelta(
+        remove_sites=(1, 2), add_items=(late,), set_capacities=((0, 2.0),),
+    )
+    schedule = packed()
+    tracer = Tracer()
+    with use_tracer(tracer):
+        reschedule_schedule(schedule, delta, overlap=OVERLAP)
+    (root,) = tracer.roots
+    assert root.name == "reschedule_repair"
+    assert root.attributes == {
+        "removed": 2, "restored": 0, "resized": 1, "added": 1,
+    }
 
 
 # ----------------------------------------------------------------------
 # Serialization
 # ----------------------------------------------------------------------
 class TestDeltaSerialization:
-    def test_round_trip(self):
-        delta = ScheduleDelta(
-            remove_sites=(1,), restore_sites=(4,), remove_operators=("op2",),
-            add_items=(
-                CloneItem(operator="x", clone_index=0,
-                          work=WorkVector([1.0, 2.0, 3.0])),
-            ),
-            phase_index=2,
-        )
-        assert schedule_delta_from_dict(schedule_delta_to_dict(delta)) == delta
-
-    def test_round_trip_revalidates(self):
-        payload = schedule_delta_to_dict(ScheduleDelta(remove_sites=(1,)))
-        payload["remove_sites"] = [1, 1]
-        with pytest.raises(SchedulingError):
-            schedule_delta_from_dict(payload)
-
     def test_disabled_sites_round_trip(self):
         base = packed(p=6)
         reschedule_schedule(base, ScheduleDelta(remove_sites=(1,)),
@@ -634,49 +470,6 @@ class TestDeltaSerialization:
         # Byte-compat: schedules that never saw a repair delta serialize
         # exactly as before the reschedule layer existed.
         assert "disabled_sites" not in schedule_to_dict(packed())
-
-
-# ----------------------------------------------------------------------
-# Fault-plan integration
-# ----------------------------------------------------------------------
-class TestFaultPlanDeltas:
-    def test_failures_become_delta_pairs(self):
-        from repro.sim.faults import FaultPlan, FaultSpec, SiteFaults
-
-        plan = FaultPlan(spec=FaultSpec(), seed=0, sites={
-            (0, 2): SiteFaults(fail_at=1.5, restart_delay=3.0),
-            (0, 5): SiteFaults(slowdown=0.5),        # not a failure
-            (1, 4): SiteFaults(fail_at=0.5),
-            (0, 1): SiteFaults(fail_at=2.0),
-        })
-        deltas = plan.reschedule_deltas()
-        assert set(deltas) == {0, 1}
-        failure, recovery = deltas[0]
-        assert failure.remove_sites == (1, 2)
-        assert failure.phase_index == 0
-        assert recovery.restore_sites == (1, 2)
-        assert deltas[1][0].remove_sites == (4,)
-
-    def test_no_failures_no_deltas(self):
-        from repro.sim.faults import FaultPlan, FaultSpec, SiteFaults
-
-        plan = FaultPlan(spec=FaultSpec(), seed=0, sites={
-            (0, 2): SiteFaults(slowdown=0.5),
-        })
-        assert plan.reschedule_deltas() == {}
-
-    def test_repair_applies_to_packed_phase(self):
-        from repro.sim.faults import FaultPlan, FaultSpec, SiteFaults
-
-        prev = synthetic_result(p=8, phases=1)
-        plan = FaultPlan(spec=FaultSpec(), seed=0, sites={
-            (0, 3): SiteFaults(fail_at=1.0, restart_delay=2.0),
-        })
-        (failure, recovery), = plan.reschedule_deltas().values()
-        degraded = reschedule(prev, failure, overlap=OVERLAP)
-        assert 3 in degraded.phased_schedule.phases[0].disabled_sites
-        recovered = reschedule(degraded, recovery, overlap=OVERLAP)
-        assert recovered.phased_schedule.phases[0].disabled_sites == set()
 
 
 # ----------------------------------------------------------------------

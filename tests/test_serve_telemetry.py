@@ -201,9 +201,8 @@ class TestStreamsAndTimeline:
     def test_breach_accounting_is_consistent(self, observed):
         service, _ = observed
         telemetry = service.telemetry
-        breaches = len(telemetry.breaches)
+        breaches = service.metrics.counters["slo_breaches"]
         assert breaches > 0  # rate 0.15 at p=20/f=0.1 misses some SLOs
-        assert service.metrics.counters["slo_breaches"] == breaches
         registry_total = telemetry.registry.series("serve_slo_breaches_total")[-1]["value"]
         assert registry_total == breaches
         instants = [
@@ -212,6 +211,9 @@ class TestStreamsAndTimeline:
             if e.get("ph") == "i" and e["name"] == INSTANT_SLO_BREACH
         ]
         assert len(instants) == breaches
+        assert {tuple(e["args"]) for e in instants} == {
+            ("job", "slo", "latency", "target")
+        }
 
     def test_burn_rate_definition(self, observed):
         service, _ = observed

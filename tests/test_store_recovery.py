@@ -5,10 +5,10 @@ payload that parses as JSON but fails to rebuild a schedule — a negative
 work component, a clone placed twice on one site, a mistyped field —
 only shows up when :func:`repro.serialization.schedule_result_from_dict`
 rebuilds it.  That function reports every such failure as
-:class:`~repro.exceptions.ConfigurationError`, and each of its three
+:class:`~repro.exceptions.ConfigurationError`, and each of its two
 store readers must then recompute the result and rewrite the entry:
-``schedule_query`` (experiment runner), ``schedule_candidate`` (plan
-search) and ``reschedule_cached`` (schedule repair).
+``schedule_query`` (experiment runner) and ``schedule_candidate`` (plan
+search).
 """
 
 from __future__ import annotations
@@ -17,37 +17,14 @@ import json
 
 import pytest
 
-from repro import (
-    Catalog,
-    CloneItem,
-    ConvexCombinationOverlap,
-    QueryGraph,
-    Relation,
-    ScheduleDelta,
-    WorkVector,
-    pack_vectors,
-)
-from repro.core.schedule import PhasedSchedule
+from repro import Catalog, ConvexCombinationOverlap, QueryGraph, Relation
 from repro.cost.params import PAPER_PARAMETERS
-from repro.engine import ScheduleResult, reschedule_cached
 from repro.exceptions import ConfigurationError
 from repro.search import candidate_point, greedy_plan, schedule_candidate
 from repro.serialization import schedule_result_from_dict
 from repro.store import NO_STORE, ArtifactStore
 
 OVERLAP = ConvexCombinationOverlap(0.5)
-
-
-def small_result() -> ScheduleResult:
-    """A two-phase packed result with one clone per operator."""
-    phased = PhasedSchedule()
-    for k in range(2):
-        items = [
-            CloneItem(f"op{k}-{i}", 0, WorkVector([1.0 + i, 2.0, 0.5 * i]))
-            for i in range(12)
-        ]
-        phased.append(pack_vectors(items, p=6, overlap=OVERLAP), f"shelf-{k}")
-    return ScheduleResult(algorithm="treeschedule", phased_schedule=phased)
 
 
 def _negative_work(value):
@@ -143,19 +120,6 @@ def test_schedule_candidate_recomputes(tmp_path, corrupt):
     store = ArtifactStore(tmp_path)
     _assert_recovers(
         tmp_path, store, corrupt, lambda: schedule_candidate(point, store=store)[0]
-    )
-
-
-@pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS)
-def test_reschedule_cached_recomputes(tmp_path, corrupt):
-    prev = small_result()
-    store = ArtifactStore(tmp_path)
-    _assert_recovers(
-        tmp_path, store, corrupt,
-        lambda: reschedule_cached(
-            prev, ScheduleDelta(remove_sites=(2,)), overlap=OVERLAP,
-            base_key="base", store=store,
-        ),
     )
 
 
