@@ -335,17 +335,6 @@ class Site:
             return 0.0
         return max(self._max_t_seq, self.length()) / self._capacity
 
-    def unit_t_site(self) -> float:
-        """Equation (2) at unit capacity: ``max{ max T_seq, l(work) }``.
-
-        The capacity-independent site time — what :meth:`t_site` returns
-        on a unit site.  The simulator runs its fault-free event loops in
-        this raw time base and scales the result by ``1 / capacity``.
-        """
-        if not self._clones:
-            return 0.0
-        return max(self._max_t_seq, self.length())
-
     def utilization(self) -> tuple[float, ...]:
         """Per-resource utilization ``(load[i] / capacity) / T_site`` (zeros when idle)."""
         t = self.t_site()

@@ -2,7 +2,8 @@
 
 The simulator is event-driven: site state (the set of active clones and
 their progress rates) is piecewise constant, changing only at clone
-completions.  These dataclasses capture the resulting execution history so
+completions and, under faults, at straggler releases, failures and
+recoveries.  These dataclasses capture the resulting execution history so
 tests and reports can audit rate feasibility and work conservation.
 """
 
@@ -59,8 +60,9 @@ class RateInterval:
         Names of the clones executing during the interval (as
         ``operator#clone`` strings).
     throttle:
-        Common progress-rate factor applied during the interval
-        (1.0 means every active clone runs at full nominal speed).
+        Progress speed of the slowest active clone relative to its
+        stand-alone ``T_seq`` (1.0 means full nominal speed; a lone clone
+        on a capacity-``c`` site runs at ``c``).
     resource_rates:
         Aggregate per-resource consumption rate during the interval;
         feasibility requires every entry ``<= 1`` (+ rounding).

@@ -25,8 +25,8 @@ Everything is driven by a :class:`FaultSpec` (intensities and severity
 ranges) expanded into a concrete :class:`FaultPlan` by a *private*
 ``random.Random(seed)`` — never the global RNG state — so the same
 ``(spec, schedule, seed)`` triple always yields the identical plan, and
-a zero-intensity spec yields the empty plan (the simulator then takes
-its unperturbed code path, byte-identical to a plain simulation).
+a zero-intensity spec yields the empty plan (every site then runs
+fault-free, byte-identical to a plain simulation).
 
 The module deliberately knows nothing about the simulator internals;
 :mod:`repro.sim.simulator` consumes plans and fills in the per-category

@@ -22,31 +22,29 @@ resource ``i`` gets a *preemptability* ``sigma_i`` in ``[0, 1]``:
   — each additional concurrent user costs a ``(1 - sigma_i)`` fraction
   of one user's bandwidth in switching overhead.
 
-The degraded simulation is an equal-throttle (fair-share) fluid loop with
-this capacity model; ``sigma = (1, ..., 1)`` reproduces the plain
-FAIR_SHARE policy exactly (tested).
+The degraded simulation is the simulator's one event loop under
+FAIR_SHARE, with ``c_i(k)`` as resource ``i``'s capacity in the common
+throttle (scaled by the site's own speed, as every policy is).  The
+model has no loop of its own, so ``sigma = (1, ..., 1)`` reproduces the
+plain FAIR_SHARE policy bit for bit (tested).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from repro.exceptions import ConfigurationError, SimulationError
+from repro.exceptions import ConfigurationError
 from repro.core.schedule import PhasedSchedule
 from repro.core.site import Site
-from repro.sim.events import CloneTrace, RateInterval
 from repro.sim.simulator import (
-    PhaseSimulation,
     SimulationResult,
     SiteSimulation,
-    _clone_states,
+    _fault_free_site,
+    _simulate_phases,
 )
 from repro.sim.policies import SharingPolicy
 
 __all__ = ["PreemptabilityModel", "simulate_site_degraded", "simulate_phased_degraded"]
-
-_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -105,84 +103,7 @@ def simulate_site_degraded(site: Site, model: PreemptabilityModel) -> SiteSimula
     ``effective_capacity(resource, k)`` for ``k`` active clones with a
     non-zero demand rate on it.
     """
-    if model.d != site.d:
-        raise SimulationError(
-            f"preemptability model covers {model.d} resources; site has {site.d}"
-        )
-    analytic = site.t_site()
-    states = _clone_states(site)
-    active = [s for s in states if s["t_seq"] > 0]
-    traces = [
-        CloneTrace(
-            operator=s["operator"],
-            clone_index=s["clone_index"],
-            start=0.0,
-            finish=0.0,
-            nominal_t_seq=0.0,
-        )
-        for s in states
-        if s["t_seq"] <= 0
-    ]
-    intervals: list[RateInterval] = []
-    now = 0.0
-    guard = 0
-    while active:
-        guard += 1
-        if guard > 10_000 + 10 * len(states):
-            raise SimulationError(
-                f"site {site.index}: degraded simulation failed to converge"
-            )
-        congestion = [0.0] * site.d
-        users = [0] * site.d
-        for s in active:
-            for i, r in enumerate(s["rates"]):
-                if r > 0.0:
-                    congestion[i] += r
-                    users[i] += 1
-        throttle = 1.0
-        for i in range(site.d):
-            if congestion[i] <= 0.0:
-                continue
-            capacity = model.effective_capacity(i, users[i])
-            throttle = min(throttle, capacity / congestion[i])
-        throttle = min(throttle, 1.0)
-        if throttle <= 0.0:
-            raise SimulationError(f"site {site.index}: zero progress rate")
-        dt = min(s["remaining"] / throttle for s in active)
-        end = now + dt
-        intervals.append(
-            RateInterval(
-                start=now,
-                end=end,
-                active=tuple(s["label"] for s in active),
-                throttle=throttle,
-                resource_rates=tuple(c * throttle for c in congestion),
-            )
-        )
-        still_active = []
-        for s in active:
-            s["remaining"] -= throttle * dt
-            if s["remaining"] <= _EPS * max(1.0, s["t_seq"]):
-                traces.append(
-                    CloneTrace(
-                        operator=s["operator"],
-                        clone_index=s["clone_index"],
-                        start=0.0,
-                        finish=end,
-                        nominal_t_seq=s["t_seq"],
-                    )
-                )
-            else:
-                still_active.append(s)
-        active = still_active
-        now = end
-    return SiteSimulation(
-        site_index=site.index,
-        completion_time=now,
-        analytic_time=analytic,
-        traces=traces,
-        intervals=intervals,
-    )
+    return _fault_free_site(site, SharingPolicy.FAIR_SHARE, model)
 
 
 def simulate_phased_degraded(
@@ -195,21 +116,4 @@ def simulate_phased_degraded(
     value, so ``slowdown`` directly measures the cost of imperfect
     preemptability.
     """
-    phases = []
-    for schedule in phased.phases:
-        sites = [simulate_site_degraded(site, model) for site in schedule.sites]
-        makespan = max((s.completion_time for s in sites), default=0.0)
-        phases.append(
-            PhaseSimulation(
-                sites=sites,
-                makespan=makespan,
-                analytic_makespan=schedule.makespan(),
-            )
-        )
-    response = math.fsum(p.makespan for p in phases)
-    return SimulationResult(
-        policy=SharingPolicy.FAIR_SHARE,
-        phases=phases,
-        response_time=response,
-        analytic_response_time=phased.response_time(),
-    )
+    return _simulate_phases(phased, SharingPolicy.FAIR_SHARE, None, model)

@@ -13,29 +13,30 @@ reproduces the analytic model *exactly* (this is asserted by the
 validation tests); under :attr:`FAIR_SHARE` and :attr:`SERIAL` it bounds
 the model from above, quantifying the optimism of assumptions A2/A3.
 
-Heterogeneous clusters: a site of capacity ``c``
-(:attr:`~repro.core.site.Site.capacity`) executes every resource ``c``
-times faster.  The fault-free per-policy simulators run in unit-capacity
-time and :func:`simulate_site` rescales their events by ``1/c``; the
-fault event loop composes ``c`` directly with the fault slowdown factor.
-Recorded rate intervals stay in utilization units (fraction of the
-site's own budget).  At ``c = 1.0`` every path is byte-identical to the
-homogeneous simulator.
+Every site runs one event loop, :func:`_run_site`, which allocates
+progress rates per policy between events.  Its inputs generalize the
+idealized site along three axes:
 
-Fault injection: every entry point accepts an optional
-:class:`~repro.sim.faults.FaultPlan` (or per-site
-:class:`~repro.sim.faults.SiteFaults`).  Sites untouched by the plan run
-the exact unperturbed code path — a zero-fault plan is byte-identical to
-no plan at all (golden-tested) — while faulty sites go through a
-generalized event loop that honours capacity slowdowns, work-estimate
-skew, straggler start delays and whole-site failures with
-restart-after-delay recovery, for all three sharing policies.
+* heterogeneous clusters: a site of capacity ``c``
+  (:attr:`~repro.core.site.Site.capacity`) executes every resource ``c``
+  times faster.  Recorded rate intervals stay in utilization units
+  (fraction of the site's own budget);
+* fault injection: every entry point accepts an optional
+  :class:`~repro.sim.faults.FaultPlan` (or per-site
+  :class:`~repro.sim.faults.SiteFaults`).  A fault-free site is the
+  empty-bundle case; faulty sites add capacity slowdowns, work-estimate
+  skew, straggler start delays and whole-site failures with
+  restart-after-delay recovery, for all three sharing policies;
+* partial preemptability (:mod:`repro.sim.preemptability`): FAIR_SHARE
+  with a per-resource capacity that shrinks with the number of clones
+  sharing the resource.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.exceptions import SimulationError
 from repro.core.resource_model import ConvexCombinationOverlap
@@ -47,6 +48,9 @@ from repro.obs.tracer import current_tracer
 from repro.sim.events import CloneTrace, RateInterval
 from repro.sim.faults import FaultPlan, FaultReport, SiteFaults
 from repro.sim.policies import SharingPolicy
+
+if TYPE_CHECKING:
+    from repro.sim.preemptability import PreemptabilityModel
 
 __all__ = [
     "SiteSimulation",
@@ -141,264 +145,24 @@ class SimulationResult:
         return self.response_time / self.analytic_response_time
 
 
-def _clone_states(site: Site) -> list[dict]:
-    states = []
-    for clone in site.clones:
-        t = clone.t_seq
-        rates = tuple((c / t if t > 0 else 0.0) for c in clone.work.components)
-        states.append(
-            {
-                "label": f"{clone.operator}#{clone.clone_index}",
-                "operator": clone.operator,
-                "clone_index": clone.clone_index,
-                "t_seq": t,
-                "rates": rates,
-                "remaining": t,
-            }
-        )
-    return states
+class _CloneState:
+    """Mutable progress of one clone inside :func:`_run_site`."""
 
-
-def _check_feasible(
-    resource_rates: tuple[float, ...], site_index: int, limit: float = 1.0
-) -> None:
-    for i, r in enumerate(resource_rates):
-        if r > limit * (1.0 + 1e-6):
-            raise SimulationError(
-                f"site {site_index}: resource {i} driven at rate {r:.6f} > "
-                f"{limit:g}"
-            )
-
-
-def _simulate_stretch(site: Site) -> SiteSimulation:
-    """OPTIMAL_STRETCH: every clone finishes exactly at T* (Equation 2).
-
-    Runs in unit-capacity time; :func:`simulate_site` rescales for
-    heterogeneous sites.
-    """
-    analytic = site.unit_t_site()
-    states = _clone_states(site)
-    t_star = analytic
-    traces = []
-    agg = [0.0] * site.d
-    for s in states:
-        # Stretch factor T_c / T*; a zero-work clone completes immediately.
-        factor = (s["t_seq"] / t_star) if t_star > 0 else 0.0
-        for i, r in enumerate(s["rates"]):
-            agg[i] += r * factor
-        traces.append(
-            CloneTrace(
-                operator=s["operator"],
-                clone_index=s["clone_index"],
-                start=0.0,
-                finish=t_star if s["t_seq"] > 0 else 0.0,
-                nominal_t_seq=s["t_seq"],
-            )
-        )
-    rates = tuple(agg)
-    _check_feasible(rates, site.index)
-    intervals = []
-    if states and t_star > 0:
-        intervals.append(
-            RateInterval(
-                start=0.0,
-                end=t_star,
-                active=tuple(s["label"] for s in states),
-                throttle=min(
-                    (s["t_seq"] / t_star for s in states if s["t_seq"] > 0),
-                    default=1.0,
-                ),
-                resource_rates=rates,
-            )
-        )
-    return SiteSimulation(
-        site_index=site.index,
-        completion_time=t_star if states else 0.0,
-        analytic_time=analytic,
-        traces=traces,
-        intervals=intervals,
+    __slots__ = (
+        "clone",
+        "label",
+        "t_seq",
+        "work",
+        "rates",
+        "remaining",
+        "tolerance",
+        "release",
+        "start",
+        "done",
     )
 
 
-def _simulate_fair_share(site: Site) -> SiteSimulation:
-    """FAIR_SHARE: equal throttle for all active clones, event-driven.
-
-    Runs in unit-capacity time; :func:`simulate_site` rescales for
-    heterogeneous sites.
-    """
-    analytic = site.unit_t_site()
-    states = _clone_states(site)
-    active = [s for s in states if s["t_seq"] > 0]
-    traces = [
-        CloneTrace(
-            operator=s["operator"],
-            clone_index=s["clone_index"],
-            start=0.0,
-            finish=0.0,
-            nominal_t_seq=0.0,
-        )
-        for s in states
-        if s["t_seq"] <= 0
-    ]
-    intervals: list[RateInterval] = []
-    now = 0.0
-    guard = 0
-    while active:
-        guard += 1
-        if guard > 10_000 + 10 * len(states):
-            raise SimulationError(
-                f"site {site.index}: fair-share simulation failed to converge"
-            )
-        congestion = [0.0] * site.d
-        for s in active:
-            for i, r in enumerate(s["rates"]):
-                congestion[i] += r
-        peak = max(congestion, default=0.0)
-        throttle = 1.0 if peak <= 1.0 else 1.0 / peak
-        # Next completion under the common throttle.
-        dt = min(s["remaining"] / throttle for s in active)
-        end = now + dt
-        rates = tuple(c * throttle for c in congestion)
-        _check_feasible(rates, site.index)
-        # A zero-length step (a clone whose remaining work rounds to
-        # nothing) still completes clones below, but must not emit a
-        # degenerate interval: downstream feasibility/duration audits
-        # treat intervals as strictly positive spans.
-        if dt > 0.0:
-            intervals.append(
-                RateInterval(
-                    start=now,
-                    end=end,
-                    active=tuple(s["label"] for s in active),
-                    throttle=throttle,
-                    resource_rates=rates,
-                )
-            )
-        still_active = []
-        for s in active:
-            s["remaining"] -= throttle * dt
-            if s["remaining"] <= _EPS * max(1.0, s["t_seq"]):
-                traces.append(
-                    CloneTrace(
-                        operator=s["operator"],
-                        clone_index=s["clone_index"],
-                        start=0.0,
-                        finish=end,
-                        nominal_t_seq=s["t_seq"],
-                    )
-                )
-            else:
-                still_active.append(s)
-        active = still_active
-        now = end
-    return SiteSimulation(
-        site_index=site.index,
-        completion_time=now,
-        analytic_time=analytic,
-        traces=traces,
-        intervals=intervals,
-    )
-
-
-def _simulate_serial(site: Site) -> SiteSimulation:
-    """SERIAL: clones run one after another, longest first.
-
-    Runs in unit-capacity time; :func:`simulate_site` rescales for
-    heterogeneous sites.
-    """
-    analytic = site.unit_t_site()
-    states = sorted(
-        _clone_states(site), key=lambda s: (-s["t_seq"], s["label"])
-    )
-    traces = []
-    intervals = []
-    now = 0.0
-    for s in states:
-        end = now + s["t_seq"]
-        traces.append(
-            CloneTrace(
-                operator=s["operator"],
-                clone_index=s["clone_index"],
-                start=now,
-                finish=end,
-                nominal_t_seq=s["t_seq"],
-            )
-        )
-        if s["t_seq"] > 0:
-            intervals.append(
-                RateInterval(
-                    start=now,
-                    end=end,
-                    active=(s["label"],),
-                    throttle=1.0,
-                    resource_rates=s["rates"],
-                )
-            )
-        now = end
-    return SiteSimulation(
-        site_index=site.index,
-        completion_time=now,
-        analytic_time=analytic,
-        traces=traces,
-        intervals=intervals,
-    )
-
-
-_POLICY_DISPATCH = {
-    SharingPolicy.OPTIMAL_STRETCH: _simulate_stretch,
-    SharingPolicy.FAIR_SHARE: _simulate_fair_share,
-    SharingPolicy.SERIAL: _simulate_serial,
-}
-
-
-def _scale_site_sim(sim: SiteSimulation, capacity: float) -> SiteSimulation:
-    """Rescale a unit-capacity simulation to a site of speed ``capacity``.
-
-    A capacity-``c`` site drives every resource ``c`` times faster, so
-    every event lands at ``t / c``.  Recorded ``resource_rates`` stay in
-    *utilization* units (fraction of the site's own budget) — running
-    ``c``× faster on a ``c``× budget leaves utilization unchanged, so
-    :meth:`RateInterval.is_feasible`'s ``<= 1`` audit remains the right
-    check.  Callers skip this entirely at ``c == 1.0``, keeping the
-    homogeneous simulation byte-identical.
-    """
-    sim.completion_time /= capacity
-    sim.analytic_time /= capacity
-    sim.traces = [
-        CloneTrace(
-            operator=t.operator,
-            clone_index=t.clone_index,
-            start=t.start / capacity,
-            finish=t.finish / capacity,
-            nominal_t_seq=t.nominal_t_seq,
-        )
-        for t in sim.traces
-    ]
-    sim.intervals = [
-        RateInterval(
-            start=iv.start / capacity,
-            end=iv.end / capacity,
-            active=iv.active,
-            throttle=iv.throttle,
-            resource_rates=iv.resource_rates,
-        )
-        for iv in sim.intervals
-    ]
-    return sim
-
-
-# ----------------------------------------------------------------------
-# Fault-perturbed execution
-# ----------------------------------------------------------------------
-# Faulty sites run a generalized event loop instead of the closed-form
-# per-policy simulators above: state is still piecewise constant, but
-# events now include straggler releases, the failure instant, and the
-# recovery instant in addition to clone completions.  Sites without
-# faults never enter this code, which is what keeps the zero-fault path
-# byte-identical to the plain simulator.
-
-
-def _faulty_clone_states(site: Site, faults: SiteFaults) -> list[dict]:
+def _site_states(site: Site, faults: SiteFaults) -> list[_CloneState]:
     """Clone states with skewed work applied and release times attached.
 
     A skewed clone's stand-alone time is re-derived from its *actual*
@@ -406,11 +170,18 @@ def _faulty_clone_states(site: Site, faults: SiteFaults) -> list[dict]:
     Section 4.1 bound ``l(W) <= T_seq <= sum(W)`` by construction
     (:meth:`OverlapModel.t_seq` validates it).
     """
-    overlap = ConvexCombinationOverlap(faults.epsilon)
+    clone_faults = faults.clones
+    overlap = (
+        ConvexCombinationOverlap(faults.epsilon)
+        if clone_faults and faults.has_skew
+        else None
+    )
     states = []
     for clone in site.clones:
-        label = f"{clone.operator}#{clone.clone_index}"
-        fault = faults.clones.get(label)
+        s = _CloneState()
+        s.clone = clone
+        s.label = label = f"{clone.operator}#{clone.clone_index}"
+        fault = clone_faults.get(label)
         components = clone.work.components
         t_actual = clone.t_seq
         if fault is not None and fault.work_multipliers is not None:
@@ -424,216 +195,275 @@ def _faulty_clone_states(site: Site, faults: SiteFaults) -> list[dict]:
             )
             t_actual = overlap.t_seq(actual)
             components = actual.components
-        rates = tuple((c / t_actual if t_actual > 0 else 0.0) for c in components)
-        states.append(
-            {
-                "label": label,
-                "operator": clone.operator,
-                "clone_index": clone.clone_index,
-                "t_seq": t_actual,
-                "scheduled_t_seq": clone.t_seq,
-                "rates": rates,
-                "remaining": t_actual,
-                "release": fault.straggler_delay if fault is not None else 0.0,
-                "start": None,
-                "done": False,
-            }
+        s.t_seq = t_actual
+        s.work = components
+        s.rates = (
+            tuple([c / t_actual for c in components])
+            if t_actual > 0
+            else (0.0,) * len(components)
         )
+        s.remaining = t_actual
+        s.tolerance = _EPS * max(1.0, t_actual)
+        s.release = fault.straggler_delay if fault is not None else 0.0
+        s.start = None
+        s.done = False
+        states.append(s)
     return states
 
 
-def _allocate_rates(
+def _run_site(
+    site: Site,
     policy: SharingPolicy,
-    active: list[dict],
-    capacity: float,
-    d: int,
-    serial_rank: dict[str, int],
-) -> list[float]:
-    """Per-clone progress speeds for one piecewise-constant segment.
-
-    ``capacity`` is the (possibly degraded) uniform resource-capacity
-    factor: a slowdown ``s`` scales *every* progress speed by ``s``, so
-    in isolation it multiplies every duration by exactly ``1/s`` (the
-    EA2 stand-alone time models imperfect overlap, which a uniformly
-    slower site preserves).  The three policies generalize their
-    fault-free definitions: SERIAL runs one clone at the capacity
-    factor, FAIR_SHARE applies one common throttle, and OPTIMAL_STRETCH
-    finishes every active clone simultaneously at the earliest feasible
-    horizon ``max(max_c rem_c, max_i sum_c rate_c[i] * rem_c) /
-    capacity`` (the Equation 2 horizon when nothing is degraded).
-    """
-    if policy is SharingPolicy.SERIAL:
-        runner = min(active, key=lambda s: serial_rank[s["label"]])
-        return [capacity if s is runner else 0.0 for s in active]
-    if policy is SharingPolicy.FAIR_SHARE:
-        congestion = [0.0] * d
-        for s in active:
-            for i, r in enumerate(s["rates"]):
-                congestion[i] += r
-        throttle = 1.0
-        for c in congestion:
-            if c > 1.0:
-                throttle = min(throttle, 1.0 / c)
-        return [throttle * capacity] * len(active)
-    horizon = max(s["remaining"] for s in active)
-    for i in range(d):
-        demand = math.fsum(s["rates"][i] * s["remaining"] for s in active)
-        horizon = max(horizon, demand)
-    horizon /= capacity
-    if horizon <= 0.0:
-        return [1.0] * len(active)
-    return [s["remaining"] / horizon for s in active]
-
-
-def _run_site_with_faults(
-    site: Site, policy: SharingPolicy, faults: SiteFaults
+    faults: SiteFaults,
+    model: "PreemptabilityModel | None" = None,
 ) -> tuple[SiteSimulation, float]:
-    """Event-driven simulation of one site under a fault bundle.
+    """Event-driven fluid simulation of one site: the simulator's one loop.
 
     Returns the site simulation and the stand-alone-seconds of progress
     destroyed (and later re-run) by a failure.
+
+    State is piecewise constant between events: clone completions,
+    straggler releases, the failure instant and the recovery instant.
+    ``speed`` is the site's capacity times the fault slowdown: a
+    slowdown ``s`` scales *every* progress speed by ``s``, so in
+    isolation it multiplies every duration by exactly ``1/s`` (the EA2
+    stand-alone time models imperfect overlap, which a uniformly slower
+    site preserves).  Per segment the policies allocate:
+
+    * SERIAL runs the released clone of highest rank (longest scheduled
+      ``T_seq`` first) at ``speed``;
+    * FAIR_SHARE runs every active clone at one common throttle, the
+      largest that keeps each resource ``i`` within its capacity
+      ``model.effective_capacity(i, users_i)`` (1 without a
+      :class:`~repro.sim.preemptability.PreemptabilityModel`);
+    * OPTIMAL_STRETCH finishes every active clone together at the
+      horizon ``max(max_c rem_c, max_i sum_c W_c[i] * rem_c / T_c) /
+      speed``, computed from the remaining work; at zero progress on a
+      fault-free site that is exactly Equation (2)'s ``site.t_site()``.
 
     Failure semantics: at ``fail_at`` every *started, unfinished* clone
     loses its progress (its remaining work resets to the full actual
     stand-alone time); clones that completed at or before the failure
     instant keep their materialized results; the site is down for
-    ``restart_delay`` and then re-runs the lost work.
+    ``restart_delay`` and then re-runs the lost work.  A clone starts
+    when it first receives a positive speed.
     """
+    if model is not None and model.d != site.d:
+        raise SimulationError(
+            f"preemptability model covers {model.d} resources; site has {site.d}"
+        )
     analytic = site.t_site()
-    states = _faulty_clone_states(site, faults)
     slowdown = faults.slowdown if faults.slowdown is not None else 1.0
     if slowdown <= 0.0:
         raise SimulationError(f"site {site.index}: slowdown factor must be > 0")
     # The site's own speed composes with the fault slowdown: a capacity-2
     # site degraded to half speed progresses at factor 1.0.  Multiplying
-    # by the default capacity 1.0 is bit-exact, so homogeneous fault runs
-    # are unchanged.
-    capacity = site.capacity * slowdown
+    # by the default capacity 1.0 is bit-exact.
+    speed = site.capacity * slowdown
+    # Feasibility is judged against the site's own capacity (the fault
+    # slowdown wastes part of it; it does not shrink what is allowed).
+    budget = site.capacity
+    bound = budget * (1.0 + 1e-6)
+    d = site.d
+    states = _site_states(site, faults)
     fail_at = faults.fail_at
-    restart_delay = faults.restart_delay
-    serial_rank = {
-        s["label"]: i
-        for i, s in enumerate(
-            sorted(states, key=lambda s: (-s["scheduled_t_seq"], s["label"]))
-        )
-    }
     traces: list[CloneTrace] = []
     intervals: list[RateInterval] = []
     work_rerun = 0.0
-    now = 0.0
-    # Zero-work clones complete the instant they are released.
-    for s in states:
-        if s["t_seq"] <= 0.0:
-            s["done"] = True
-            traces.append(
-                CloneTrace(
-                    operator=s["operator"],
-                    clone_index=s["clone_index"],
-                    start=s["release"],
-                    finish=s["release"],
-                    nominal_t_seq=0.0,
+    pending = [s for s in states if s.t_seq > 0.0]
+    if len(pending) < len(states):
+        for s in states:
+            if s.t_seq <= 0.0:
+                # Zero-work clones complete the instant they are released.
+                s.done = True
+                traces.append(
+                    CloneTrace(
+                        operator=s.clone.operator,
+                        clone_index=s.clone.clone_index,
+                        start=s.release,
+                        finish=s.release,
+                        nominal_t_seq=0.0,
+                    )
                 )
-            )
+    serial = policy is SharingPolicy.SERIAL
+    stretch = policy is SharingPolicy.OPTIMAL_STRETCH
+    if serial:
+        # SERIAL runs the first runnable clone in rank order (longest
+        # scheduled T_seq first), so its lists are kept in that order.
+        pending.sort(key=lambda s: (-s.clone.t_seq, s.label))
+    inf = math.inf
+    now = 0.0
+    active: list[_CloneState] = []
+    next_event = inf
+    stale = True
     guard = 0
     limit = 10_000 + 10 * len(states)
-    while True:
+    while pending:
         guard += 1
         if guard > limit:
             raise SimulationError(
-                f"site {site.index}: faulty simulation failed to converge"
+                f"site {site.index}: {policy.value} simulation failed to converge"
             )
-        pending = [s for s in states if not s["done"]]
-        if not pending:
-            break
         if fail_at is not None and now >= fail_at:
             # The failure fires: in-flight progress is lost and re-run.
-            for s in pending:
-                if s["start"] is not None:
-                    lost = s["t_seq"] - s["remaining"]
+            for s in states:
+                if not s.done and s.start is not None:
+                    lost = s.t_seq - s.remaining
                     if lost > 0.0:
                         work_rerun += lost
-                        s["remaining"] = s["t_seq"]
-            recovered = now + restart_delay
-            if restart_delay > 0.0:
+                        s.remaining = s.t_seq
+            recovered = now + faults.restart_delay
+            if faults.restart_delay > 0.0:
                 intervals.append(
                     RateInterval(
                         start=now,
                         end=recovered,
                         active=(),
                         throttle=0.0,
-                        resource_rates=(0.0,) * site.d,
+                        resource_rates=(0.0,) * d,
                     )
                 )
             now = recovered
             fail_at = None
+            stale = True
             continue
-        boundaries = [s["release"] for s in pending if s["release"] > now]
-        if fail_at is not None and fail_at > now:
-            boundaries.append(fail_at)
-        active = [s for s in pending if s["release"] <= now]
+        if stale:
+            # Only releases and the failure change the runnable set
+            # between completions, so it is rebuilt only when one is due.
+            active = [s for s in pending if s.release <= now]
+            next_event = min(
+                [s.release for s in pending if s.release > now], default=inf
+            )
+            if fail_at is not None and fail_at < next_event:
+                next_event = fail_at
+            stale = False
         if not active:
-            if not boundaries:
+            if next_event == inf:
                 raise SimulationError(
                     f"site {site.index}: no runnable clone and no future event"
                 )
-            now = min(boundaries)
+            now = next_event
+            stale = True
             continue
-        for s in active:
-            if s["start"] is None:
-                s["start"] = now
-        speeds = _allocate_rates(policy, active, capacity, site.d, serial_rank)
-        dt = min(
-            (s["remaining"] / v for s, v in zip(active, speeds) if v > 0.0),
-            default=math.inf,
-        )
-        if boundaries:
-            dt = min(dt, min(boundaries) - now)
-        if not math.isfinite(dt) or dt <= 0.0:
-            raise SimulationError(
-                f"site {site.index}: faulty simulation stalled at t={now}"
-            )
+        if serial:
+            runner = active[0]
+            running = [runner]
+            speeds = [speed]
+            throttle = speed
+            dt = runner.remaining / speed
+            agg = [r * speed for r in runner.rates]
+        elif stretch:
+            # Remaining work per resource, summed in placement order: at
+            # zero progress this is the site's load vector bit for bit.
+            demand = [0.0] * d
+            horizon = 0.0
+            for s in active:
+                remaining = s.remaining
+                if remaining > horizon:
+                    horizon = remaining
+                fraction = remaining / s.t_seq
+                for i, w in enumerate(s.work):
+                    demand[i] += w * fraction
+            for load in demand:
+                if load > horizon:
+                    horizon = load
+            horizon /= speed
+            dt = horizon
+            running = active
+            if horizon > 0.0:
+                speeds = [s.remaining / horizon for s in active]
+                if 0.0 in speeds:
+                    # A numerically exhausted clone gets no share; it
+                    # completes in a later zero-length step.
+                    running = [s for s, v in zip(active, speeds) if v > 0.0]
+                    speeds = [v for v in speeds if v > 0.0]
+            else:
+                # Only numerically exhausted clones are left.
+                speeds = [1.0] * len(active)
+            throttle = min(speeds)
+            agg = [0.0] * d
+            for s, v in zip(running, speeds):
+                for i, r in enumerate(s.rates):
+                    agg[i] += r * v
+        else:
+            congestion = [0.0] * d
+            for s in active:
+                for i, r in enumerate(s.rates):
+                    congestion[i] += r
+            throttle = 1.0
+            for i, c in enumerate(congestion):
+                capacity = 1.0
+                if model is not None and c > 0.0:
+                    users = sum([1 for s in active if s.rates[i] > 0.0])
+                    capacity = model.effective_capacity(i, users)
+                if c > capacity:
+                    throttle = min(throttle, capacity / c)
+            throttle = v = throttle * speed
+            if v <= 0.0:
+                raise SimulationError(f"site {site.index}: zero progress rate")
+            running = active
+            speeds = [v] * len(active)
+            dt = min([s.remaining for s in active]) / v
+            agg = [c * v for c in congestion]
+        if next_event - now < dt:
+            dt = next_event - now
+        if not 0.0 <= dt < inf:
+            raise SimulationError(f"site {site.index}: simulation stalled at t={now}")
         end = now + dt
-        agg = [0.0] * site.d
-        for s, v in zip(active, speeds):
-            for i, r in enumerate(s["rates"]):
-                agg[i] += r * v
-        rates = tuple(agg)
-        # Budget is the site's own capacity (the fault slowdown wastes
-        # part of it; it does not shrink what feasibility allows).
-        _check_feasible(rates, site.index, site.capacity)
-        if site.capacity != 1.0:
-            # Record utilization (fraction of this site's budget) so the
-            # RateInterval <= 1 audit stays meaningful on fast sites.
-            rates = tuple(r / site.capacity for r in rates)
-        running = tuple(s["label"] for s, v in zip(active, speeds) if v > 0.0)
-        if running:
+        peak = max(agg)
+        if peak > bound:
+            raise SimulationError(
+                f"site {site.index}: resource {agg.index(peak)} driven at rate "
+                f"{peak:.6f} > {budget:g}"
+            )
+        # A zero-length step (a clone whose remaining work rounds to
+        # nothing) still completes clones below, but must not emit a
+        # degenerate interval: downstream feasibility/duration audits
+        # treat intervals as strictly positive spans.
+        if dt > 0.0:
             intervals.append(
                 RateInterval(
                     start=now,
                     end=end,
-                    active=running,
-                    throttle=min(v for v in speeds if v > 0.0),
-                    resource_rates=rates,
+                    active=tuple([s.label for s in running]),
+                    throttle=throttle,
+                    # Utilization: the fraction of this site's budget, so
+                    # the RateInterval <= 1 audit holds on fast sites too.
+                    resource_rates=tuple(agg)
+                    if budget == 1.0
+                    else tuple([r / budget for r in agg]),
                 )
             )
-        for s, v in zip(active, speeds):
-            if v <= 0.0:
-                continue
-            s["remaining"] -= v * dt
-            if s["remaining"] <= _EPS * max(1.0, s["t_seq"]):
-                s["done"] = True
-                s["remaining"] = 0.0
+        finished = []
+        for s, v in zip(running, speeds):
+            if s.start is None:
+                s.start = now
+            s.remaining -= v * dt
+            if s.remaining <= s.tolerance:
+                s.done = True
+                s.remaining = 0.0
+                finished.append(s)
                 traces.append(
                     CloneTrace(
-                        operator=s["operator"],
-                        clone_index=s["clone_index"],
-                        start=s["start"],
+                        operator=s.clone.operator,
+                        clone_index=s.clone.clone_index,
+                        start=s.start,
                         finish=end,
-                        nominal_t_seq=s["t_seq"],
+                        nominal_t_seq=s.t_seq,
                     )
                 )
         now = end
+        if finished:
+            if len(finished) == len(pending):
+                break
+            for s in finished:
+                pending.remove(s)
+                active.remove(s)
+        if now >= next_event:
+            stale = True
     completion = max((t.finish for t in traces), default=now)
+    if completion < -_EPS:
+        raise SimulationError(f"site {site.index}: negative completion time")
     return (
         SiteSimulation(
             site_index=site.index,
@@ -659,20 +489,20 @@ def _attribute_site_faults(
     work finishes early); the remaining deltas are non-negative.
     """
     report = FaultReport()
-    sim, _ = _run_site_with_faults(site, policy, faults.restricted())
+    sim, _ = _run_site(site, policy, faults.restricted())
     prev = sim.completion_time
     if faults.has_skew:
-        sim, _ = _run_site_with_faults(site, policy, faults.restricted(skew=True))
+        sim, _ = _run_site(site, policy, faults.restricted(skew=True))
         report.time_lost_skew = sim.completion_time - prev
         prev = sim.completion_time
     if faults.slowdown is not None:
-        sim, _ = _run_site_with_faults(
+        sim, _ = _run_site(
             site, policy, faults.restricted(skew=True, slowdown=True)
         )
         report.time_lost_slowdown = sim.completion_time - prev
         prev = sim.completion_time
     if faults.has_stragglers:
-        sim, _ = _run_site_with_faults(
+        sim, _ = _run_site(
             site,
             policy,
             faults.restricted(skew=True, slowdown=True, straggler=True),
@@ -680,40 +510,25 @@ def _attribute_site_faults(
         report.time_lost_straggler = sim.completion_time - prev
         prev = sim.completion_time
     if faults.fail_at is not None:
-        sim, rerun = _run_site_with_faults(site, policy, faults)
+        sim, rerun = _run_site(site, policy, faults)
         report.time_lost_failure = sim.completion_time - prev
         report.work_rerun = rerun
     return sim, report
 
 
-def simulate_site(
-    site: Site, policy: SharingPolicy, *, faults: SiteFaults | None = None
+_NO_FAULTS = SiteFaults()
+
+
+def _fault_free_site(
+    site: Site, policy: SharingPolicy, model: "PreemptabilityModel | None" = None
 ) -> SiteSimulation:
-    """Simulate one site's clones under ``policy``.
+    """One fault-free site, checked against the Equation (2) floor.
 
-    Checks rate feasibility throughout and work conservation at the end
-    (every clone's trace spans enough stretched time to complete its
-    nominal work).
-
-    With a non-empty ``faults`` bundle the site runs the perturbed event
-    loop instead; the Equation (2) floor check is skipped there because
-    downward work skew legitimately finishes below the *scheduled*
-    analytic time.
+    Work conservation holds by construction (every clone's progress is
+    integrated segment by segment); what is checked here is the cheap
+    invariant that no policy finishes below the analytic site time.
     """
-    if faults is not None and not faults.is_empty:
-        result, _ = _run_site_with_faults(site, policy, faults)
-        if result.completion_time < -_EPS:
-            raise SimulationError(f"site {site.index}: negative completion time")
-        return result
-    result = _POLICY_DISPATCH[policy](site)
-    if site.capacity != 1.0:
-        result = _scale_site_sim(result, site.capacity)
-    # Work conservation: each finished clone ran for >= its nominal time
-    # scaled by the throttles it received — guaranteed by construction for
-    # these policies; assert the cheap invariant finish >= 0 and
-    # completion >= analytic floor for non-ideal policies.
-    if result.completion_time < -_EPS:
-        raise SimulationError(f"site {site.index}: negative completion time")
+    result, _ = _run_site(site, policy, _NO_FAULTS, model)
     if result.completion_time < result.analytic_time - 1e-6 * max(
         1.0, result.analytic_time
     ):
@@ -724,16 +539,37 @@ def simulate_site(
     return result
 
 
-def _simulate_schedule_with_plan(
-    schedule: Schedule, policy: SharingPolicy, plan: FaultPlan, phase_index: int
+def simulate_site(
+    site: Site, policy: SharingPolicy, *, faults: SiteFaults | None = None
+) -> SiteSimulation:
+    """Simulate one site's clones under ``policy``.
+
+    Checks rate feasibility throughout and, for a fault-free site, that
+    the completion time is not below the Equation (2) floor.  A
+    non-empty ``faults`` bundle perturbs the same event loop; the floor
+    check is skipped there because downward work skew legitimately
+    finishes below the *scheduled* analytic time.
+    """
+    if faults is None or faults.is_empty:
+        return _fault_free_site(site, policy)
+    result, _ = _run_site(site, policy, faults)
+    return result
+
+
+def _simulate_phase(
+    schedule: Schedule,
+    policy: SharingPolicy,
+    plan: FaultPlan | None,
+    phase_index: int,
+    model: "PreemptabilityModel | None" = None,
 ) -> tuple[PhaseSimulation, FaultReport]:
-    """One phase under a fault plan, with per-kind time attribution."""
+    """One phase; faulty sites also get per-kind time attribution."""
     report = FaultReport()
     sims = []
     for site in schedule.sites:
-        faults = plan.for_site(phase_index, site.index)
+        faults = None if plan is None else plan.for_site(phase_index, site.index)
         if faults is None or faults.is_empty:
-            sims.append(simulate_site(site, policy))
+            sims.append(_fault_free_site(site, policy, model))
         else:
             sim, site_report = _attribute_site_faults(site, policy, faults)
             report.merge(site_report)
@@ -757,53 +593,34 @@ def simulate_schedule(
     """Simulate one phase (all sites run concurrently from time zero).
 
     Pass a :class:`~repro.sim.faults.FaultPlan` (and the phase's index
-    within it) to run the phase under perturbation; fault-free sites
-    still take the exact unperturbed code path.
+    within it) to run the phase under perturbation.
     """
-    if plan is not None and not plan.is_empty:
-        phase, _ = _simulate_schedule_with_plan(schedule, policy, plan, phase_index)
-        return phase
-    sites = [simulate_site(site, policy) for site in schedule.sites]
-    makespan = max((s.completion_time for s in sites), default=0.0)
-    return PhaseSimulation(
-        sites=sites, makespan=makespan, analytic_makespan=schedule.makespan()
-    )
+    phase, _ = _simulate_phase(schedule, policy, plan, phase_index)
+    return phase
 
 
-def simulate_phased(
+def _simulate_phases(
     phased: PhasedSchedule,
-    policy: SharingPolicy = SharingPolicy.OPTIMAL_STRETCH,
-    *,
-    plan: FaultPlan | None = None,
+    policy: SharingPolicy,
+    plan: FaultPlan | None,
+    model: "PreemptabilityModel | None" = None,
 ) -> SimulationResult:
-    """Simulate a full phased schedule with a global barrier per phase.
-
-    With a :class:`~repro.sim.faults.FaultPlan`, every phase runs under
-    the plan's perturbations and the result carries a
-    :class:`~repro.sim.faults.FaultReport` attributing the time lost to
-    slowdowns vs. skew vs. stragglers vs. failures.  A zero-fault plan
-    produces phases byte-identical to ``plan=None`` (golden-tested),
-    plus an all-zero report — the layer is pure extension.
-    """
+    """Every phase in order, with a global barrier between phases."""
     tracer = current_tracer()
-    faulted = plan is not None
     with tracer.span(
         SPAN_SIMULATE_PHASED,
         policy=policy.value,
         num_phases=phased.num_phases,
-        faulted=faulted,
+        faulted=plan is not None,
     ) as run_span:
         report = None if plan is None else FaultReport.from_counts(plan.counts())
         phases = []
         for k, schedule in enumerate(phased.phases):
             with tracer.span(SPAN_SIMULATE_PHASE, index=k) as phase_span:
-                if plan is None:
-                    phase = simulate_schedule(schedule, policy)
-                else:
-                    phase, phase_report = _simulate_schedule_with_plan(
-                        schedule, policy, plan, k
-                    )
-                    assert report is not None
+                phase, phase_report = _simulate_phase(
+                    schedule, policy, plan, k, model
+                )
+                if report is not None:
                     report.merge(phase_report)
                 if phase_span is not None:
                     phase_span.attributes["makespan"] = phase.makespan
@@ -818,3 +635,21 @@ def simulate_phased(
             analytic_response_time=phased.response_time(),
             fault_report=report,
         )
+
+
+def simulate_phased(
+    phased: PhasedSchedule,
+    policy: SharingPolicy = SharingPolicy.OPTIMAL_STRETCH,
+    *,
+    plan: FaultPlan | None = None,
+) -> SimulationResult:
+    """Simulate a full phased schedule with a global barrier per phase.
+
+    With a :class:`~repro.sim.faults.FaultPlan`, every phase runs under
+    the plan's perturbations and the result carries a
+    :class:`~repro.sim.faults.FaultReport` attributing the time lost to
+    slowdowns vs. skew vs. stragglers vs. failures.  A zero-fault plan
+    produces phases identical to ``plan=None`` (every site runs the same
+    loop either way), plus an all-zero report.
+    """
+    return _simulate_phases(phased, policy, plan)

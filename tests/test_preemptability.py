@@ -24,8 +24,8 @@ from repro.sim.simulator import simulate_site
 OVERLAP = ConvexCombinationOverlap(0.5)
 
 
-def site_with(clone_defs, d=2):
-    site = Site(0, d)
+def site_with(clone_defs, d=2, capacity=1.0):
+    site = Site(0, d, capacity)
     for i, comps in enumerate(clone_defs):
         w = WorkVector(comps)
         site.place(
@@ -64,10 +64,15 @@ class TestModel:
 
 class TestSiteSimulation:
     def test_perfect_matches_fair_share(self):
-        site = site_with([[10.0, 2.0], [3.0, 9.0], [5.0, 5.0]])
-        fair = simulate_site(site, SharingPolicy.FAIR_SHARE)
-        degraded = simulate_site_degraded(site, PreemptabilityModel.perfect(2))
-        assert degraded.completion_time == pytest.approx(fair.completion_time)
+        # Bit for bit, on heterogeneous sites too: the model only sets
+        # per-resource capacities inside FAIR_SHARE's own loop.
+        for capacity in (0.5, 1.0, 2.0):
+            site = site_with([[10.0, 2.0], [3.0, 9.0], [5.0, 5.0]], capacity=capacity)
+            fair = simulate_site(site, SharingPolicy.FAIR_SHARE)
+            degraded = simulate_site_degraded(site, PreemptabilityModel.perfect(2))
+            assert degraded.completion_time == fair.completion_time
+            assert degraded.traces == fair.traces
+            assert degraded.intervals == fair.intervals
 
     def test_degradation_slows_down(self):
         site = site_with([[2.0, 8.0], [3.0, 7.0], [1.0, 9.0]])
