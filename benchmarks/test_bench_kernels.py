@@ -1,107 +1,78 @@
-"""Experiment bench-kernels — scheduling-kernel wall-clock trajectory.
+"""Experiment bench-kernels — exact work counts of the scheduling kernels.
 
-Regenerates ``BENCH_kernels.json`` (repo root) with the median
-``pack_vectors`` wall-clock on the n × p grid, so every benchmark run
-extends the perf trajectory started in PR 2.  Asserts the two properties
-the optimization is sold on:
+Every gate here is a count, not a wall-clock multiple: the paper states
+TREESCHEDULE's cost as operation counts (Prop. 5.1/5.2), and a count
+does not move with the load of the host that runs it.  The tests pin:
 
-* the optimized kernel is at least 3x faster than the frozen pre-PR 2
-  baseline at the guard point (n=1000, p=64, d=3);
-* heap placement and incremental loads change nothing about the output —
-  the packing is byte-identical to the naive reference kernel;
-* the packer clears the scale point (n=10^4 clones over
-  p=10^3 sites) warm in well under a second;
-* repairing a 3-site failure via incremental rescheduling beats a cold
-  re-pack by at least 4x at the guard point's size;
-* the kernels' work counts (heap entries popped, clones placed) on one
-  fixed TREESCHEDULE query and on the guard point, and the ``T_par``
-  evaluations three algorithms make on that query, are exact, so a
-  change in the work they do shows up as a reviewed count change;
-* so are the repair counts: the reschedule case's repair (clones moved,
-  heap entries popped, and the repaired schedule's hash) and a serve
-  pool's multi-clone installs.
+* the guard point (n=1000 clones, p=64 sites, d=3): ``pack_vectors``
+  pops one heap entry per clone, where the naive reference kernel
+  examines all p sites per clone (n·p), and both pack byte-identically;
+* the scale points (n=10^4 clones over p=10^3 sites, homogeneous and
+  over three site classes): one heap entry popped per clone;
+* TREESCHEDULE's heap entries popped and clones placed on one fixed
+  query, and the ``T_par`` evaluations three algorithms make on it;
+* the repair of a 3-site failure at the guard point's size (clones
+  moved, heap entries popped, the repaired schedule's hash) against
+  the scans of a cold re-pack, and a serve pool's multi-clone installs.
+
+A change in the work the kernels do shows up as a reviewed count change.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 from repro import (
+    CloneItem,
     ConvexCombinationOverlap,
     ScheduleDelta,
     WorkVector,
     pack_vectors,
     pack_vectors_reference,
+    parse_cluster_spec,
     reschedule_schedule,
 )
+from repro.engine import MetricsRecorder
 from repro.serialization import schedule_to_dict
 
-from _helpers import publish
-from kernel_bench import (
-    GUARD_POINT,
-    PRE_PR2_SECONDS,
-    RESCHEDULE_N,
-    RESCHEDULE_P,
-    RESCHEDULE_REMOVED_SITES,
-    SCALE_POINT,
-    make_items,
-    write_bench,
-)
-
 OVERLAP = ConvexCombinationOverlap(0.5)
+D = 3
+#: The guard point; the reschedule case repairs a delta at its size.
+GUARD_N, GUARD_P = 1000, 64
+RESCHEDULE_REMOVED_SITES = (3, 17, 42)
+#: The scale point: the paper's problem sizes times ten.
+SCALE_N, SCALE_P = 10_000, 1_000
+HETERO_CLUSTER = "fast:200:4.0,std:600:1.0,slow:200:0.5"
 
 
-def test_bench_kernels_trajectory(benchmark):
-    """Refresh BENCH_kernels.json and benchmark the guard point."""
-    payload = write_bench()
-    lines = [
-        "== bench-kernels: pack_vectors wall-clock (median seconds) ==",
-        f"{'point':14s} {'pre-PR2':>10s} {'reference':>10s} {'optimized':>10s} {'speedup':>8s}",
-    ]
-    for key, entry in sorted(payload["points"].items()):
-        pre = entry.get("pre_pr2_s")
-        ref = entry.get("reference_s")
-        lines.append(
-            f"{key:14s} {pre if pre is not None else float('nan'):10.6f} "
-            f"{ref if ref is not None else float('nan'):10.6f} "
-            f"{entry['optimized_s']:10.6f} "
-            f"{entry.get('speedup_vs_pre_pr2', float('nan')):7.1f}x"
+def make_items(n: int) -> list[CloneItem]:
+    """Deterministic mixed-resource clone set (one clone per operator)."""
+    rng = random.Random(0)
+    return [
+        CloneItem(
+            operator=f"op{i}",
+            clone_index=0,
+            work=WorkVector([rng.uniform(0.1, 10.0) for _ in range(D)]),
         )
-    scale = payload["scale"][SCALE_POINT]
-    resched = payload["reschedule"][f"n={RESCHEDULE_N},p={RESCHEDULE_P}"]
-    lines.append(
-        f"{SCALE_POINT:14s} {'':10s} {'':10s} "
-        f"{scale['optimized_s']:10.6f}    warm"
+        for i in range(n)
+    ]
+
+
+def pack_counts(items, p, capacities=None) -> dict[str, float]:
+    metrics = MetricsRecorder()
+    pack_vectors(
+        items, p=p, overlap=OVERLAP, capacities=capacities, metrics=metrics
     )
-    lines.append(
-        f"reschedule n={RESCHEDULE_N},p={RESCHEDULE_P}: "
-        f"repair {resched['reschedule_s']:.6f}s vs cold "
-        f"{resched['cold_repack_s']:.6f}s "
-        f"({resched['speedup_vs_cold_repack']:.1f}x, "
-        f"{int(resched['removed_sites'])} sites removed)"
-    )
-    publish("bench_kernels", "\n".join(lines))
-
-    items = make_items(1000)
-    benchmark(lambda: pack_vectors(items, p=64, overlap=OVERLAP))
-
-    guard = payload["points"][GUARD_POINT]
-    assert guard["pre_pr2_s"] == PRE_PR2_SECONDS[GUARD_POINT]
-    # Acceptance criterion of PR 2: >= 3x on the guard point.
-    assert guard["speedup_vs_pre_pr2"] >= 3.0
-    # Acceptance criteria of the batched-kernel refactor.  Both bounds
-    # are far looser than typical measurements (~0.08 s and ~10-14x) to
-    # absorb CI noise while still catching order-of-magnitude breaks.
-    assert scale["optimized_s"] < 1.0
-    assert resched["speedup_vs_cold_repack"] >= 4.0
+    return dict(metrics.counters)
 
 
-def test_kernels_guard_point_output_unchanged():
+def test_kernels_guard_point_output_unchanged(benchmark):
     """The optimized kernel's packing is byte-identical to the reference."""
-    items = make_items(1000)
-    fast = pack_vectors(items, p=64, overlap=OVERLAP)
-    slow = pack_vectors_reference(items, p=64, overlap=OVERLAP)
+    items = make_items(GUARD_N)
+    fast = benchmark(lambda: pack_vectors(items, p=GUARD_P, overlap=OVERLAP))
+    slow = pack_vectors_reference(items, p=GUARD_P, overlap=OVERLAP)
     assert json.dumps(schedule_to_dict(fast)) == json.dumps(schedule_to_dict(slow))
 
 
@@ -111,7 +82,14 @@ def test_kernels_guard_point_output_unchanged():
 #: clone-by-clone placement re-popped every site of the run so far.  A
 #: change that moves a count must update it here and say why.
 TREESCHEDULE_COUNTS = {"placement_scans": 3428.0, "clones_placed": 3421.0}
+#: The guard point: one heap entry popped per clone.  The reference
+#: kernel examines every one of the p allowable sites for each clone,
+#: n·p = 64,000 examinations (64x the pops), uninstrumented by design.
 PACK_COUNTS = {"placement_scans": 1000.0, "clones_packed": 1000.0}
+REFERENCE_SITE_EXAMINATIONS = GUARD_N * GUARD_P
+#: Both scale points, homogeneous and over HETERO_CLUSTER's three
+#: classes (the capacity-normalized heap key): one pop per clone.
+SCALE_COUNTS = {"placement_scans": 10_000.0, "clones_packed": 10_000.0}
 #: ``ParallelTimeCurve.t_par`` evaluations (one ``T_seq`` each) per
 #: algorithm on the same query.  Degree selection bisects the convex
 #: ``T_par`` curve; the scan it replaced took 3,502 / 2,592 / 4,404.
@@ -121,7 +99,6 @@ T_PAR_COUNTS = {"treeschedule": 1077, "synchronous": 957, "malleable": 2639}
 
 def test_kernel_work_counts_are_pinned(monkeypatch):
     from repro.core.cloning import ParallelTimeCurve
-    from repro.engine import MetricsRecorder
     from repro.experiments import prepare_workload, schedule_query
     from repro.store import NO_STORE
 
@@ -147,13 +124,24 @@ def test_kernel_work_counts_are_pinned(monkeypatch):
             assert {k: metrics.counters[k] for k in TREESCHEDULE_COUNTS} == TREESCHEDULE_COUNTS
     assert counts == T_PAR_COUNTS
 
-    metrics = MetricsRecorder()
-    pack_vectors(make_items(1000), p=64, overlap=OVERLAP, metrics=metrics)
-    assert dict(metrics.counters) == PACK_COUNTS
+
+def test_guard_point_work_counts_are_pinned():
+    counts = pack_counts(make_items(GUARD_N), GUARD_P)
+    assert counts == PACK_COUNTS
+    assert counts["placement_scans"] * GUARD_P == REFERENCE_SITE_EXAMINATIONS
 
 
-#: The reschedule case (``kernel_bench.run_reschedule``): every displaced
-#: clone is a run of one, so each pops one heap entry.
+def test_scale_point_work_counts_are_pinned():
+    items = make_items(SCALE_N)
+    spec = parse_cluster_spec(HETERO_CLUSTER)
+    assert spec.p == SCALE_P
+    assert pack_counts(items, SCALE_P) == SCALE_COUNTS
+    assert pack_counts(items, SCALE_P, spec.capacities()) == SCALE_COUNTS
+
+
+#: The reschedule case: a 3-site failure at the guard point's size.
+#: Every displaced clone is a run of one, so each pops one heap entry;
+#: a cold re-pack of the same items pops ``PACK_COUNTS`` (1,000).
 RESCHEDULE_COUNTS = {
     "reschedules": 1.0,
     "clones_moved": 47.0,
@@ -175,10 +163,9 @@ POOL_INSTALL_HOMES = [
 
 
 def test_repair_work_counts_are_pinned():
-    from repro.engine import MetricsRecorder
     from repro.serve.pool import SitePool
 
-    schedule = pack_vectors(make_items(RESCHEDULE_N), p=RESCHEDULE_P, overlap=OVERLAP)
+    schedule = pack_vectors(make_items(GUARD_N), p=GUARD_P, overlap=OVERLAP)
     metrics = MetricsRecorder()
     reschedule_schedule(
         schedule,

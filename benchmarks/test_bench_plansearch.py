@@ -2,10 +2,12 @@
 
 How much of the bushy-plan space does the lower-bound screen discard
 before TREESCHEDULE ever runs, and what does that buy?  Runs the
-exhaustive scorer and the pruned search on the guard-point query of
-``benchmarks/plansearch_bench.py`` (8-relation chain, plan space 429),
-verifies the winner is invariant, and reports the pruning ledger plus
-the warm-store round trip.
+exhaustive scorer and the pruned search on the guard-point query
+(8-relation chain, plan space 429), verifies the winner is invariant,
+and reports the pruning ledger plus the warm-store round trip.  The
+search's cost is pinned as exact work counts: plans bounded, built,
+hashed and scored, and ``T_par`` evaluations pruned against exhaustive
+and screen against score.
 """
 
 from __future__ import annotations
@@ -16,12 +18,32 @@ from collections import Counter
 import pytest
 
 import repro.search.search as search_module
+from repro.core.cloning import ParallelTimeCurve
+from repro.plans.query_graph import QueryGraph
+from repro.plans.relations import Catalog, Relation
 from repro.search import search_plans
 from repro.search.screen import ScreenContext
 from repro.store import NO_STORE, ArtifactStore
 
 from _helpers import publish
-from plansearch_bench import P, SEARCH_KW, make_query
+
+#: The guard-point query: an 8-relation chain with skewed cardinalities.
+#: Plan space = Catalan(7) = 429 bushy plans, all exhaustively enumerated.
+CARDS = {
+    "A": 180_000, "B": 3_500, "C": 64_000, "D": 900,
+    "E": 41_000, "F": 7_200, "G": 150_000, "H": 2_100,
+}
+P = 16
+#: Smaller-than-default chunks tighten the incumbent earlier, which
+#: prunes harder on this instance (the winner is chunk-size-invariant).
+SEARCH_KW = {"chunk_size": 8}
+
+
+def make_query() -> tuple[QueryGraph, Catalog]:
+    names = list(CARDS)
+    joins = [(names[i], names[i + 1]) for i in range(len(names) - 1)]
+    catalog = Catalog([Relation(name, tuples) for name, tuples in CARDS.items()])
+    return QueryGraph(names, joins), catalog
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +98,7 @@ def test_plansearch_prune_is_winner_invariant(searches):
 
 def test_plansearch_prunes_most_of_the_space(searches):
     _, pruned, _, _ = searches
-    # The committed BENCH baseline schedules 8 of 429; allow slack but
-    # demand the screen keeps doing the heavy lifting.
+    # The pinned count is 8 of 429 (below); this is the shape claim.
     assert pruned.stats.prune_rate > 0.8
 
 
@@ -123,3 +144,46 @@ def test_plansearch_work_counts_are_pinned(monkeypatch):
         429, 429, 421, 8,
     )
     assert calls == {"plan_key": 8, "built": 8}
+
+
+#: ``ParallelTimeCurve.t_par`` evaluations (one ``T_seq`` each) of one
+#: cold search at the guard point, split by where they happen: "score"
+#: counts calls made while ``evaluate_candidate`` (one TREESCHEDULE run
+#: of a surviving candidate) is on the stack, "screen" counts all the
+#: others (the lower-bound screen over subplan summaries, ranking and
+#: bookkeeping).  Pruning cuts the total 36x against the exhaustive
+#: scorer (``prune=False``, every plan scored), and the screen stays
+#: cheaper than the scoring it saves.
+T_PAR_PRUNED = {"screen": 423, "score": 824}
+T_PAR_EXHAUSTIVE = {"screen": 407, "score": 44187}
+
+
+def test_plansearch_t_par_counts_are_pinned(monkeypatch):
+    calls = {"screen": 0, "score": 0}
+    scoring = [False]
+    t_par = ParallelTimeCurve.t_par
+    evaluate = search_module.evaluate_candidate
+
+    def counted_t_par(self, n, overlap):
+        calls["score" if scoring[0] else "screen"] += 1
+        return t_par(self, n, overlap)
+
+    def counted_evaluate(point):
+        scoring[0] = True
+        try:
+            return evaluate(point)
+        finally:
+            scoring[0] = False
+
+    monkeypatch.setattr(ParallelTimeCurve, "t_par", counted_t_par)
+    monkeypatch.setattr(search_module, "evaluate_candidate", counted_evaluate)
+    graph, catalog = make_query()
+    measured = {}
+    for label, prune in (("pruned", True), ("exhaustive", False)):
+        calls.update(screen=0, score=0)
+        search_plans(graph, catalog, p=P, prune=prune, store=NO_STORE, **SEARCH_KW)
+        measured[label] = dict(calls)
+    assert measured == {"pruned": T_PAR_PRUNED, "exhaustive": T_PAR_EXHAUSTIVE}
+    # The gates any update of the pins must keep.
+    assert T_PAR_PRUNED["screen"] < T_PAR_PRUNED["score"]
+    assert 10 * sum(T_PAR_PRUNED.values()) < sum(T_PAR_EXHAUSTIVE.values())

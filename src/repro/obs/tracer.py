@@ -26,12 +26,6 @@ Design constraints, in order:
    :func:`span_from_dict` — the mechanism behind the parallel runner's
    cross-process span stitching.
 
-The tracer *absorbs* the historical :class:`MetricsRecorder` as its
-counter/timer backend: ``tracer.count(...)`` and ``tracer.timer(...)``
-delegate to :attr:`Tracer.metrics`, so call sites that only have a tracer
-still feed the same counter vocabulary (:mod:`repro.obs.names`) the
-kernels use.
-
 Ambient activation
 ------------------
 :func:`use_tracer` installs a tracer in a context variable and
@@ -48,10 +42,7 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.metrics import MetricsRecorder
+from typing import Any, Iterator
 
 __all__ = [
     "Span",
@@ -139,39 +130,20 @@ _CURRENT_SPAN: ContextVar["tuple[Tracer, Span] | None"] = ContextVar(
 
 
 class Tracer:
-    """Collects hierarchical spans plus counter/timer metrics.
+    """Collects hierarchical spans.
 
     Parameters
     ----------
     enabled:
         ``False`` turns every operation into a no-op (see module docs).
-    metrics:
-        Counter/timer backend; an owned
-        :class:`~repro.engine.metrics.MetricsRecorder` is created lazily
-        for enabled tracers so a disabled tracer allocates nothing.
     """
 
-    __slots__ = ("enabled", "roots", "_metrics")
+    __slots__ = ("enabled", "roots")
 
-    def __init__(
-        self, enabled: bool = True, *, metrics: "MetricsRecorder | None" = None
-    ) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         #: Completed top-level spans, in completion order.
         self.roots: list[Span] = []
-        self._metrics = metrics
-
-    @property
-    def metrics(self) -> "MetricsRecorder":
-        """The tracer's counter/timer backend (created on first use)."""
-        if self._metrics is None:
-            # Deferred so importing repro.obs never drags the engine
-            # package in (core modules import repro.obs, the engine
-            # imports core — a module-level import would cycle).
-            from repro.engine.metrics import MetricsRecorder
-
-            self._metrics = MetricsRecorder()
-        return self._metrics
 
     # ------------------------------------------------------------------
     # Spans
@@ -221,20 +193,6 @@ class Tracer:
             parent.children.append(span)
         else:
             self.roots.append(span)
-
-    # ------------------------------------------------------------------
-    # Counter/timer backend (the absorbed MetricsRecorder surface)
-    # ------------------------------------------------------------------
-    def count(self, name: str, amount: float = 1.0) -> None:
-        """Add to a counter on the backend recorder (no-op when disabled)."""
-        if self.enabled:
-            self.metrics.count(name, amount)
-
-    def timer(self, name: str):
-        """Accumulating wall-clock timer context (no-op when disabled)."""
-        if not self.enabled:
-            return _NULL_HANDLE
-        return self.metrics.timer(name)
 
     # ------------------------------------------------------------------
     # Views

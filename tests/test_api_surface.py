@@ -1,14 +1,19 @@
 """Every exported and documented name resolves.
 
-A deleted function can leave a stale name behind in two places that no
-other test imports: a module's ``__all__`` and an import line in the
-documentation's code examples.  This checks both:
+A deleted function or file can leave a stale name behind in places that
+no other test imports: a module's ``__all__``, an import line in the
+documentation's code examples, and a file path in the prose.  This
+checks all three:
 
 * every name in the ``__all__`` of ``repro`` and of every ``repro.*``
   module resolves with :func:`getattr`;
 * every name in a ``from repro... import ...`` statement inside a
   python code block of ``docs/API.md`` or ``README.md`` resolves the way
-  the import statement itself would (attribute first, then submodule).
+  the import statement itself would (attribute first, then submodule);
+* every repository path (``src/…``, ``benchmarks/…``, ``tests/…``,
+  ``examples/…``, ``docs/…`` or a root ``BENCH_*.json``) named in
+  ``README.md``, ``DESIGN.md``, ``docs/API.md`` or ``EXPERIMENTS.md``
+  exists; a glob must match at least one file.
 """
 
 from __future__ import annotations
@@ -26,8 +31,13 @@ import repro
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = ("docs/API.md", "README.md")
 
+PATH_DOCS = ("README.md", "DESIGN.md", "docs/API.md", "EXPERIMENTS.md")
+
 _CODE_BLOCK = re.compile(r"^```python\n(.*?)^```", re.DOTALL | re.MULTILINE)
 _FROM_IMPORT = re.compile(r"^\s*from\s+repro[\w.]*\s+import\s+(?:\([^)]*\)|.*)$", re.MULTILINE)
+_REPO_PATH = re.compile(
+    r"(?<![\w./-])(?:(?:src|benchmarks|tests|examples|docs)/[\w./*-]*|BENCH_[\w*]+\.json)"
+)
 
 
 def _modules():
@@ -79,5 +89,24 @@ def test_documented_imports_resolve():
         f"{doc}: from {module} import {name}"
         for doc, module, name in imports
         if not _resolves(module, name)
+    ]
+    assert missing == []
+
+
+def _documented_paths():
+    """``(doc, path)`` for every repository path named in a document."""
+    for doc in PATH_DOCS:
+        text = (ROOT / doc).read_text(encoding="utf-8")
+        for match in _REPO_PATH.finditer(text):
+            yield doc, match.group(0).rstrip(".")
+
+
+def test_documented_paths_exist():
+    paths = list(_documented_paths())
+    assert {doc for doc, _ in paths} == set(PATH_DOCS)
+    missing = [
+        f"{doc}: {path}"
+        for doc, path in paths
+        if not (ROOT / path).exists() and not any(ROOT.glob(path))
     ]
     assert missing == []

@@ -87,11 +87,7 @@ class TestDisabledTracer:
         tracer = Tracer(enabled=False)
         with tracer.span("a") as span:
             assert span is None
-        tracer.count("clones", 3)
-        with tracer.timer("pack"):
-            pass
         assert tracer.roots == []
-        assert tracer._metrics is None  # never even allocated a recorder
 
     def test_disabled_propagates_exceptions(self):
         tracer = Tracer(enabled=False)
@@ -158,24 +154,6 @@ class TestAdopt:
         foreign = Span("worker", start=0.0, end=0.5)
         tracer.adopt(foreign)
         assert tracer.roots == [foreign]
-
-
-class TestMetricsBackend:
-    def test_count_and_timer_delegate(self):
-        tracer = Tracer(enabled=True)
-        tracer.count("clones_placed", 2)
-        with tracer.timer("pack_vectors"):
-            pass
-        assert tracer.metrics.counters["clones_placed"] == 2.0
-        assert tracer.metrics.timers["pack_vectors"] >= 0.0
-
-    def test_shared_recorder_injection(self):
-        from repro.engine.metrics import MetricsRecorder
-
-        recorder = MetricsRecorder()
-        tracer = Tracer(enabled=True, metrics=recorder)
-        tracer.count("phases")
-        assert recorder.counters["phases"] == 1.0
 
 
 class TestSummary:
