@@ -47,12 +47,14 @@ def validate_sequential_time(t_seq: float, work: WorkVector, tolerance: float = 
     Raises
     ------
     ModelValidationError
-        If the bound is violated beyond floating-point ``tolerance``.
+        If the bound is violated beyond floating-point ``tolerance``,
+        or ``t_seq`` is NaN or infinite (outside every finite bound).
     """
     lo = work.length()
     hi = work.total()
     slack = tolerance * max(1.0, hi)
-    if t_seq < lo - slack or t_seq > hi + slack:
+    # A range test, not two rejections: NaN fails every comparison.
+    if not lo - slack <= t_seq <= hi + slack:
         raise ModelValidationError(
             f"sequential time {t_seq} outside [max W, sum W] = [{lo}, {hi}]"
         )

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import reduce
 from operator import add
 
 from repro.exceptions import SchedulingError
@@ -72,8 +71,7 @@ class Schedule:
     """A clone-to-site mapping for one set of concurrent operators.
 
     Construct an empty schedule over ``p`` fresh ``d``-dimensional sites,
-    then :meth:`place` clones (typically via the scheduling algorithms);
-    or adopt pre-built sites with :meth:`from_sites`.
+    then :meth:`place` clones (typically via the scheduling algorithms).
     """
 
     def __init__(self, p: int, d: int, capacities: "tuple[float, ...] | list[float] | None" = None):
@@ -99,41 +97,27 @@ class Schedule:
         self._disabled: set[int] = set()
 
     @classmethod
-    def from_sites(cls, sites: list[Site]) -> "Schedule":
-        """Wrap an existing list of sites (indices must be ``0..P-1``).
+    def _adopt(
+        cls, d: int, sites: list[Site], homes: dict[str, list[tuple[int, int]]],
+        total_work: list[float], clone_count: int,
+    ) -> "Schedule":
+        """Trusted constructor: wrap sites and aggregates the caller built.
 
-        Homes and the total-work vector are folded in site-major
-        placement order, so they are bit-identical to placing the same
-        clones one by one, site after site.
+        ``sites`` must be indexed ``0..P-1`` with dimensionality ``d``,
+        and ``homes``, ``total_work`` and ``clone_count`` must be what
+        :meth:`place` would have folded over their clones (see
+        :func:`~repro.serialization.schedule_from_dict`).  Nothing is
+        re-checked or copied.
         """
         if not sites:
             raise SchedulingError("a schedule needs at least one site")
-        d = sites[0].d
         # One placeholder site keeps __init__ the single owner of the
-        # aggregate fields; the adopted sites replace it below.
+        # schedule's fields (and of the check that ``d >= 1``).
         sched = cls(1, d)
-        sched._sites = list(sites)
-        homes = sched._homes
-        vectors = []
-        for j, site in enumerate(sites):
-            if site.index != j:
-                raise SchedulingError(
-                    f"site at position {j} has index {site.index}; expected {j}"
-                )
-            if site.d != d:
-                raise SchedulingError("all sites must share one dimensionality")
-            for clone in site.clones:
-                pairs = homes.get(clone.operator)
-                if pairs is None:
-                    homes[clone.operator] = [(clone.clone_index, j)]
-                else:
-                    pairs.append((clone.clone_index, j))
-                vectors.append(clone.work.components)
-        if vectors:
-            sched._total_work = [
-                reduce(add, column, 0.0) for column in zip(*vectors)
-            ]
-        sched._clone_count = len(vectors)
+        sched._sites = sites
+        sched._homes = homes
+        sched._total_work = total_work
+        sched._clone_count = clone_count
         return sched
 
     # ------------------------------------------------------------------
@@ -330,7 +314,6 @@ class Schedule:
         for _, site_index in pairs:
             old = self._sites[site_index]
             fresh = Site(site_index, self._d, old.capacity)
-            keep: list[PlacedClone] = []
             for clone in old.clones:
                 if clone.operator == operator:
                     removed.append((site_index, clone))
@@ -338,9 +321,7 @@ class Schedule:
                         total[i] -= c
                     self._clone_count -= 1
                 else:
-                    keep.append(clone)
-            if keep:
-                fresh.place_batch(keep)
+                    fresh._add(clone)
             self._sites[site_index] = fresh
         return tuple(removed)
 
@@ -351,15 +332,18 @@ class Schedule:
             del self._homes[operator]
 
     def copy(self) -> "Schedule":
-        """Deep-enough copy: fresh sites/aggregates, shared immutable clones.
+        """Deep-enough copy: fresh sites and aggregates, shared immutable clones.
 
-        Site statistics are re-folded per site in placement order
-        (bit-identical); the schedule-level total-work vector is
-        re-accumulated in site order, which may differ from the original
-        placement interleaving in the last ulp — no placement decision
-        reads it.
+        Every statistic is copied, not re-folded, so the copy's state is
+        identical to this schedule's.
         """
-        dup = Schedule.from_sites([site.copy() for site in self._sites])
+        dup = Schedule._adopt(
+            self._d,
+            [site.copy() for site in self._sites],
+            {op: list(pairs) for op, pairs in self._homes.items()},
+            list(self._total_work),
+            self._clone_count,
+        )
         dup._disabled = set(self._disabled)
         return dup
 

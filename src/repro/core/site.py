@@ -25,7 +25,7 @@ byte-identical to the pre-capacity code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.exceptions import SchedulingError
 from repro.core.resource_model import OverlapModel
@@ -42,9 +42,12 @@ def _check_capacity(capacity: float, index: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class PlacedClone:
-    """One operator clone resident at a site.
+class PlacedClone(NamedTuple):
+    """One operator clone resident at a site (an immutable record).
+
+    A named tuple: building one is cheap, which matters because every
+    placement and every decoded stored clone makes one.  Fields are
+    read-only; equality and hashing are by value.
 
     Attributes
     ----------
@@ -103,6 +106,33 @@ class Site:
         self._operators: set[str] = set()
         self._max_t_seq = 0.0
         self._capacity = float(capacity)
+
+    @classmethod
+    def _adopt(
+        cls, index: int, d: int, capacity: float, clones: list[PlacedClone],
+        operators: set[str], load: list[float], length: float, total_load: float,
+        max_t_seq: float,
+    ) -> "Site":
+        """Trusted constructor: a site over statistics the caller folded.
+
+        The caller owns the checks :meth:`place` would make and must have
+        folded ``load``, ``length``, ``total_load`` and ``max_t_seq``
+        over ``clones`` in placement order exactly as :meth:`_add` does
+        (see :func:`~repro.serialization.schedule_from_dict`).  Only the
+        capacity is checked here.  The containers are adopted, not copied.
+        """
+        _check_capacity(capacity, index)
+        site = cls.__new__(cls)
+        site.index = index
+        site._d = d
+        site._clones = clones
+        site._load = load
+        site._length = length
+        site._total_load = total_load
+        site._operators = operators
+        site._max_t_seq = max_t_seq
+        site._capacity = float(capacity)
+        return site
 
     # ------------------------------------------------------------------
     # Introspection
@@ -201,62 +231,17 @@ class Site:
         if clone.t_seq > self._max_t_seq:
             self._max_t_seq = clone.t_seq
 
-    def place_batch(self, clones: "list[PlacedClone] | tuple[PlacedClone, ...]") -> None:
-        """Place several clones at once (bulk form of :meth:`place`).
-
-        Validates the whole batch up front (dimensionality and
-        constraint (A), including duplicates *within* the batch), then
-        folds the load updates in placement order with locals hoisted out
-        of the loop.  The resulting incremental statistics are
-        bit-identical to calling :meth:`place` once per clone; on a
-        validation error nothing is mutated.
-        """
-        d = self._d
-        resident = self._operators
-        batch_ops: set[str] = set()
-        for clone in clones:
-            if clone.work.d != d:
-                raise SchedulingError(
-                    f"site {self.index}: clone of {clone.operator!r} has "
-                    f"d={clone.work.d}, site has d={d}"
-                )
-            if clone.operator in resident or clone.operator in batch_ops:
-                raise SchedulingError(
-                    f"site {self.index}: already hosts a clone of "
-                    f"{clone.operator!r} (constraint (A) of Section 5.3)"
-                )
-            batch_ops.add(clone.operator)
-        load = self._load
-        length = self._length
-        total = self._total_load
-        max_t = self._max_t_seq
-        append = self._clones.append
-        for clone in clones:
-            append(clone)
-            for i, c in enumerate(clone.work.components):
-                updated = load[i] + c
-                load[i] = updated
-                total += c
-                if updated > length:
-                    length = updated
-            if clone.t_seq > max_t:
-                max_t = clone.t_seq
-        resident.update(batch_ops)
-        self._length = length
-        self._total_load = total
-        self._max_t_seq = max_t
-
     def copy(self) -> "Site":
-        """Return an independent site with bit-identical statistics.
+        """Return an independent site with identical statistics.
 
-        Clones are immutable and shared; the incremental statistics are
-        re-folded in the original placement order, so they match the
-        source site's exactly.
+        Clones are immutable and shared; the statistics are copied, not
+        re-folded.
         """
-        fresh = Site(self.index, self._d, self._capacity)
-        if self._clones:
-            fresh.place_batch(self._clones)
-        return fresh
+        return Site._adopt(
+            self.index, self._d, self._capacity, list(self._clones),
+            set(self._operators), list(self._load), self._length,
+            self._total_load, self._max_t_seq,
+        )
 
     # ------------------------------------------------------------------
     # Paper metrics

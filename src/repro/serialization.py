@@ -29,9 +29,10 @@ import dataclasses
 import struct
 from typing import Any
 
-from repro.exceptions import ConfigurationError, ReproError
+from repro.exceptions import ConfigurationError, ModelValidationError, ReproError
 from repro.core.cloning import OperatorSpec
 from repro.core.cluster import ClusterSpec, SiteClass
+from repro.core.resource_model import validate_sequential_time
 from repro.core.schedule import OperatorHome, PhasedSchedule, Schedule
 from repro.core.site import PlacedClone, Site
 from repro.core.work_vector import WorkVector
@@ -235,9 +236,10 @@ def schedule_to_dict(schedule: Schedule) -> dict[str, Any]:
 
 def _operator_table(
     operators: Any, d: int
-) -> list[list[tuple[str, WorkVector, float]]]:
+) -> list[list[tuple[str, WorkVector, float, tuple[float, ...]]]]:
     """Validate the operator table once; per operator, its variants as
-    ``(name, work, t_seq)``."""
+    ``(name, work, t_seq, components)``.  A ``T_seq`` must be finite and
+    in ``[l(W), sum(W)]`` (:func:`validate_sequential_time`)."""
     if type(operators) is not list:
         raise ConfigurationError("malformed schedule payload: 'operators' is not a list")
     table = []
@@ -275,7 +277,12 @@ def _operator_table(
                     f"malformed schedule payload: {name!r} has d={work.d}, "
                     f"schedule has d={d}"
                 )
-            decoded.append((name, work, float(t_seq)))
+            t_seq = float(t_seq)
+            try:
+                validate_sequential_time(t_seq, work)
+            except ModelValidationError as exc:
+                raise ConfigurationError(f"malformed schedule payload: {name!r}: {exc}") from None
+            decoded.append((name, work, t_seq, work.components))
         table.append(decoded)
     return table
 
@@ -283,14 +290,16 @@ def _operator_table(
 def schedule_from_dict(payload: dict[str, Any]) -> Schedule:
     """Deserialize a schedule (re-validates constraint (A) on the way).
 
-    Each variant is validated once; each index must be an int (not a
-    bool) in range.  Sites are then filled with
-    :meth:`~repro.core.site.Site.place_batch` in their stored placement
-    order and wrapped by :meth:`Schedule.from_sites`, so loads, lengths,
-    homes and total work are bit-identical to placing clone by clone in
-    site-major order.  Structural faults raise
-    :class:`~repro.exceptions.ConfigurationError`; a second clone of one
-    operator on a site raises :class:`~repro.exceptions.SchedulingError`.
+    Each variant is validated once (:func:`_operator_table`).  Then one
+    pass per site row checks each triple (ints, not bools, in range) and
+    constraint (A), and folds the site's loads, length, total load and
+    ``max T_seq``, the homes and the total work in placement order, as
+    :meth:`Schedule.place` does; the state is bit-identical to placing
+    clone by clone in site-major order.  The folded sites and schedule
+    are adopted as they are (no ``place`` call re-checks them).
+    Structural faults raise :class:`~repro.exceptions.ConfigurationError`;
+    a second clone of one operator on a site raises
+    :class:`~repro.exceptions.SchedulingError`.
     """
     _check_schema(payload)
     p = int(_expect(payload, "p"))
@@ -309,13 +318,19 @@ def schedule_from_dict(payload: dict[str, Any]) -> Schedule:
             f"malformed schedule payload: {len(capacities)} capacities for P={p}"
         )
     n_operators = len(table)
+    homes: dict[str, list[tuple[int, int]]] = {}
+    total_work = [0.0] * d
+    clone_count = 0
     sites = []
     for j, row in enumerate(rows):
         if type(row) is not list or len(row) % 3:
             raise ConfigurationError(
                 f"malformed schedule payload: site {j} row is not index triples"
             )
-        clones = []
+        clones: list[PlacedClone] = []
+        operators: set[str] = set()
+        load = [0.0] * d
+        length = total = max_t = 0.0
         it = iter(row)
         for number, clone_index, variant in zip(it, it, it):
             # ``type(...) is int`` also rejects bools; the range checks
@@ -336,12 +351,26 @@ def schedule_from_dict(payload: dict[str, Any]) -> Schedule:
                     f"malformed schedule payload: site {j} has variant# "
                     f"{variant!r} of operator# {number}"
                 )
-            name, work, t_seq = variants[variant]
+            name, work, t_seq, components = variants[variant]
+            if name in operators:
+                raise Schedule._constraint_a(j, name)
+            operators.add(name)
             clones.append(PlacedClone(name, clone_index, work, t_seq))
-        site = Site(j, d, float(capacities[j]))
-        site.place_batch(clones)
-        sites.append(site)
-    schedule = Schedule.from_sites(sites)
+            homes.setdefault(name, []).append((clone_index, j))
+            for i, c in enumerate(components):
+                updated = load[i] + c
+                load[i] = updated
+                total += c
+                total_work[i] += c
+                if updated > length:
+                    length = updated
+            if t_seq > max_t:
+                max_t = t_seq
+        clone_count += len(clones)
+        sites.append(
+            Site._adopt(j, d, float(capacities[j]), clones, operators, load, length, total, max_t)
+        )
+    schedule = Schedule._adopt(d, sites, homes, total_work, clone_count)
     for j in payload.get("disabled_sites", []):
         schedule.disable_site(int(j))
     return schedule

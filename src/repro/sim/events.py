@@ -3,19 +3,20 @@
 The simulator is event-driven: site state (the set of active clones and
 their progress rates) is piecewise constant, changing only at clone
 completions and, under faults, at straggler releases, failures and
-recoveries.  These dataclasses capture the resulting execution history so
-tests and reports can audit rate feasibility and work conservation.
+recoveries.  These records capture the resulting execution history so
+tests and reports can audit rate feasibility and work conservation.  They
+are named tuples: the simulator builds one per clone and one per interval,
+and a named tuple costs about half as much to build as a frozen dataclass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["CloneTrace", "RateInterval"]
 
 
-@dataclass(frozen=True)
-class CloneTrace:
+class CloneTrace(NamedTuple):
     """Execution record of one clone at one site.
 
     Attributes
@@ -48,8 +49,7 @@ class CloneTrace:
         return (self.finish - self.start) / self.nominal_t_seq
 
 
-@dataclass(frozen=True)
-class RateInterval:
+class RateInterval(NamedTuple):
     """One piecewise-constant interval of a site's execution.
 
     Attributes

@@ -121,21 +121,58 @@ class TestValidation:
             s.validate()
 
 
-class TestFromSites:
-    def test_wraps_existing_sites(self):
-        sites = [Site(0, 2), Site(1, 2)]
-        sites[0].place(clone("a", [1.0, 2.0], 2.5))
-        s = Schedule.from_sites(sites)
-        assert s.p == 2
-        assert s.home("a").site_indices == (0,)
+class TestCopy:
+    def _schedule(self):
+        s = Schedule(3, 2, [1.0, 2.0, 0.5])
+        s.place(2, clone("a", [0.1, 0.2], 0.25, k=0))
+        s.place(0, clone("a", [0.3, 0.7], 0.9, k=1))
+        s.place(0, clone("b", [1e-300, 5e-324], 1e-300))
+        s.disable_site(1)
+        return s
 
-    def test_misnumbered_sites_rejected(self):
-        with pytest.raises(SchedulingError):
-            Schedule.from_sites([Site(1, 2)])
+    @staticmethod
+    def _state(s):
+        return (
+            [
+                (
+                    site.clones,
+                    [x.hex() for x in site.load_vector().components],
+                    site.length().hex(),
+                    site.total_load().hex(),
+                    site.max_t_seq().hex(),
+                    site.capacity.hex(),
+                    site.operators,
+                )
+                for site in s.sites
+            ],
+            list(s.homes().items()),
+            [x.hex() for x in s.total_work().components],
+            s.clone_count(),
+            s.disabled_sites,
+        )
 
-    def test_empty_rejected(self):
-        with pytest.raises(SchedulingError):
-            Schedule.from_sites([])
+    def test_copy_has_identical_state(self):
+        s = self._schedule()
+        assert self._state(s.copy()) == self._state(s)
+
+    def test_copy_is_independent(self):
+        s = self._schedule()
+        before = self._state(s)
+        dup = s.copy()
+        dup.place(0, clone("c", [1.0, 1.0], 1.5))
+        dup.remove_operator("a")
+        dup.enable_site(1)
+        dup.place(1, clone("a", [2.0, 0.0], 2.0))
+        assert self._state(s) == before
+        assert dup.site(0).operators == frozenset({"b", "c"})
+
+    def test_site_copy_is_independent(self):
+        site = Site(0, 2, 2.0)
+        site.place(clone("a", [1.0, 2.0], 2.5))
+        dup = site.copy()
+        dup.place(clone("b", [3.0, 0.0], 3.0))
+        assert (len(site), site.length(), site.operators) == (1, 2.0, frozenset({"a"}))
+        assert (dup.length(), dup.total_load(), dup.capacity) == (4.0, 6.0, 2.0)
 
 
 class TestPhasedSchedule:

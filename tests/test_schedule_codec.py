@@ -2,12 +2,17 @@
 
 ``schedule_to_dict`` writes each operator's distinct ``(work, t_seq)``
 variants once and every site as ``operator#, clone_index, variant#``
-triples.  These tests hold the decoder to two contracts:
+triples.  ``schedule_from_dict`` decodes each row in one folding pass.
+These tests hold it to three contracts:
 
 * a round trip over random schedules (skewed clones, ``-0.0``,
-  subnormals, heterogeneous capacities, disabled sites) rebuilds the
-  same state, bit for bit, as placing the clones one by one in
-  site-major order;
+  subnormals, heterogeneous capacities, disabled sites, empty rows)
+  rebuilds the same state, bit for bit, as :func:`replay`, the
+  reference decoder that places the stored rows clone by clone with
+  :meth:`Schedule.place`;
+* every malformed schedule raises the exception class and message
+  listed in :data:`DECODE_ERRORS`, and a ``T_seq`` that is not finite or
+  lies outside ``[l(W), sum(W)]`` is rejected;
 * every malformed payload raises
   :class:`~repro.exceptions.ConfigurationError` from the result decoder,
   including the old one-object-per-placement layout.
@@ -17,11 +22,12 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import ConfigurationError, PlacedClone, WorkVector
+from repro import ConfigurationError, PlacedClone, SchedulingError, WorkVector
 from repro.core.schedule import PhasedSchedule, Schedule
 from repro.engine import ScheduleResult
 from repro.serialization import (
@@ -35,7 +41,18 @@ from repro.serialization import (
 AWKWARD = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.1, 1.0, 3.5, 1e300]
 
 components = st.sampled_from(AWKWARD) | st.floats(0.0, 1e6)
-t_seqs = st.sampled_from(AWKWARD) | st.floats(-1.0, 1e6)
+
+
+@st.composite
+def variants_of(draw, d):
+    """A work vector and a ``T_seq`` in its ``[l(W), sum(W)]`` (a stored
+    ``T_seq`` outside that range is rejected)."""
+    work = draw(st.lists(components, min_size=d, max_size=d))
+    lo, hi = max(work), math.fsum(work)
+    choices = [lo, hi, lo + draw(st.floats(0.0, 1.0)) * (hi - lo)]
+    if hi == 0.0:
+        choices.append(-0.0)
+    return work, draw(st.sampled_from(choices))
 
 
 @st.composite
@@ -50,14 +67,7 @@ def schedules(draw):
     d = draw(st.integers(1, 3))
     n_ops = draw(st.integers(1, 4))
     variants = [
-        draw(
-            st.lists(
-                st.tuples(st.lists(components, min_size=d, max_size=d), t_seqs),
-                min_size=1,
-                max_size=3,
-            )
-        )
-        for _ in range(n_ops)
+        draw(st.lists(variants_of(d), min_size=1, max_size=3)) for _ in range(n_ops)
     ]
     next_clone = [0] * n_ops
     sites = []
@@ -87,6 +97,23 @@ def oracle(p, d, capacities, sites, disabled) -> Schedule:
     return schedule
 
 
+def replay(payload: dict) -> Schedule:
+    """The reference decoder: one :class:`PlacedClone` and one
+    :meth:`Schedule.place` per stored triple, rows in site order."""
+    table = [
+        [(name, WorkVector(work), t_seq) for work, t_seq in variants]
+        for name, variants in payload["operators"]
+    ]
+    schedule = Schedule(payload["p"], payload["d"], payload.get("capacities"))
+    for j, row in enumerate(payload["sites"]):
+        for number, clone_index, variant in zip(row[::3], row[1::3], row[2::3]):
+            name, work, t_seq = table[number][variant]
+            schedule.place(j, PlacedClone(name, clone_index, work, t_seq))
+    for j in payload.get("disabled_sites", []):
+        schedule.disable_site(j)
+    return schedule
+
+
 def _hex(values) -> list[str]:
     return [float(x).hex() for x in values]
 
@@ -100,6 +127,7 @@ def state(schedule: Schedule):
                     (c.operator, c.clone_index, _hex(c.work.components), c.t_seq.hex())
                     for c in site.clones
                 ],
+                "operators": sorted(site.operators),
                 "load": _hex(site.load_vector().components),
                 "length": site.length().hex(),
                 "total_load": site.total_load().hex(),
@@ -108,7 +136,8 @@ def state(schedule: Schedule):
             }
             for site in schedule.sites
         ],
-        "homes": {op: h.site_indices for op, h in schedule.homes().items()},
+        # Home order is the order operators were first placed.
+        "homes": [(op, h.site_indices) for op, h in schedule.homes().items()],
         "total_work": _hex(schedule.total_work().components),
         "clone_count": schedule.clone_count(),
         "disabled": sorted(schedule.disabled_sites),
@@ -122,7 +151,7 @@ def test_round_trip_matches_clone_by_clone_oracle(case):
     payload = schedule_to_dict(expected)
     text = json.dumps(payload)
     decoded = schedule_from_dict(json.loads(text))
-    assert state(decoded) == state(expected)
+    assert state(decoded) == state(replay(json.loads(text))) == state(expected)
     # Re-encoding the decoded schedule gives the same text (JSON keeps
     # the sign of zero, so this also checks the variant bits).
     assert json.dumps(schedule_to_dict(decoded)) == text
@@ -135,9 +164,13 @@ def test_zero_signs_are_distinct_variants():
     payload = schedule_to_dict(schedule)
     assert payload["operators"] == [["a", [[[0.0], 0.0], [[-0.0], -0.0]]]]
     assert payload["sites"] == [[0, 0, 0], [0, 1, 1]]
-    clone = schedule_from_dict(payload).site(1).clones[0]
+    decoded = schedule_from_dict(payload)
+    clone = decoded.site(1).clones[0]
     assert clone.work.components[0].hex() == "-0x0.0p+0"
     assert clone.t_seq.hex() == "-0x0.0p+0"
+    # The folds start from +0.0, so a -0.0 clone leaves them at +0.0.
+    assert state(decoded) == state(schedule)
+    assert decoded.site(1).max_t_seq().hex() == "0x0.0p+0"
 
 
 def test_ea1_operator_stores_two_variants():
@@ -267,3 +300,167 @@ def test_malformed_payload_is_rejected(corrupt):
     corrupt(payload)
     with pytest.raises(ConfigurationError):
         schedule_result_from_dict(payload)
+
+
+# ----------------------------------------------------------------------
+# Error classes and messages of the decoder itself
+# ----------------------------------------------------------------------
+def _set_entry(row: int, position: int, value):
+    return lambda s: s["sites"][row].__setitem__(position, value)
+
+
+def _set_capacities(capacities):
+    return lambda s: s.__setitem__("capacities", capacities)
+
+
+_BAD_CAPACITY = "site 1: capacity must be a positive finite number, got "
+
+#: Each corruption of :func:`_result_payload`'s schedule, with the
+#: exception class and message the decoder raises for it.  Site 0's row is ``[0, 0, 0, 1, 0, 0]``; sites
+#: 1 and 2 hold a#1 and a#2 as variant 1 of ``a``.
+DECODE_ERRORS = {
+    "str_operator_index": (
+        _set_entry(0, 0, "0"),
+        ConfigurationError,
+        "malformed schedule payload: site 0 has operator# '0', clone index 0",
+    ),
+    "bool_operator_index": (
+        _set_entry(0, 3, True),
+        ConfigurationError,
+        "malformed schedule payload: site 0 has operator# True, clone index 0",
+    ),
+    "negative_operator_index": (
+        _set_entry(0, 3, -1),
+        ConfigurationError,
+        "malformed schedule payload: site 0 has operator# -1, clone index 0",
+    ),
+    "out_of_range_operator_index": (
+        _set_entry(2, 0, 2),
+        ConfigurationError,
+        "malformed schedule payload: site 2 has operator# 2, clone index 2",
+    ),
+    "float_clone_index": (
+        _set_entry(1, 1, 1.0),
+        ConfigurationError,
+        "malformed schedule payload: site 1 has operator# 0, clone index 1.0",
+    ),
+    "negative_clone_index": (
+        _set_entry(0, 4, -1),
+        ConfigurationError,
+        "malformed schedule payload: site 0 has operator# 1, clone index -1",
+    ),
+    "out_of_range_variant_index": (
+        _set_entry(1, 2, 2),
+        ConfigurationError,
+        "malformed schedule payload: site 1 has variant# 2 of operator# 0",
+    ),
+    "negative_variant_index": (
+        _set_entry(0, 2, -1),
+        ConfigurationError,
+        "malformed schedule payload: site 0 has variant# -1 of operator# 0",
+    ),
+    "bool_variant_index": (
+        _set_entry(0, 5, False),
+        ConfigurationError,
+        "malformed schedule payload: site 0 has variant# False of operator# 1",
+    ),
+    "wrong_dimension": (
+        lambda s: s["operators"][1][1][0][0].append(1.0),
+        ConfigurationError,
+        "malformed schedule payload: 'b' has d=3, schedule has d=2",
+    ),
+    "row_not_triples": (
+        lambda s: s["sites"][1].append(0),
+        ConfigurationError,
+        "malformed schedule payload: site 1 row is not index triples",
+    ),
+    "row_not_a_list": (
+        lambda s: s["sites"].__setitem__(2, "0,2,1"),
+        ConfigurationError,
+        "malformed schedule payload: site 2 row is not index triples",
+    ),
+    "too_few_rows": (
+        lambda s: s["sites"].pop(),
+        ConfigurationError,
+        "malformed schedule payload: 'sites' must list P=3 rows",
+    ),
+    "too_many_rows": (
+        lambda s: s["sites"].append([]),
+        ConfigurationError,
+        "malformed schedule payload: 'sites' must list P=3 rows",
+    ),
+    "no_sites": (
+        lambda s: s.update(p=0, sites=[]),
+        SchedulingError,
+        "a schedule needs at least one site",
+    ),
+    "too_few_capacities": (
+        _set_capacities([1.0, 2.0]),
+        ConfigurationError,
+        "malformed schedule payload: 2 capacities for P=3",
+    ),
+    "zero_capacity": (
+        _set_capacities([1.0, 0.0, 1.0]), SchedulingError, _BAD_CAPACITY + "0.0"
+    ),
+    "negative_capacity": (
+        _set_capacities([1.0, -2.0, 1.0]), SchedulingError, _BAD_CAPACITY + "-2.0"
+    ),
+    "nan_capacity": (
+        _set_capacities([1.0, math.nan, 1.0]), SchedulingError, _BAD_CAPACITY + "nan"
+    ),
+    "infinite_capacity": (
+        _set_capacities([1.0, math.inf, 1.0]), SchedulingError, _BAD_CAPACITY + "inf"
+    ),
+    "second_clone_on_site": (
+        lambda s: s["sites"][1].extend([0, 0, 0]),
+        SchedulingError,
+        "site 1: already hosts a clone of 'a' (constraint (A) of Section 5.3)",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "corrupt, error, message", DECODE_ERRORS.values(), ids=DECODE_ERRORS
+)
+def test_decode_error_class_and_message(corrupt, error, message):
+    schedule = copy.deepcopy(_schedule(_result_payload()))
+    corrupt(schedule)
+    with pytest.raises(error) as raised:
+        schedule_from_dict(schedule)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
+def test_result_decoder_wraps_constraint_a_violation():
+    payload = _result_payload()
+    _schedule(payload)["sites"][1].extend([0, 0, 0])
+    with pytest.raises(ConfigurationError) as raised:
+        schedule_result_from_dict(payload)
+    assert str(raised.value) == (
+        "malformed schedule result payload: SchedulingError: site 1: already "
+        "hosts a clone of 'a' (constraint (A) of Section 5.3)"
+    )
+
+
+# Variant 0 of ``a`` is ``[[2.0, 1.0], 2.0]``: l(W) = 2 and sum(W) = 3.
+@pytest.mark.parametrize(
+    "t_seq", [math.inf, -math.inf, math.nan, -5.0, 1.5, 3.5], ids=str
+)
+def test_stored_t_seq_outside_the_bound_is_rejected(t_seq):
+    payload = _result_payload()
+    _schedule(payload)["operators"][0][1][0][1] = t_seq
+    with pytest.raises(ConfigurationError) as raised:
+        schedule_from_dict(_schedule(payload))
+    assert str(raised.value) == (
+        f"malformed schedule payload: 'a': sequential time {t_seq} "
+        "outside [max W, sum W] = [2.0, 3.0]"
+    )
+    with pytest.raises(ConfigurationError):
+        schedule_result_from_dict(payload)
+
+
+def test_stored_t_seq_within_tolerance_of_the_bound_decodes():
+    payload = _result_payload()
+    _schedule(payload)["operators"][0][1][0][1] = 3.0 + 1e-12
+    schedule = schedule_from_dict(_schedule(payload))
+    assert schedule.site(0).max_t_seq() == 3.0 + 1e-12

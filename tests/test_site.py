@@ -18,6 +18,38 @@ def clone(op, w, t, k=0):
     return PlacedClone(operator=op, clone_index=k, work=WorkVector(w), t_seq=t)
 
 
+class TestPlacedClone:
+    """The record's contract: fields, immutability, value semantics, repr."""
+
+    def test_fields_in_order(self):
+        work = WorkVector([1.0, 2.0])
+        c = PlacedClone("scan", 3, work, 2.5)
+        assert (c.operator, c.clone_index, c.work, c.t_seq) == ("scan", 3, work, 2.5)
+        assert c == clone("scan", [1.0, 2.0], 2.5, k=3)
+
+    @pytest.mark.parametrize("field", ["operator", "clone_index", "work", "t_seq"])
+    def test_fields_are_read_only(self, field):
+        c = clone("scan", [1.0, 2.0], 2.5)
+        with pytest.raises(AttributeError):
+            setattr(c, field, None)
+        with pytest.raises(AttributeError):
+            c.extra = 1
+
+    def test_equality_and_hash_by_value(self):
+        a = clone("scan", [1.0, 2.0], 2.5, k=1)
+        b = clone("scan", [1.0, 2.0], 2.5, k=1)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != clone("scan", [1.0, 2.0], 2.5, k=2)
+        assert a != clone("scan", [1.0, 2.5], 2.5, k=1)
+        assert a != clone("scan", [1.0, 2.0], 3.0, k=1)
+
+    def test_repr(self):
+        assert repr(clone("scan(A)", [1.0, 2.5], 3.0, k=2)) == (
+            "PlacedClone(operator='scan(A)', clone_index=2, "
+            "work=WorkVector([1, 2.5]), t_seq=3.0)"
+        )
+
+
 class TestConstruction:
     def test_empty_site(self):
         s = Site(0, 3)

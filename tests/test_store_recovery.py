@@ -2,7 +2,8 @@
 
 The store's own envelope checks catch truncated or foreign entries; a
 payload that parses as JSON but fails to rebuild a schedule — a negative
-work component, a clone placed twice on one site, a mistyped field —
+work component, a ``T_seq`` outside ``[l(W), sum(W)]``, a clone placed
+twice on one site, a mistyped field —
 only shows up when :func:`repro.serialization.schedule_result_from_dict`
 rebuilds it.  That function reports every such failure as
 :class:`~repro.exceptions.ConfigurationError`, and each of its two
@@ -33,6 +34,15 @@ def _negative_work(value):
     components[0] = -1.0
 
 
+def _t_seq(t_seq):
+    """Set the first variant's ``T_seq`` (a value outside ``[l(W), sum(W)]``)."""
+
+    def corrupt(value):
+        value["phased_schedule"]["phases"][0]["operators"][0][1][0][1] = t_seq
+
+    return corrupt
+
+
 def _duplicated_clone(value):
     row = next(r for r in value["phased_schedule"]["phases"][0]["sites"] if r)
     row.extend(row[:3])
@@ -54,6 +64,8 @@ def _mistyped_float(value):
 CORRUPTIONS = {
     "negative_work": _negative_work,
     "duplicated_clone": _duplicated_clone,
+    "nan_t_seq": _t_seq(float("nan")),
+    "t_seq_above_sum": _t_seq(1e300),
     "mistyped_int": _mistyped_int,
     "mistyped_float": _mistyped_float,
     "mistyped_home": _mistyped_home,
