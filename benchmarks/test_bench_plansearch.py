@@ -6,8 +6,8 @@ exhaustive scorer and the pruned search on the guard-point query
 (8-relation chain, plan space 429), verifies the winner is invariant,
 and reports the pruning ledger plus the warm-store round trip.  The
 search's cost is pinned as exact work counts: plans bounded, built,
-hashed and scored, and ``T_par`` evaluations pruned against exhaustive
-and screen against score.
+hashed and scored, TREESCHEDULE runs, and ``T_seq`` evaluations pruned
+against exhaustive and screen against score.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from collections import Counter
 
 import pytest
 
+import repro.search.score as score_module
 import repro.search.search as search_module
-from repro.core.cloning import ParallelTimeCurve
+from repro.core.resource_model import OverlapModel
 from repro.plans.query_graph import QueryGraph
 from repro.plans.relations import Catalog, Relation
 from repro.search import search_plans
@@ -123,7 +124,9 @@ def test_plansearch_work_counts_are_pinned(monkeypatch):
     The exhaustive DP bounds all 429 plans from subplan summaries; a plan
     is built as a tree (``ScreenContext.plan``) and hashed (``plan_key``)
     only when it is about to be scored, so the 421 pruned plans cost
-    neither.  A change that moves these counts must say why.
+    neither.  Each scored plan is scheduled once (``tree_schedule``) and
+    the winner's schedule is the one kept from scoring, so there is no
+    run beyond the 8.  A change that moves these counts must say why.
     """
     calls: Counter[str] = Counter()
 
@@ -138,35 +141,42 @@ def test_plansearch_work_counts_are_pinned(monkeypatch):
         search_module, "plan_key", counted("plan_key", search_module.plan_key)
     )
     monkeypatch.setattr(ScreenContext, "plan", counted("built", ScreenContext.plan))
+    monkeypatch.setattr(
+        score_module,
+        "tree_schedule",
+        counted("tree_schedule", score_module.tree_schedule),
+    )
     graph, catalog = make_query()
     stats = search_plans(graph, catalog, p=P, store=NO_STORE, **SEARCH_KW).stats
     assert (stats.enumerated, stats.unique, stats.pruned, stats.scored) == (
         429, 429, 421, 8,
     )
-    assert calls == {"plan_key": 8, "built": 8}
+    assert calls == {"plan_key": 8, "built": 8, "tree_schedule": 8}
 
 
-#: ``ParallelTimeCurve.t_par`` evaluations (one ``T_seq`` each) of one
-#: cold search at the guard point, split by where they happen: "score"
-#: counts calls made while ``evaluate_candidate`` (one TREESCHEDULE run
-#: of a surviving candidate) is on the stack, "screen" counts all the
-#: others (the lower-bound screen over subplan summaries, ranking and
-#: bookkeeping).  Pruning cuts the total 36x against the exhaustive
-#: scorer (``prune=False``, every plan scored), and the screen stays
-#: cheaper than the scoring it saves.
-T_PAR_PRUNED = {"screen": 423, "score": 824}
-T_PAR_EXHAUSTIVE = {"screen": 407, "score": 44187}
+#: ``OverlapModel.t_seq`` evaluations of one cold search at the guard
+#: point, split by where they happen: "score" counts calls made while
+#: ``evaluate_candidate`` (one TREESCHEDULE run of a surviving candidate:
+#: degree selection's ``T_par`` and packing's clone times) is on the
+#: stack, "screen" counts all the others (the lower-bound screen's
+#: ``T_par`` minima over subplan summaries, ranking and bookkeeping).
+#: Degrees are memoized by content within a search, so a candidate's
+#: scoring cost is mostly packing.  Pruning cuts the total 25x against
+#: the exhaustive scorer (``prune=False``, every plan scored), and the
+#: screen stays cheaper than the scoring it saves.
+T_SEQ_PRUNED = {"screen": 320, "score": 455}
+T_SEQ_EXHAUSTIVE = {"screen": 304, "score": 19070}
 
 
-def test_plansearch_t_par_counts_are_pinned(monkeypatch):
+def test_plansearch_t_seq_counts_are_pinned(monkeypatch):
     calls = {"screen": 0, "score": 0}
     scoring = [False]
-    t_par = ParallelTimeCurve.t_par
+    t_seq = OverlapModel.t_seq
     evaluate = search_module.evaluate_candidate
 
-    def counted_t_par(self, n, overlap):
+    def counted_t_seq(self, work):
         calls["score" if scoring[0] else "screen"] += 1
-        return t_par(self, n, overlap)
+        return t_seq(self, work)
 
     def counted_evaluate(point):
         scoring[0] = True
@@ -175,7 +185,7 @@ def test_plansearch_t_par_counts_are_pinned(monkeypatch):
         finally:
             scoring[0] = False
 
-    monkeypatch.setattr(ParallelTimeCurve, "t_par", counted_t_par)
+    monkeypatch.setattr(OverlapModel, "t_seq", counted_t_seq)
     monkeypatch.setattr(search_module, "evaluate_candidate", counted_evaluate)
     graph, catalog = make_query()
     measured = {}
@@ -183,7 +193,7 @@ def test_plansearch_t_par_counts_are_pinned(monkeypatch):
         calls.update(screen=0, score=0)
         search_plans(graph, catalog, p=P, prune=prune, store=NO_STORE, **SEARCH_KW)
         measured[label] = dict(calls)
-    assert measured == {"pruned": T_PAR_PRUNED, "exhaustive": T_PAR_EXHAUSTIVE}
+    assert measured == {"pruned": T_SEQ_PRUNED, "exhaustive": T_SEQ_EXHAUSTIVE}
     # The gates any update of the pins must keep.
-    assert T_PAR_PRUNED["screen"] < T_PAR_PRUNED["score"]
-    assert 10 * sum(T_PAR_PRUNED.values()) < sum(T_PAR_EXHAUSTIVE.values())
+    assert T_SEQ_PRUNED["screen"] < T_SEQ_PRUNED["score"]
+    assert 10 * sum(T_SEQ_PRUNED.values()) < sum(T_SEQ_EXHAUSTIVE.values())

@@ -21,12 +21,17 @@ works on a portion of the operator's data.  This module implements:
 * degree-of-parallelism selection: the coarse-grain bound
   ``N_max(op, f)`` of Proposition 4.1, clamped by the response-time-optimal
   degree so that assumption **A4 (non-increasing execution times)** is
-  never violated (Section 6.1), and by the number of sites ``P``.
+  never violated (Section 6.1), and by the number of sites ``P``;
+  :func:`use_degree_memo` lets a caller that schedules many plans over
+  the same operators (plan search) choose each distinct degree once.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError, InvalidWorkVectorError, SchedulingError
@@ -43,6 +48,7 @@ __all__ = [
     "parallel_time",
     "response_optimal_degree",
     "coarse_grain_degree",
+    "use_degree_memo",
 ]
 
 
@@ -386,6 +392,31 @@ def response_optimal_degree(
     return best_n
 
 
+#: The memo of the innermost :func:`use_degree_memo` scope, if any.
+_DEGREE_MEMO: ContextVar[dict | None] = ContextVar("repro_degree_memo", default=None)
+
+
+@contextmanager
+def use_degree_memo() -> Iterator[None]:
+    """Reuse :func:`coarse_grain_degree` results by content in the ``with`` body.
+
+    A degree is a function of the spec's work vector and data volume,
+    ``p``, ``f``, ``comm``, ``overlap`` and ``policy``; the operator's
+    name only labels error messages.  Inside the scope each distinct
+    combination is computed once, whatever operator it belongs to, and
+    later calls return the stored degree.  Only successful results are
+    stored, so a failing call raises every time.  Scopes nest (an inner
+    one starts empty), and the memo is dropped when the scope exits,
+    however it exits.  Outside every scope the function computes as if
+    no memo existed.
+    """
+    token = _DEGREE_MEMO.set({})
+    try:
+        yield
+    finally:
+        _DEGREE_MEMO.reset(token)
+
+
 def coarse_grain_degree(
     spec: OperatorSpec,
     p: int,
@@ -398,12 +429,25 @@ def coarse_grain_degree(
 
     ``N_i = min{ N_max(op_i, f), N_rt(op_i), P }`` where ``N_max`` is the
     coarse-grain bound of Proposition 4.1 and ``N_rt`` is the
-    response-time-optimal degree (A4 enforcement, Section 6.1).
+    response-time-optimal degree (A4 enforcement, Section 6.1).  Inside
+    a :func:`use_degree_memo` scope, a repeated content is answered from
+    the memo.
     """
+    memo = _DEGREE_MEMO.get()
+    if memo is not None:
+        key = (spec.work.components, spec.data_volume, p, f, comm, overlap, policy)
+        try:
+            n = memo.get(key)
+        except TypeError:  # an unhashable model: compute without the memo
+            memo = None
+        else:
+            if n is not None:
+                return n
     if p < 1:
         raise SchedulingError(f"number of sites must be >= 1, got {p}")
     n_cg = comm.n_max(f, spec.processing_area, spec.data_volume)
     n_cap = min(n_cg, p)
-    if n_cap <= 1:
-        return 1
-    return response_optimal_degree(spec, n_cap, comm, overlap, policy)
+    n = 1 if n_cap <= 1 else response_optimal_degree(spec, n_cap, comm, overlap, policy)
+    if memo is not None:
+        memo[key] = n
+    return n

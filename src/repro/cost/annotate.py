@@ -23,11 +23,17 @@ by the engine registry via ``ScheduleRequest.annotation``).  This is
 what makes workload cohorts shareable between experiments without the
 defensive ``copy.deepcopy`` the experiment runner historically paid per
 sweep point.
+
+:func:`use_operator_cost_memo` lets a caller that annotates many plans
+built from the same relations (plan search) cost each distinct operator
+once.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -46,22 +52,59 @@ __all__ = [
     "compute_plan_annotation",
     "annotate_operator",
     "annotate_plan",
+    "use_operator_cost_memo",
 ]
+
+#: ``(params, memo)`` of the innermost :func:`use_operator_cost_memo` scope.
+_COST_MEMO: ContextVar[tuple[SystemParameters, dict] | None] = ContextVar(
+    "repro_operator_cost_memo", default=None
+)
+
+
+@contextmanager
+def use_operator_cost_memo(params: SystemParameters) -> Iterator[None]:
+    """Reuse ``operator_cost`` results by content in the ``with`` body.
+
+    An operator's ``(work, D)`` is a function of its kind, its input and
+    output cardinalities, whether it has a pipeline consumer, and the
+    parameters; the operator's name plays no part.  Inside the scope,
+    :func:`compute_operator_spec` under ``params`` (the same object)
+    computes each distinct combination once; other parameters compute
+    as usual.  Scopes nest (an inner one starts empty), and the memo is
+    dropped when the scope exits, however it exits.
+    """
+    token = _COST_MEMO.set((params, {}))
+    try:
+        yield
+    finally:
+        _COST_MEMO.reset(token)
 
 
 def compute_operator_spec(
     op: PhysicalOperator, op_tree: OperatorTree, params: SystemParameters
 ) -> OperatorSpec:
-    """Derive the :class:`OperatorSpec` for one operator (pure)."""
+    """Derive the :class:`OperatorSpec` for one operator (pure).
+
+    Inside a :func:`use_operator_cost_memo` scope for ``params``, the
+    cost of a repeated operator content comes from the memo.
+    """
     if op not in op_tree:
         raise PlanStructureError(f"operator {op.name!r} not in the given tree")
-    work, data_volume = operator_cost(
-        op.kind,
-        op.input_tuples,
-        op.output_tuples,
-        op_tree.pipeline_consumer(op) is not None,
-        params,
-    )
+    pipelined = op_tree.pipeline_consumer(op) is not None
+    scope = _COST_MEMO.get()
+    if scope is not None and scope[0] is params:
+        memo = scope[1]
+        key = (op.kind, op.input_tuples, op.output_tuples, pipelined)
+        cost = memo.get(key)
+        if cost is None:
+            memo[key] = cost = operator_cost(
+                op.kind, op.input_tuples, op.output_tuples, pipelined, params
+            )
+        work, data_volume = cost
+    else:
+        work, data_volume = operator_cost(
+            op.kind, op.input_tuples, op.output_tuples, pipelined, params
+        )
     return OperatorSpec(name=op.name, work=work, data_volume=data_volume)
 
 

@@ -16,17 +16,27 @@ in the content-addressed artifact store — a warm re-search schedules
 zero cold candidates.  :func:`evaluate_candidate` is module-level,
 hence picklable into pool workers.
 
-:func:`schedule_candidate` produces the winner's *full*
-:class:`~repro.engine.result.ScheduleResult`, cached under
-:data:`~repro.store.KIND_PLAN` through the serialization round-trip.
+:func:`evaluate_candidate` hands each schedule it makes to the sink of
+the enclosing :func:`use_schedule_sink` scope, if any: that is how a
+search run inline keeps its best candidate's schedule and returns it as
+the winner's without scheduling the winner again.
+:func:`schedule_candidate` is the fallback for a winner whose schedule
+was not kept (scored in a pool worker, or served from the point store):
+it produces the *full* :class:`~repro.engine.result.ScheduleResult`,
+cached under :data:`~repro.store.KIND_PLAN` through the serialization
+round-trip.  Given the kept schedule, it only stores it.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Any
 
+from repro.core.cloning import DEFAULT_COORDINATOR_POLICY, CoordinatorPolicy
 from repro.core.cluster import ClusterSpec
 from repro.core.granularity import CommunicationModel
 from repro.core.resource_model import OverlapModel
@@ -48,6 +58,7 @@ __all__ = [
     "evaluate_candidate",
     "schedule_candidate",
     "max_site_load",
+    "use_schedule_sink",
 ]
 
 
@@ -72,6 +83,8 @@ class CandidatePoint:
     #: ``None`` for homogeneous searches (uniform specs are normalized
     #: away upstream so their scores share cache entries).
     cluster: ClusterSpec | None = None
+    #: How the startup cost is charged; the screen bounds with the same.
+    policy: CoordinatorPolicy = DEFAULT_COORDINATOR_POLICY
 
 
 def candidate_point(
@@ -84,6 +97,7 @@ def candidate_point(
     comm: CommunicationModel,
     overlap: OverlapModel,
     cluster: ClusterSpec | None = None,
+    policy: CoordinatorPolicy = DEFAULT_COORDINATOR_POLICY,
 ) -> CandidatePoint:
     """Build the sweep point for one candidate plan."""
     return CandidatePoint(
@@ -95,7 +109,32 @@ def candidate_point(
         comm=comm,
         overlap=overlap,
         cluster=cluster,
+        policy=policy,
     )
+
+
+#: The sink of the innermost :func:`use_schedule_sink` scope, if any.
+_SCHEDULE_SINK: ContextVar[Callable[[CandidatePoint, ScheduleResult], None] | None] = (
+    ContextVar("repro_schedule_sink", default=None)
+)
+
+
+@contextmanager
+def use_schedule_sink(
+    sink: Callable[[CandidatePoint, ScheduleResult], None],
+) -> Iterator[None]:
+    """Pass every schedule :func:`evaluate_candidate` makes to ``sink``.
+
+    ``sink(point, result)`` runs after each evaluation in this context;
+    what it keeps is up to the caller.  Evaluations in a pool worker or
+    answered by the point store never reach it.  The sink is reset when
+    the scope exits, however it exits.
+    """
+    token = _SCHEDULE_SINK.set(sink)
+    try:
+        yield
+    finally:
+        _SCHEDULE_SINK.reset(token)
 
 
 def max_site_load(result: ScheduleResult) -> float:
@@ -106,14 +145,17 @@ def max_site_load(result: ScheduleResult) -> float:
     accumulated vector — the resource-footprint objective of the
     many-objective mode.  ``0.0`` for bound-only results.
     """
+    if result.phased_schedule is None:
+        return 0.0
     accumulated: dict[int, list[float]] = {}
-    for shelf in result.timelines:
-        for site in shelf.sites:
-            acc = accumulated.get(site.site_index)
+    for schedule in result.phased_schedule.phases:
+        for site in schedule.sites:
+            load = site.load_vector().components
+            acc = accumulated.get(site.index)
             if acc is None:
-                accumulated[site.site_index] = list(site.load)
+                accumulated[site.index] = list(load)
             else:
-                for axis, value in enumerate(site.load):
+                for axis, value in enumerate(load):
                     acc[axis] += value
     if not accumulated:
         return 0.0
@@ -133,6 +175,7 @@ def _schedule_point(point: CandidatePoint) -> ScheduleResult:
         overlap=point.overlap,
         f=point.f,
         shelf=point.shelf,
+        policy=point.policy,
         capacities=(
             point.cluster.capacities_or_none()
             if point.cluster is not None
@@ -150,6 +193,9 @@ def evaluate_candidate(point: CandidatePoint) -> dict[str, float]:
     """
     with current_tracer().span(SPAN_PLAN_SCORE, p=point.p, shelf=point.shelf):
         result = _schedule_point(point)
+        sink = _SCHEDULE_SINK.get()
+        if sink is not None:
+            sink(point, result)
         total = result.total_work()
         return {
             "response_time": result.response_time,
@@ -163,6 +209,7 @@ def schedule_candidate(
     point: CandidatePoint,
     *,
     store: ArtifactStore | None = None,
+    scheduled: ScheduleResult | None = None,
 ) -> tuple[ScheduleResult, bool]:
     """The full schedule of one candidate, store-cached under ``KIND_PLAN``.
 
@@ -170,7 +217,9 @@ def schedule_candidate(
     through :mod:`repro.serialization`, so a hit reconstructs the same
     phased schedule, timelines and instrumentation a fresh run would
     produce — this is what lets a warm re-search hand back the winner's
-    schedule without scheduling a single candidate.
+    schedule without scheduling a single candidate.  ``scheduled`` is
+    the candidate's schedule when the caller already made it: on a miss
+    it is stored and returned instead of scheduling the candidate again.
     """
     from repro.serialization import (
         schedule_result_from_dict,
@@ -190,7 +239,7 @@ def schedule_candidate(
                     return schedule_result_from_dict(cached), True
                 except ConfigurationError:
                     pass  # foreign/stale payload: recompute
-    result = _schedule_point(point)
+    result = scheduled if scheduled is not None else _schedule_point(point)
     if store is not None and key is not None:
         try:
             store.put(KIND_PLAN, key, schedule_result_to_dict(result))
@@ -210,7 +259,10 @@ def _plan_store_payload(point: CandidatePoint) -> dict[str, Any]:
         "comm": point.comm,
         "overlap": point.overlap,
     }
-    # Emitted only when heterogeneous, so homogeneous keys are unchanged.
+    # Emitted only when heterogeneous (or not the default policy), so
+    # homogeneous default-policy keys are unchanged.
     if point.cluster is not None:
         payload["cluster"] = point.cluster
+    if point.policy != DEFAULT_COORDINATOR_POLICY:
+        payload["policy"] = point.policy
     return payload

@@ -32,7 +32,17 @@ search whose scoring function is the scheduled response time:
    :class:`~repro.experiments.parallel.ParallelRunner` — bit-identical
    winners at any worker count — with per-candidate objective payloads
    memoized in the content-addressed artifact store, so a repeated
-   search schedules zero cold candidates.
+   search schedules zero cold candidates.  Candidates share most of
+   their operators, so for the duration of the search operator costs
+   (:func:`~repro.cost.annotate.use_operator_cost_memo`) and degrees
+   (:func:`~repro.core.cloning.use_degree_memo`) are memoized by
+   content: a scored plan costs little more than its packing.  The
+   schedule of the best candidate scored inline is kept
+   (:func:`~repro.search.score.use_schedule_sink`) and becomes the
+   winner's, so the winner is not scheduled twice; a winner scored in a
+   pool worker or served by the point store is scheduled (or read from
+   the plan store) once more by
+   :func:`~repro.search.score.schedule_candidate`.
 
 Determinism contract: the returned winner, ranking and frontier are
 byte-identical for any ``workers`` count and with the store disabled,
@@ -51,10 +61,15 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from repro.core.cloning import DEFAULT_COORDINATOR_POLICY, CoordinatorPolicy
+from repro.core.cloning import (
+    DEFAULT_COORDINATOR_POLICY,
+    CoordinatorPolicy,
+    use_degree_memo,
+)
 from repro.core.cluster import ClusterSpec
 from repro.core.granularity import CommunicationModel
 from repro.core.resource_model import ConvexCombinationOverlap, OverlapModel
+from repro.cost.annotate import use_operator_cost_memo
 from repro.cost.params import PAPER_PARAMETERS, SystemParameters
 from repro.engine.metrics import MetricsRecorder
 from repro.engine.result import ScheduleResult
@@ -92,6 +107,7 @@ from repro.search.score import (
     candidate_point,
     evaluate_candidate,
     schedule_candidate,
+    use_schedule_sink,
 )
 from repro.search.screen import ScreenContext, candidate_lower_bounds
 from repro.store import ArtifactStore, resolve_store
@@ -349,13 +365,27 @@ def search_plans(
 
     scored: dict[str, ScoredPlan] = {}
     seen: set[str] = set()
-    state = {"incumbent": None, "pruned": 0, "enumerated": 0}
+    # "kept" is the ((response time, key), schedule) of the best candidate
+    # scored inline: the winner's, unless a store-served candidate won.
+    state = {
+        "incumbent": None, "pruned": 0, "enumerated": 0,
+        "kept": None, "chunk_keys": {},
+    }
 
     def point_of(plan: PlanNode) -> CandidatePoint:
         return candidate_point(
             plan, p=p, f=f, shelf=shelf, params=params, comm=comm,
-            overlap=overlap, cluster=cluster,
+            overlap=overlap, cluster=cluster, policy=policy,
         )
+
+    def keep(point: CandidatePoint, result: ScheduleResult) -> None:
+        """Hold the schedule of the best candidate scored inline so far."""
+        key = state["chunk_keys"].get(point.plan_json)
+        if key is None:
+            return
+        rank = (result.response_time, key)
+        if state["kept"] is None or rank < state["kept"][0]:
+            state["kept"] = (rank, result)
 
     def dedupe(plans: list[PlanNode]) -> list[tuple[str, PlanNode]]:
         """First occurrence per canonical key, input order preserved."""
@@ -408,10 +438,11 @@ def search_plans(
                 chunk.append(ranking.pop())
             if not chunk:
                 break
-            values = runner.run(
-                [point_of(plan) for _, _, plan in chunk],
-                evaluate=evaluate_candidate,
-            )
+            points = [point_of(plan) for _, _, plan in chunk]
+            state["chunk_keys"] = {
+                point.plan_json: key for point, (_, key, _) in zip(points, chunk)
+            }
+            values = runner.run(points, evaluate=evaluate_candidate)
             for (_, key, plan), value in zip(chunk, values):
                 entry = ScoredPlan(
                     key=key,
@@ -430,7 +461,7 @@ def search_plans(
 
     with current_tracer().span(
         SPAN_PLAN_SEARCH, p=p, f=f, workers=workers, pareto=pareto
-    ):
+    ), use_degree_memo(), use_operator_cost_memo(params), use_schedule_sink(keep):
         space = count_exhaustive_plans(graph, limit=max_exhaustive)
         exhaustive = space <= max_exhaustive
         with current_tracer().span(
@@ -470,8 +501,14 @@ def search_plans(
                 "plan search scored no candidates (empty plan space?)"
             )
         winner = min(scored.values(), key=lambda sp: (sp.response_time, sp.key))
+        # The winner's schedule is the one kept while scoring; a winner
+        # scored in a pool worker or answered by the point store is
+        # scheduled (or read from the plan store) here.
+        kept = state["kept"]
         schedule, winner_cached = schedule_candidate(
-            point_of(winner.plan), store=resolved_store
+            point_of(winner.plan),
+            store=resolved_store,
+            scheduled=kept[1] if kept is not None and kept[0][1] == winner.key else None,
         )
 
         frontier: tuple[ScoredPlan, ...] = ()
