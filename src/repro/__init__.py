@@ -27,345 +27,78 @@ PlanAnnotation(...)
 True
 """
 
-from repro.exceptions import (
-    ConfigurationError,
-    ImmutableAnnotationError,
-    InfeasibleScheduleError,
-    InvalidWorkVectorError,
-    ModelValidationError,
-    PlanStructureError,
-    ReproError,
-    SchedulingError,
-    SimulationError,
-)
-from repro.core import (
-    DEFAULT_COORDINATOR_POLICY,
-    DEFAULT_DIMENSIONALITY,
-    PERFECT_OVERLAP,
-    ZERO_OVERLAP,
-    BoundCertificate,
-    CandidateFamily,
-    CloneItem,
-    ClusterSpec,
-    CommunicationModel,
-    ConvexCombinationOverlap,
-    CoordinatorPolicy,
-    MalleableResult,
-    OperatorHome,
-    OperatorScheduleResult,
-    OperatorSpec,
-    OptimalResult,
-    OverlapModel,
-    ParallelizationCandidate,
-    PhasedSchedule,
-    PlacedClone,
-    PlacementRule,
-    RescheduleStats,
-    Resource,
-    ResourceUsage,
-    RootedPlacement,
-    Schedule,
-    ScheduleDelta,
-    Site,
-    SiteClass,
-    SiteHeap,
-    SortKey,
-    WorkVector,
-    candidate_parallelizations,
-    certify,
-    clone_work_vectors,
-    coarse_grain_degree,
-    dominates,
-    enumerate_candidate_family,
-    granularity_ratio,
-    is_coarse_grain,
-    lower_bound,
-    lower_bound_family,
-    malleable_schedule,
-    operator_schedule,
-    optimal_malleable_makespan,
-    optimal_schedule,
-    pack_vectors,
-    pack_vectors_reference,
-    parallel_time,
-    parse_cluster_spec,
-    processing_area,
-    reschedule_reference,
-    reschedule_schedule,
-    response_optimal_degree,
-    select_parallelization,
-    select_parallelization_batched,
-    set_length,
-    skewed_clone_work_vectors,
-    skewed_makespan,
-    skewed_response_time,
-    slowest_operator_time,
-    theorem51_coarse_grain_bound,
-    theorem51_fixed_degree_bound,
-    total_work_vector,
-    validate_sequential_time,
-    vector_sum,
-    zipf_weights,
-)
-from repro.core.tree_schedule import TreeScheduleResult, tree_schedule
-from repro.engine import (
-    Instrumentation,
-    MetricsRecorder,
-    RegisteredScheduler,
-    ScheduleRequest,
-    ScheduleResult,
-    available_algorithms,
-    describe_algorithms,
-    get_algorithm,
-    register,
-)
-from repro.plans import (
-    BaseRelationNode,
-    Catalog,
-    EdgeKind,
-    GeneratedQuery,
-    JoinMethod,
-    JoinNode,
-    OperatorKind,
-    OperatorTree,
-    PhysicalOperator,
-    PlanNode,
-    PlanStats,
-    QueryGraph,
-    Relation,
-    Task,
-    TaskTree,
-    anchor_operator_name,
-    auto_materialize,
-    describe_query,
-    resource_mix,
-    build_task_tree,
-    eager_shelf_phases,
-    expand_plan,
-    generate_query,
-    generate_workload,
-    key_join_cardinality,
-    min_shelf_phases,
-    random_bushy_plan,
-    random_catalog,
-    random_tree_query,
-    validate_phases,
-)
-from repro.cost import (
-    PAPER_PARAMETERS,
-    AnnotatedQuery,
-    PlanAnnotation,
-    SystemParameters,
-    annotate_operator,
-    annotate_plan,
-    build_work_vector,
-    compute_plan_annotation,
-    merge_work_vector,
-    operator_data_volume,
-    probe_work_vector,
-    scan_work_vector,
-    sort_work_vector,
-)
-from repro.baselines import (
-    HongResult,
-    SynchronousResult,
-    congestion_bound,
-    critical_path_time,
-    hong_schedule,
-    minimax_allocation,
-    minimax_time,
-    opt_bound,
-    scalar_list_schedule,
-    synchronous_schedule,
-)
-from repro.sim import (
-    PolicyComparison,
-    PreemptabilityModel,
-    SharingPolicy,
-    SimulationResult,
-    sharing_policy_report,
-    simulate_phased,
-    simulate_phased_degraded,
-    validate_phased_schedule,
-)
-from repro.memory import (
-    MemoryAwareResult,
-    MemoryLedger,
-    MemoryModel,
-    TableCommitment,
-    memory_aware_tree_schedule,
-    spill_fraction,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # exceptions
-    "ReproError",
-    "ModelValidationError",
-    "InvalidWorkVectorError",
-    "PlanStructureError",
-    "ImmutableAnnotationError",
-    "SchedulingError",
-    "InfeasibleScheduleError",
-    "ConfigurationError",
-    "SimulationError",
-    # core model
-    "WorkVector",
-    "Resource",
-    "DEFAULT_DIMENSIONALITY",
-    "vector_sum",
-    "set_length",
-    "dominates",
-    "OverlapModel",
-    "ConvexCombinationOverlap",
-    "PERFECT_OVERLAP",
-    "ZERO_OVERLAP",
-    "ResourceUsage",
-    "validate_sequential_time",
-    "CommunicationModel",
-    "processing_area",
-    "granularity_ratio",
-    "is_coarse_grain",
-    "OperatorSpec",
-    "CoordinatorPolicy",
-    "DEFAULT_COORDINATOR_POLICY",
-    "clone_work_vectors",
-    "total_work_vector",
-    "parallel_time",
-    "response_optimal_degree",
-    "coarse_grain_degree",
-    # cluster topology
-    "ClusterSpec",
-    "SiteClass",
-    "parse_cluster_spec",
-    # schedules
-    "Site",
-    "SiteHeap",
-    "PlacedClone",
-    "Schedule",
-    "PhasedSchedule",
-    "OperatorHome",
-    "RootedPlacement",
-    "OperatorScheduleResult",
-    "operator_schedule",
-    "TreeScheduleResult",
-    "tree_schedule",
-    # engine
-    "ScheduleResult",
-    "Instrumentation",
-    "MetricsRecorder",
-    "ScheduleRequest",
-    "RegisteredScheduler",
-    "register",
-    "get_algorithm",
-    "available_algorithms",
-    "describe_algorithms",
-    # bounds / malleable / optimal / packing
-    "BoundCertificate",
-    "certify",
-    "lower_bound",
-    "lower_bound_family",
-    "slowest_operator_time",
-    "theorem51_fixed_degree_bound",
-    "theorem51_coarse_grain_bound",
-    "ParallelizationCandidate",
-    "CandidateFamily",
-    "candidate_parallelizations",
-    "enumerate_candidate_family",
-    "select_parallelization",
-    "select_parallelization_batched",
-    "malleable_schedule",
-    "MalleableResult",
-    "OptimalResult",
-    "optimal_schedule",
-    "optimal_malleable_makespan",
-    "SortKey",
-    "PlacementRule",
-    "CloneItem",
-    "pack_vectors",
-    "pack_vectors_reference",
-    # incremental rescheduling
-    "ScheduleDelta",
-    "RescheduleStats",
-    "reschedule_schedule",
-    "reschedule_reference",
-    # skew (EA1 relaxation)
-    "zipf_weights",
-    "skewed_clone_work_vectors",
-    "skewed_makespan",
-    "skewed_response_time",
-    # plans
-    "Relation",
-    "Catalog",
-    "random_catalog",
-    "QueryGraph",
-    "random_tree_query",
-    "PlanNode",
-    "BaseRelationNode",
-    "JoinMethod",
-    "JoinNode",
-    "key_join_cardinality",
-    "random_bushy_plan",
-    "OperatorKind",
-    "EdgeKind",
-    "PhysicalOperator",
-    "OperatorTree",
-    "expand_plan",
-    "Task",
-    "TaskTree",
-    "build_task_tree",
-    "min_shelf_phases",
-    "eager_shelf_phases",
-    "validate_phases",
-    "GeneratedQuery",
-    "generate_query",
-    "generate_workload",
-    "PlanStats",
-    "describe_query",
-    "resource_mix",
-    "anchor_operator_name",
-    "auto_materialize",
-    # cost
-    "SystemParameters",
-    "PAPER_PARAMETERS",
-    "scan_work_vector",
-    "build_work_vector",
-    "probe_work_vector",
-    "sort_work_vector",
-    "merge_work_vector",
-    "operator_data_volume",
-    "annotate_operator",
-    "annotate_plan",
-    "compute_plan_annotation",
-    "PlanAnnotation",
-    "AnnotatedQuery",
-    # baselines
-    "minimax_allocation",
-    "minimax_time",
-    "scalar_list_schedule",
-    "opt_bound",
-    "congestion_bound",
-    "critical_path_time",
-    "SynchronousResult",
-    "synchronous_schedule",
-    "HongResult",
-    "hong_schedule",
-    # simulator
-    "SharingPolicy",
-    "SimulationResult",
-    "simulate_phased",
-    "PolicyComparison",
-    "sharing_policy_report",
-    "validate_phased_schedule",
-    "PreemptabilityModel",
-    "simulate_phased_degraded",
-    # memory extension
-    "MemoryModel",
-    "MemoryLedger",
-    "TableCommitment",
-    "spill_fraction",
-    "MemoryAwareResult",
-    "memory_aware_tree_schedule",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".exceptions": (
+            "ReproError", "ModelValidationError", "InvalidWorkVectorError",
+            "PlanStructureError", "ImmutableAnnotationError", "SchedulingError",
+            "InfeasibleScheduleError", "ConfigurationError", "SimulationError",
+        ),
+        ".core": (
+            "WorkVector", "Resource", "DEFAULT_DIMENSIONALITY", "vector_sum",
+            "set_length", "dominates", "OverlapModel", "ConvexCombinationOverlap",
+            "PERFECT_OVERLAP", "ZERO_OVERLAP", "ResourceUsage",
+            "validate_sequential_time", "CommunicationModel", "processing_area",
+            "granularity_ratio", "is_coarse_grain", "OperatorSpec", "CoordinatorPolicy",
+            "DEFAULT_COORDINATOR_POLICY", "clone_work_vectors", "total_work_vector",
+            "parallel_time", "response_optimal_degree", "coarse_grain_degree",
+            "ClusterSpec", "SiteClass", "parse_cluster_spec", "Site", "SiteHeap",
+            "PlacedClone", "Schedule", "PhasedSchedule", "OperatorHome",
+            "RootedPlacement", "OperatorScheduleResult", "operator_schedule",
+            "BoundCertificate", "certify", "lower_bound", "lower_bound_family",
+            "slowest_operator_time", "theorem51_fixed_degree_bound",
+            "theorem51_coarse_grain_bound", "ParallelizationCandidate",
+            "CandidateFamily", "candidate_parallelizations",
+            "enumerate_candidate_family", "select_parallelization",
+            "select_parallelization_batched", "malleable_schedule", "MalleableResult",
+            "OptimalResult", "optimal_schedule", "optimal_malleable_makespan",
+            "SortKey", "PlacementRule", "CloneItem", "pack_vectors",
+            "pack_vectors_reference", "ScheduleDelta", "RescheduleStats",
+            "reschedule_schedule", "reschedule_reference", "zipf_weights",
+            "skewed_clone_work_vectors", "skewed_makespan", "skewed_response_time",
+        ),
+        ".core.tree_schedule": ("TreeScheduleResult", "tree_schedule"),
+        ".engine": (
+            "ScheduleResult", "Instrumentation", "MetricsRecorder", "ScheduleRequest",
+            "RegisteredScheduler", "register", "get_algorithm", "available_algorithms",
+            "describe_algorithms",
+        ),
+        ".plans": (
+            "Relation", "Catalog", "random_catalog", "QueryGraph", "random_tree_query",
+            "PlanNode", "BaseRelationNode", "JoinMethod", "JoinNode",
+            "key_join_cardinality", "random_bushy_plan", "OperatorKind", "EdgeKind",
+            "PhysicalOperator", "OperatorTree", "expand_plan", "Task", "TaskTree",
+            "build_task_tree", "min_shelf_phases", "eager_shelf_phases",
+            "validate_phases", "GeneratedQuery", "generate_query", "generate_workload",
+            "PlanStats", "describe_query", "resource_mix", "anchor_operator_name",
+            "auto_materialize",
+        ),
+        ".cost": (
+            "SystemParameters", "PAPER_PARAMETERS", "scan_work_vector",
+            "build_work_vector", "probe_work_vector", "sort_work_vector",
+            "merge_work_vector", "operator_data_volume", "annotate_operator",
+            "annotate_plan", "compute_plan_annotation", "PlanAnnotation",
+            "AnnotatedQuery",
+        ),
+        ".baselines": (
+            "minimax_allocation", "minimax_time", "scalar_list_schedule", "opt_bound",
+            "congestion_bound", "critical_path_time", "SynchronousResult",
+            "synchronous_schedule", "HongResult", "hong_schedule",
+        ),
+        ".sim": (
+            "SharingPolicy", "SimulationResult", "simulate_phased", "PolicyComparison",
+            "sharing_policy_report", "validate_phased_schedule", "PreemptabilityModel",
+            "simulate_phased_degraded",
+        ),
+        ".memory": (
+            "MemoryModel", "MemoryLedger", "TableCommitment", "spill_fraction",
+            "MemoryAwareResult", "memory_aware_tree_schedule",
+        ),
+    },
+)
+__all__.append("__version__")

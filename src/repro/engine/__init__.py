@@ -25,6 +25,12 @@ Schedule repair is not an engine concern: it edits one phase
 :func:`repro.core.reschedule.reschedule_schedule`.
 """
 
+# Core's package imports its tree schedulers, which import the engine
+# driver, and the engine's modules import core.  That cycle resolves only
+# when core is imported first, so the engine imports it before its own
+# modules.
+import repro.core  # noqa: F401
+
 from repro.engine.metrics import MetricsRecorder
 from repro.engine.registry import (
     RegisteredScheduler,

@@ -5,75 +5,41 @@ configuration, and ASCII rendering.  See ``repro-experiments --help`` for
 the command-line interface.
 """
 
-from repro.experiments.config import ExperimentConfig, PAPER_CONFIG, quick_config
-from repro.experiments.figures import (
-    FIGURES,
-    FigureData,
-    Series,
-    figure5a,
-    figure5b,
-    figure6a,
-    figure6b,
-)
-from repro.experiments.report import (
-    improvement_summary,
-    render_figure,
-    render_parameters,
-)
-from repro.experiments.parallel import ParallelRunner, SweepPoint
-from repro.experiments.runner import (
-    ALGORITHMS,
-    average_response_time,
-    prepare_workload,
-    response_time,
-    schedule_query,
-)
-from repro.experiments.plan_selection import (
-    PlanCandidate,
-    PlanSelectionResult,
-    select_best_plan,
-)
-from repro.experiments.robustness import (
-    RobustnessPoint,
-    evaluate_robustness_point,
-    robustness_sweep,
-    simulate_result_under_faults,
-)
-from repro.experiments.sensitivity import (
-    SWEEPABLE_FIELDS,
-    overlap_robustness,
-    parameter_sensitivity,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentConfig",
-    "PAPER_CONFIG",
-    "quick_config",
-    "Series",
-    "FigureData",
-    "figure5a",
-    "figure5b",
-    "figure6a",
-    "figure6b",
-    "FIGURES",
-    "render_figure",
-    "render_parameters",
-    "improvement_summary",
-    "ALGORITHMS",
-    "prepare_workload",
-    "schedule_query",
-    "response_time",
-    "average_response_time",
-    "ParallelRunner",
-    "SweepPoint",
-    "SWEEPABLE_FIELDS",
-    "parameter_sensitivity",
-    "overlap_robustness",
-    "PlanCandidate",
-    "PlanSelectionResult",
-    "select_best_plan",
-    "RobustnessPoint",
-    "evaluate_robustness_point",
-    "robustness_sweep",
-    "simulate_result_under_faults",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".config": ("ExperimentConfig", "PAPER_CONFIG", "quick_config"),
+        ".figures": (
+            "Series",
+            "FigureData",
+            "figure5a",
+            "figure5b",
+            "figure6a",
+            "figure6b",
+            "FIGURES",
+        ),
+        ".report": ("render_figure", "render_parameters", "improvement_summary"),
+        ".runner": (
+            "ALGORITHMS",
+            "prepare_workload",
+            "schedule_query",
+            "response_time",
+            "average_response_time",
+        ),
+        ".parallel": ("ParallelRunner", "SweepPoint"),
+        ".sensitivity": (
+            "SWEEPABLE_FIELDS",
+            "parameter_sensitivity",
+            "overlap_robustness",
+        ),
+        ".plan_selection": ("PlanCandidate", "PlanSelectionResult", "select_best_plan"),
+        ".robustness": (
+            "RobustnessPoint",
+            "evaluate_robustness_point",
+            "robustness_sweep",
+            "simulate_result_under_faults",
+        ),
+    },
+)

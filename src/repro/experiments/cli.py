@@ -644,7 +644,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     # byte-identical with tracing enabled or disabled at any --workers.
     session = None
     if args.trace or args.trace_dir is not None:
-        from repro.obs import TraceSession
+        from repro.obs.session import TraceSession
 
         session = TraceSession(
             args.trace_dir,

@@ -47,9 +47,10 @@ from __future__ import annotations
 
 import logging
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Any
 
@@ -234,6 +235,9 @@ class ParallelRunner:
         environment default; :data:`repro.store.NO_STORE` disables
         caching).  Values are persisted as each point completes, which
         is what makes killed sweeps resumable.
+
+    Each :meth:`run` that needs workers starts a pool and shuts it down
+    when it returns; inside :meth:`shared_pool` the runs share one.
     """
 
     def __init__(
@@ -248,6 +252,39 @@ class ParallelRunner:
         self.workers = workers
         self.metrics = metrics
         self.store = resolve_store(store)
+        self._sharing = False
+        self._pool: ProcessPoolExecutor | None = None
+
+    @contextmanager
+    def shared_pool(self) -> Iterator[None]:
+        """Keep one process pool for every :meth:`run` inside the block.
+
+        A caller running many small rounds (a plan search runs one per
+        scored chunk) pays for worker start-up once instead of per
+        round.  The pool starts at the first run that needs it and shuts
+        down when the block exits.  A pool that breaks is dropped, its
+        run salvages and retries as without the block, and the next run
+        starts a new pool.  Values are the same as without the block.
+        """
+        self._sharing = True
+        try:
+            yield
+        finally:
+            self._sharing = False
+            self._drop_pool()
+
+    def _drop_pool(self) -> None:
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown()
+
+    def _round_pool(self, pending: list[int]):
+        """Context manager giving the pool for one :meth:`run`."""
+        if not self._sharing:
+            return ProcessPoolExecutor(max_workers=min(self.workers, len(pending)))
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        return nullcontext(self._pool)
 
     def run(
         self,
@@ -387,15 +424,14 @@ class ParallelRunner:
 
         futures: dict[Any, int] = {}
         try:
-            with ProcessPoolExecutor(
-                max_workers=min(self.workers, len(pending))
-            ) as pool:
+            with self._round_pool(pending) as pool:
                 futures = {submit(pool, i): i for i in pending}
                 for future in as_completed(futures):
                     i = futures[future]
                     pairs[i] = take(i, future.result())
                     persist(i, pairs[i])
         except BrokenProcessPool:
+            self._drop_pool()
             for future, i in futures.items():
                 if pairs[i] is None and future.done() and not future.cancelled():
                     try:

@@ -6,17 +6,13 @@ memory-aware TREESCHEDULE variant spreads or spills tables that do not
 fit, pricing the spill I/O with the Table 2 cost model.
 """
 
-from repro.memory.model import MemoryLedger, MemoryModel, TableCommitment
-from repro.memory.scheduler import MemoryAwareResult, memory_aware_tree_schedule
-from repro.memory.spill import build_spill_work, probe_spill_work, spill_fraction
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MemoryModel",
-    "MemoryLedger",
-    "TableCommitment",
-    "spill_fraction",
-    "build_spill_work",
-    "probe_spill_work",
-    "MemoryAwareResult",
-    "memory_aware_tree_schedule",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".model": ("MemoryModel", "MemoryLedger", "TableCommitment"),
+        ".spill": ("spill_fraction", "build_spill_work", "probe_spill_work"),
+        ".scheduler": ("MemoryAwareResult", "memory_aware_tree_schedule"),
+    },
+)

@@ -28,90 +28,59 @@ attributes and the trace-format mapping):
     :class:`TraceSession` — the CLI bundle writing ``trace.json``,
     ``events.jsonl`` and a :class:`RunManifest` per run.
 
-Import-weight contract: ``import repro.obs`` must stay dependency-light
-— the scheduling kernels import it at module load.  Only the stdlib and
-:mod:`repro.store` (itself stdlib-only) are reachable from here;
-engine/sim/core types appear solely behind ``TYPE_CHECKING``.
+Import-weight contract: the package's names resolve on first use, so
+``import repro.obs`` loads none of these modules.  The scheduling
+kernels import :mod:`repro.obs.tracer` and :mod:`repro.obs.names` at
+module load, so the subsystem must stay dependency-light: only the
+stdlib and :mod:`repro.store` (itself stdlib-only) are reachable from
+here; engine/sim/core types appear solely behind ``TYPE_CHECKING``.
 """
 
-from repro.obs.export import (
-    TRACE_EVENT_PHASES,
-    span_events,
-    trace_payload,
-    tracer_events,
-    validate_trace_events,
-    write_trace,
-)
-from repro.obs.metrics_stream import (
-    METRICS_SCHEMA,
-    LogBucketSketch,
-    TimeSeriesRegistry,
-    validate_metrics_payload,
-)
-from repro.obs.names import (
-    KNOWN_INSTANT_NAMES,
-    KNOWN_SPAN_NAMES,
-    unknown_instant_names,
-    unknown_span_names,
-)
-from repro.obs.session import (
-    EVENTS_FILE,
-    MANIFEST_FILE,
-    MANIFEST_SCHEMA,
-    TRACE_FILE,
-    RunLog,
-    RunManifest,
-    TraceSession,
-    collect_point_keys,
-    git_describe,
-)
-from repro.obs.timeline import (
-    fleet_events,
-    schedule_result_events,
-    simulation_events,
-)
-from repro.obs.tracer import (
-    NULL_TRACER,
-    Span,
-    Tracer,
-    current_tracer,
-    span_from_dict,
-    span_to_dict,
-    use_tracer,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Span",
-    "Tracer",
-    "NULL_TRACER",
-    "current_tracer",
-    "use_tracer",
-    "span_to_dict",
-    "span_from_dict",
-    "TRACE_EVENT_PHASES",
-    "KNOWN_SPAN_NAMES",
-    "KNOWN_INSTANT_NAMES",
-    "unknown_span_names",
-    "unknown_instant_names",
-    "span_events",
-    "tracer_events",
-    "trace_payload",
-    "write_trace",
-    "validate_trace_events",
-    "simulation_events",
-    "schedule_result_events",
-    "fleet_events",
-    "METRICS_SCHEMA",
-    "LogBucketSketch",
-    "TimeSeriesRegistry",
-    "validate_metrics_payload",
-    "TraceSession",
-    "RunManifest",
-    "RunLog",
-    "collect_point_keys",
-    "git_describe",
-    "MANIFEST_SCHEMA",
-    "TRACE_FILE",
-    "EVENTS_FILE",
-    "MANIFEST_FILE",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".tracer": (
+            "Span",
+            "Tracer",
+            "NULL_TRACER",
+            "current_tracer",
+            "use_tracer",
+            "span_to_dict",
+            "span_from_dict",
+        ),
+        ".export": (
+            "TRACE_EVENT_PHASES",
+            "span_events",
+            "tracer_events",
+            "trace_payload",
+            "write_trace",
+            "validate_trace_events",
+        ),
+        ".names": (
+            "KNOWN_SPAN_NAMES",
+            "KNOWN_INSTANT_NAMES",
+            "unknown_span_names",
+            "unknown_instant_names",
+        ),
+        ".timeline": ("simulation_events", "schedule_result_events", "fleet_events"),
+        ".metrics_stream": (
+            "METRICS_SCHEMA",
+            "LogBucketSketch",
+            "TimeSeriesRegistry",
+            "validate_metrics_payload",
+        ),
+        ".session": (
+            "TraceSession",
+            "RunManifest",
+            "RunLog",
+            "collect_point_keys",
+            "git_describe",
+            "MANIFEST_SCHEMA",
+            "TRACE_FILE",
+            "EVENTS_FILE",
+            "MANIFEST_FILE",
+        ),
+    },
+)

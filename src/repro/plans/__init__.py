@@ -7,72 +7,39 @@ plans, macro-expanded operator trees with pipeline/blocking edges, query
 task trees, and the MinShelf phase decomposition.
 """
 
-from repro.plans.generator import GeneratedQuery, generate_query, generate_workload
-from repro.plans.join_tree import (
-    BaseRelationNode,
-    JoinMethod,
-    JoinNode,
-    PlanNode,
-    key_join_cardinality,
-    random_bushy_plan,
-)
-from repro.plans.operator_tree import OperatorTree, expand_plan
-from repro.plans.phases import eager_shelf_phases, min_shelf_phases, validate_phases
-from repro.plans.physical_ops import (
-    EdgeKind,
-    OperatorKind,
-    PhysicalOperator,
-    anchor_operator_name,
-    build_op,
-    merge_op,
-    probe_op,
-    rescan_op,
-    scan_op,
-    sort_op,
-    store_op,
-)
-from repro.plans.query_graph import QueryGraph, random_tree_query
-from repro.plans.relations import Catalog, Relation, random_catalog
-from repro.plans.stats import PlanStats, describe_query, resource_mix
-from repro.plans.transform import auto_materialize
-from repro.plans.task_tree import Task, TaskTree, build_task_tree
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Relation",
-    "Catalog",
-    "random_catalog",
-    "QueryGraph",
-    "random_tree_query",
-    "PlanNode",
-    "BaseRelationNode",
-    "JoinMethod",
-    "JoinNode",
-    "key_join_cardinality",
-    "random_bushy_plan",
-    "OperatorKind",
-    "EdgeKind",
-    "PhysicalOperator",
-    "scan_op",
-    "build_op",
-    "probe_op",
-    "sort_op",
-    "merge_op",
-    "store_op",
-    "rescan_op",
-    "anchor_operator_name",
-    "OperatorTree",
-    "expand_plan",
-    "Task",
-    "TaskTree",
-    "build_task_tree",
-    "min_shelf_phases",
-    "eager_shelf_phases",
-    "validate_phases",
-    "GeneratedQuery",
-    "generate_query",
-    "generate_workload",
-    "PlanStats",
-    "describe_query",
-    "resource_mix",
-    "auto_materialize",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".relations": ("Relation", "Catalog", "random_catalog"),
+        ".query_graph": ("QueryGraph", "random_tree_query"),
+        ".join_tree": (
+            "PlanNode",
+            "BaseRelationNode",
+            "JoinMethod",
+            "JoinNode",
+            "key_join_cardinality",
+            "random_bushy_plan",
+        ),
+        ".physical_ops": (
+            "OperatorKind",
+            "EdgeKind",
+            "PhysicalOperator",
+            "scan_op",
+            "build_op",
+            "probe_op",
+            "sort_op",
+            "merge_op",
+            "store_op",
+            "rescan_op",
+            "anchor_operator_name",
+        ),
+        ".operator_tree": ("OperatorTree", "expand_plan"),
+        ".task_tree": ("Task", "TaskTree", "build_task_tree"),
+        ".phases": ("min_shelf_phases", "eager_shelf_phases", "validate_phases"),
+        ".generator": ("GeneratedQuery", "generate_query", "generate_workload"),
+        ".stats": ("PlanStats", "describe_query", "resource_mix"),
+        ".transform": ("auto_materialize",),
+    },
+)

@@ -11,11 +11,10 @@ workloads are exactly reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-try:  # pragma: no cover - exercised by the no-numpy CI job
+if TYPE_CHECKING:
     import numpy as np
-except ImportError:  # numpy is an optional extra; workload drawing needs it
-    np = None  # type: ignore[assignment]
 
 from repro.exceptions import ConfigurationError
 from repro.plans.join_tree import PlanNode, random_bushy_plan
@@ -126,10 +125,12 @@ def generate_workload(
     """
     if n_queries < 1:
         raise ConfigurationError(f"n_queries must be >= 1, got {n_queries}")
-    if np is None:
+    try:  # numpy is an optional extra; workload drawing needs it
+        import numpy as np
+    except ImportError:
         raise ConfigurationError(
             "workload generation needs numpy; install the 'repro[numpy]' extra"
-        )
+        ) from None
     rng = np.random.default_rng(seed)
     return [
         generate_query(

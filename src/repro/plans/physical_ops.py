@@ -27,10 +27,13 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from repro.exceptions import ImmutableAnnotationError, PlanStructureError
-from repro.core.cloning import OperatorSpec
 from repro.plans.relations import Relation
+
+if TYPE_CHECKING:  # core's schedulers import this module
+    from repro.core.cloning import OperatorSpec
 
 __all__ = [
     "OperatorKind",

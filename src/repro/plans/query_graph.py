@@ -10,11 +10,10 @@ labelled tree on the relation set is equally likely).
 from __future__ import annotations
 
 from collections.abc import Iterable
+from typing import TYPE_CHECKING
 
-try:  # pragma: no cover - exercised by the no-numpy CI job
-    import numpy as np  # noqa: F401 - annotations only
-except ImportError:  # numpy is optional; rng parameters are duck-typed
-    np = None  # type: ignore[assignment]
+if TYPE_CHECKING:  # rng parameters are duck-typed; numpy is optional
+    import numpy as np
 
 from repro.exceptions import PlanStructureError
 from repro.plans.relations import Catalog

@@ -13,11 +13,10 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-try:  # pragma: no cover - exercised by the no-numpy CI job
-    import numpy as np  # noqa: F401 - annotations only
-except ImportError:  # numpy is optional; rng parameters are duck-typed
-    np = None  # type: ignore[assignment]
+if TYPE_CHECKING:  # rng parameters are duck-typed; numpy is optional
+    import numpy as np
 
 from repro.exceptions import ConfigurationError, PlanStructureError
 

@@ -459,9 +459,13 @@ def search_plans(
                 ):
                     state["incumbent"] = entry.response_time
 
-    with current_tracer().span(
-        SPAN_PLAN_SEARCH, p=p, f=f, workers=workers, pareto=pareto
-    ), use_degree_memo(), use_operator_cost_memo(params), use_schedule_sink(keep):
+    with (
+        current_tracer().span(SPAN_PLAN_SEARCH, p=p, f=f, workers=workers, pareto=pareto),
+        use_degree_memo(),
+        use_operator_cost_memo(params),
+        use_schedule_sink(keep),
+        runner.shared_pool(),
+    ):
         space = count_exhaustive_plans(graph, limit=max_exhaustive)
         exhaustive = space <= max_exhaustive
         with current_tracer().span(

@@ -6,55 +6,32 @@ merely evaluating Equation (3), validating the paper's analytic model
 (FAIR_SHARE, SERIAL).
 """
 
-from repro.sim.events import CloneTrace, RateInterval
-from repro.sim.faults import (
-    CloneFault,
-    FaultPlan,
-    FaultReport,
-    FaultSpec,
-    SiteFaults,
-)
-from repro.sim.policies import SharingPolicy
-from repro.sim.preemptability import (
-    PreemptabilityModel,
-    simulate_phased_degraded,
-    simulate_site_degraded,
-)
-from repro.sim.simulator import (
-    PhaseSimulation,
-    SimulationResult,
-    SiteSimulation,
-    simulate_phased,
-    simulate_schedule,
-    simulate_site,
-)
-from repro.sim.validate import (
-    PolicyComparison,
-    sharing_policy_report,
-    validate_phased_schedule,
-    validate_schedule_result,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SharingPolicy",
-    "CloneTrace",
-    "RateInterval",
-    "FaultSpec",
-    "CloneFault",
-    "SiteFaults",
-    "FaultPlan",
-    "FaultReport",
-    "SiteSimulation",
-    "PhaseSimulation",
-    "SimulationResult",
-    "simulate_site",
-    "simulate_schedule",
-    "simulate_phased",
-    "PolicyComparison",
-    "validate_phased_schedule",
-    "validate_schedule_result",
-    "sharing_policy_report",
-    "PreemptabilityModel",
-    "simulate_site_degraded",
-    "simulate_phased_degraded",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".policies": ("SharingPolicy",),
+        ".events": ("CloneTrace", "RateInterval"),
+        ".faults": ("FaultSpec", "CloneFault", "SiteFaults", "FaultPlan", "FaultReport"),
+        ".simulator": (
+            "SiteSimulation",
+            "PhaseSimulation",
+            "SimulationResult",
+            "simulate_site",
+            "simulate_schedule",
+            "simulate_phased",
+        ),
+        ".validate": (
+            "PolicyComparison",
+            "validate_phased_schedule",
+            "validate_schedule_result",
+            "sharing_policy_report",
+        ),
+        ".preemptability": (
+            "PreemptabilityModel",
+            "simulate_site_degraded",
+            "simulate_phased_degraded",
+        ),
+    },
+)

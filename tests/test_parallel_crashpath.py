@@ -250,3 +250,62 @@ class TestTracedPoolDeath:
         assert rerun == values
         assert second.counters["point_store_hits"] == 4.0
         assert "points_retried_inline" not in second.counters
+
+
+# ----------------------------------------------------------------------
+# One pool across runs (real pool)
+# ----------------------------------------------------------------------
+def _evaluate_pid(point: dict) -> int:
+    """The pid of the process that evaluated the point."""
+    return os.getpid()
+
+
+class _CountingPools:
+    """Replace the runner's executor class with one that records each pool."""
+
+    def __init__(self, monkeypatch):
+        self.made: list = []
+        base = parallel_mod.ProcessPoolExecutor
+        made = self.made
+
+        class Counting(base):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", Counting)
+
+
+class TestSharedPool:
+    def test_runs_outside_the_block_start_a_pool_each(self, monkeypatch):
+        pools = _CountingPools(monkeypatch)
+        runner = ParallelRunner(2)
+        for _ in range(2):
+            assert runner.run(_points(2), evaluate=_evaluate_or_die) == [0.0, 1.0]
+        assert len(pools.made) == 2
+
+    def test_runs_inside_the_block_share_one_pool(self, monkeypatch):
+        pools = _CountingPools(monkeypatch)
+        runner = ParallelRunner(2)
+        with runner.shared_pool():
+            first = runner.run(_points(4), evaluate=_evaluate_pid)
+            second = runner.run(_points(4), evaluate=_evaluate_pid)
+            assert len(pools.made) == 1
+        assert os.getpid() not in first + second
+        # The block's end shuts the pool down: nothing more can be run on it.
+        with pytest.raises(RuntimeError):
+            pools.made[0].submit(_evaluate_pid, {})
+
+    def test_broken_shared_pool_is_replaced(self, monkeypatch):
+        # The first run kills its workers and is salvaged inline as
+        # without the block; the next run gets a fresh, working pool.
+        pools = _CountingPools(monkeypatch)
+        metrics = MetricsRecorder()
+        runner = ParallelRunner(2, metrics=metrics)
+        with runner.shared_pool():
+            killed = runner.run(_points(4), evaluate=_evaluate_or_die)
+            after = runner.run(_points(4), evaluate=_evaluate_pid)
+        assert killed == [0.0, 1.0, 2.0, 3.0]
+        assert metrics.counters["points_retried_inline"] == 4.0
+        assert len(pools.made) == 2
+        assert os.getpid() not in after

@@ -159,6 +159,37 @@ class TestSearch:
         assert not a.stats.exhaustive
         assert fingerprint(a) == fingerprint(b) == fingerprint(c)
 
+    def test_one_pool_per_search(self, monkeypatch):
+        # A local search scores many rounds; at workers=2 they all share
+        # one process pool instead of starting one per round.
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.experiments import parallel as parallel_mod
+
+        pools, rounds = [], []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        run_round = parallel_mod.ParallelRunner.run
+
+        def counting_run(self, points, **kwargs):
+            rounds.append(len(points))
+            return run_round(self, points, **kwargs)
+
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(parallel_mod.ParallelRunner, "run", counting_run)
+        chain = make_query(
+            {f"R{i}": 1_000 * (7 * i % 13 + 1) for i in range(10)},
+            [(f"R{i}", f"R{i + 1}") for i in range(9)],
+        )
+        fanned = run(chain, p=16, workers=2)
+        assert pools == [{"max_workers": 2}]
+        assert sum(1 for n in rounds if n > 1) > 1
+        assert fingerprint(fanned) == fingerprint(run(chain, p=16))
+
     def test_pareto_exact_matches_brute_force(self, query):
         result = run(query, pareto=True, pareto_eps=0.0)
         assert result.stats.pruned == 0  # many-objective mode never prunes
