@@ -6,20 +6,24 @@ exhaustive scorer and the pruned search on the guard-point query
 (8-relation chain, plan space 429), verifies the winner is invariant,
 and reports the pruning ledger plus the warm-store round trip.  The
 search's cost is pinned as exact work counts: plans bounded, built,
-hashed and scored, TREESCHEDULE runs, and ``T_seq`` evaluations pruned
-against exhaustive and screen against score.
+hashed and scored, TREESCHEDULE runs, shelf packs requested and
+computed, and ``T_seq`` evaluations pruned against exhaustive and screen
+against score.
 """
 
 from __future__ import annotations
 
+import sys
 import tempfile
 from collections import Counter
 
 import pytest
 
+import repro.engine.driver as driver_module
 import repro.search.score as score_module
 import repro.search.search as search_module
 from repro.core.resource_model import OverlapModel
+from repro.core.operator_schedule import operator_schedule
 from repro.plans.query_graph import QueryGraph
 from repro.plans.relations import Catalog, Relation
 from repro.search import search_plans
@@ -27,6 +31,9 @@ from repro.search.screen import ScreenContext
 from repro.store import NO_STORE, ArtifactStore
 
 from _helpers import publish
+
+#: The module itself: ``repro.core`` re-exports a function of the same name.
+pack_module = sys.modules[operator_schedule.__module__]
 
 #: The guard-point query: an 8-relation chain with skewed cardinalities.
 #: Plan space = Catalan(7) = 429 bushy plans, all exhaustively enumerated.
@@ -118,15 +125,13 @@ def test_plansearch_rankings_consistent(searches):
         assert result.winner.key == result.candidates[0].key
 
 
-def test_plansearch_work_counts_are_pinned(monkeypatch):
-    """Exact work of one pruned search at the guard point.
+def counting(monkeypatch) -> Counter[str]:
+    """Count plans built and keyed, TREESCHEDULE runs and shelf packs.
 
-    The exhaustive DP bounds all 429 plans from subplan summaries; a plan
-    is built as a tree (``ScreenContext.plan``) and hashed (``plan_key``)
-    only when it is about to be scored, so the 421 pruned plans cost
-    neither.  Each scored plan is scheduled once (``tree_schedule``) and
-    the winner's schedule is the one kept from scoring, so there is no
-    run beyond the 8.  A change that moves these counts must say why.
+    "packs" counts the shelf packs the driver requests
+    (``operator_schedule``), "packed" the ones actually computed: inside
+    a search, a shelf whose content was packed before is answered from
+    the search's pack memo.
     """
     calls: Counter[str] = Counter()
 
@@ -146,12 +151,51 @@ def test_plansearch_work_counts_are_pinned(monkeypatch):
         "tree_schedule",
         counted("tree_schedule", score_module.tree_schedule),
     )
+    monkeypatch.setattr(
+        driver_module, "operator_schedule",
+        counted("packs", driver_module.operator_schedule),
+    )
+    monkeypatch.setattr(pack_module, "_pack", counted("packed", pack_module._pack))
+    return calls
+
+
+def test_plansearch_work_counts_are_pinned(monkeypatch):
+    """Exact work of one pruned search at the guard point.
+
+    The exhaustive DP bounds all 429 plans from subplan summaries; a plan
+    is built as a tree (``ScreenContext.plan``) and hashed (``plan_key``)
+    only when it is about to be scored, so the 421 pruned plans cost
+    neither.  Each scored plan is scheduled once (``tree_schedule``) and
+    the winner's schedule is the one kept from scoring, so there is no
+    run beyond the 8.  The 8 runs request 40 shelf packs, but only 16
+    distinct shelves: the rest are answered by the search's pack memo.
+    A change that moves these counts must say why.
+    """
+    calls = counting(monkeypatch)
     graph, catalog = make_query()
     stats = search_plans(graph, catalog, p=P, store=NO_STORE, **SEARCH_KW).stats
     assert (stats.enumerated, stats.unique, stats.pruned, stats.scored) == (
         429, 429, 421, 8,
     )
-    assert calls == {"plan_key": 8, "built": 8, "tree_schedule": 8}
+    assert calls == {
+        "plan_key": 8, "built": 8, "tree_schedule": 8, "packs": 40, "packed": 16,
+    }
+
+
+def test_equal_chain_packs_are_pinned(monkeypatch):
+    """An 8-chain of equal relations: the screen prunes little, packs repeat.
+
+    Every join's output has 1,000 tuples, so 233 of the 429 plans are
+    scored (the screen's bound is loose here), and their 867 shelf packs
+    hold only 65 distinct shelves.
+    """
+    calls = counting(monkeypatch)
+    names = [f"R{i}" for i in range(8)]
+    graph = QueryGraph(names, list(zip(names, names[1:])))
+    catalog = Catalog([Relation(name, 1_000) for name in names])
+    stats = search_plans(graph, catalog, p=P, store=NO_STORE, chunk_size=3).stats
+    assert (stats.unique, stats.scored) == (429, 233)
+    assert (calls["tree_schedule"], calls["packs"], calls["packed"]) == (233, 867, 65)
 
 
 #: ``OverlapModel.t_seq`` evaluations of one cold search at the guard
@@ -160,12 +204,14 @@ def test_plansearch_work_counts_are_pinned(monkeypatch):
 #: degree selection's ``T_par`` and packing's clone times) is on the
 #: stack, "screen" counts all the others (the lower-bound screen's
 #: ``T_par`` minima over subplan summaries, ranking and bookkeeping).
-#: Degrees are memoized by content within a search, so a candidate's
-#: scoring cost is mostly packing.  Pruning cuts the total 25x against
-#: the exhaustive scorer (``prune=False``, every plan scored), and the
-#: screen stays cheaper than the scoring it saves.
-T_SEQ_PRUNED = {"screen": 320, "score": 455}
-T_SEQ_EXHAUSTIVE = {"screen": 304, "score": 19070}
+#: Degrees and shelf packs are memoized by content within a search, so a
+#: candidate's scoring cost is the packing of its new shelves.  The
+#: screen's ``t_min`` bisects each distinct operator's convex ``T_par``
+#: curve instead of scanning all ``p`` degrees.  Pruning cuts the total
+#: 35x against the exhaustive scorer (``prune=False``, every plan
+#: scored), and the screen stays cheaper than the scoring it saves.
+T_SEQ_PRUNED = {"screen": 135, "score": 255}
+T_SEQ_EXHAUSTIVE = {"screen": 128, "score": 13482}
 
 
 def test_plansearch_t_seq_counts_are_pinned(monkeypatch):

@@ -29,7 +29,7 @@ works on a portion of the operator's data.  This module implements:
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -47,6 +47,7 @@ __all__ = [
     "total_work_vector",
     "parallel_time",
     "response_optimal_degree",
+    "minimum_parallel_time",
     "coarse_grain_degree",
     "use_degree_memo",
 ]
@@ -295,6 +296,96 @@ def parallel_time(
     return ParallelTimeCurve(spec, comm, policy).t_par(n, overlap)
 
 
+def _cached_t_par(curve: ParallelTimeCurve, overlap: OverlapModel) -> Callable[[int], float]:
+    """``curve.t_par(., overlap)``, each degree evaluated at most once."""
+    times: dict[int, float] = {}
+
+    def t_par(n: int) -> float:
+        t = times.get(n)
+        if t is None:
+            times[n] = t = curve.t_par(n, overlap)
+        return t
+
+    return t_par
+
+
+def _first_non_fall(t_par: Callable[[int], float], p: int) -> int:
+    """Bisect ``2..p`` for the first degree whose ``T_par`` does not fall.
+
+    Returns ``p + 1`` when the curve falls all the way; see
+    :func:`response_optimal_degree` step 1 for why bisection is valid.
+    """
+    lo, stop = 1, p + 1
+    while stop - lo > 1:
+        mid = (lo + stop) // 2
+        if t_par(mid) < t_par(mid - 1):
+            lo = mid
+        else:
+            stop = mid
+    return stop
+
+
+#: Relative slack of :func:`minimum_parallel_time`'s window: far above the
+#: relative rounding error of a computed ``T_par`` (a few ulps).
+_WINDOW_SLACK = 1e-9
+
+
+def minimum_parallel_time(
+    curve: ParallelTimeCurve, p: int, overlap: OverlapModel
+) -> float:
+    """``min(curve.t_par(n, overlap) for n in 1..p)`` in ``O(log p)`` evaluations.
+
+    The result is bit-identical to that full scan: it is the smallest
+    computed value over a window of consecutive degrees that provably
+    holds every degree where the scan's minimum can occur.
+
+    The exact curve ``T(n)`` is convex (:func:`response_optimal_degree`
+    step 1), so with ``a`` and ``b`` its first and last exact minimizers
+    it is non-increasing on ``1..b`` and non-decreasing on ``a..p``.  Say
+    each computed value ``T'(n)`` is within a relative ``eta`` of
+    ``T(n)``, with ``(1 + eta) / (1 - eta) <= 1 + delta`` for the slack
+    ``delta = 1e-9`` (``eta`` is a few ulps).  The window starts at the
+    last degree before the first computed non-fall (a bisection, so it
+    starts near the minimum) and widens one degree at a time, right then
+    left, while the next value ``T'(n)`` is at most ``B * (1 + delta)``,
+    ``B`` being the smallest value in the window so far.
+
+    * *Right edge.*  Say the right walk stops at ``n``, every window
+      degree ``s`` lies left of ``n``, and ``n < a``.  Then ``T(s) >=
+      T(n)``, so ``B >= (1 - eta) T(n) >= T'(n) / (1 + delta)``, and the
+      walk would not have stopped.  So ``n >= a``, and every ``n' > n``
+      has ``T(n') >= T(n)``, hence ``T'(n') >= T'(n) / (1 + delta) > B``.
+    * *Left edge.*  The mirror image: every window degree lies right of
+      the stop ``n``, so ``n <= b``, and every ``n' < n`` has
+      ``T'(n') > B``.
+
+    Every degree outside the window computes to more than the window's
+    minimum, which is therefore the scan's, to the bit.
+    ``tests/test_degree_oracle.py`` checks it against the full scan, flat
+    minima and exact ties included.
+    """
+    if p < 1:
+        raise SchedulingError(f"number of sites must be >= 1, got {p}")
+    t_par = _cached_t_par(curve, overlap)
+    lo = hi = _first_non_fall(t_par, p) - 1
+    best = t_par(lo)
+    if best == 0.0:  # no T_par is negative: an idle operator's curve is flat
+        return best
+    while hi < p:
+        t = t_par(hi + 1)
+        if t > best * (1.0 + _WINDOW_SLACK):
+            break
+        hi += 1
+        best = min(best, t)
+    while lo > 1:
+        t = t_par(lo - 1)
+        if t > best * (1.0 + _WINDOW_SLACK):
+            break
+        lo -= 1
+        best = min(best, t)
+    return best
+
+
 def response_optimal_degree(
     spec: OperatorSpec,
     p: int,
@@ -354,23 +445,9 @@ def response_optimal_degree(
     """
     if p < 1:
         raise SchedulingError(f"number of sites must be >= 1, got {p}")
-    curve = ParallelTimeCurve(spec, comm, policy)
-    times: dict[int, float] = {}
-
-    def t_par(n: int) -> float:
-        t = times.get(n)
-        if t is None:
-            times[n] = t = curve.t_par(n, overlap)
-        return t
-
+    t_par = _cached_t_par(ParallelTimeCurve(spec, comm, policy), overlap)
     # 1. The first degree in 2..p (or p + 1) whose T_par does not fall.
-    lo, stop = 1, p + 1
-    while stop - lo > 1:
-        mid = (lo + stop) // 2
-        if t_par(mid) < t_par(mid - 1):
-            lo = mid
-        else:
-            stop = mid
+    stop = _first_non_fall(t_par, p)
     # 2. Walk back to the last degree that beat its predecessor by the
     #    margin, stopping the replay at any non-fall on the way.
     anchor = stop - 1
@@ -385,7 +462,7 @@ def response_optimal_degree(
     best_n = anchor
     best_t = t_par(anchor)
     for n in range(anchor + 1, stop):
-        t = times[n]
+        t = t_par(n)
         if t < best_t * (1.0 - 1e-12):
             best_t = t
             best_n = n

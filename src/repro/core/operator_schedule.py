@@ -30,10 +30,12 @@ optimal ``CG_f`` schedule.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-from contextlib import nullcontext
+from collections.abc import Iterator, Mapping, Sequence
+from contextlib import contextmanager, nullcontext
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import repeat
+from operator import attrgetter
 
 from repro.exceptions import InfeasibleScheduleError, SchedulingError
 from repro.core.cloning import (
@@ -56,7 +58,12 @@ from repro.obs.tracer import current_tracer
 from repro.core.schedule import Schedule
 from repro.core.work_vector import WorkVector
 
-__all__ = ["RootedPlacement", "OperatorScheduleResult", "operator_schedule"]
+__all__ = [
+    "RootedPlacement",
+    "OperatorScheduleResult",
+    "operator_schedule",
+    "use_pack_memo",
+]
 
 
 @dataclass(frozen=True)
@@ -146,6 +153,7 @@ def _place_rooted(
     comm: CommunicationModel,
     overlap: OverlapModel,
     policy: CoordinatorPolicy,
+    vectors: dict | None = None,
 ) -> dict[str, int]:
     """Figure 3 step 1: place every rooted operator's clones at its fixed sites.
 
@@ -173,7 +181,7 @@ def _place_rooted(
                     f"rooted operator {name!r}: site {site_index} "
                     f"outside 0..{p - 1}"
                 )
-        clones = clone_work_vectors(placement.spec, n, comm, policy)
+        clones = _clone_vectors(placement.spec, n, comm, policy, vectors)
         schedule.place_operator(
             name,
             clone_run(
@@ -182,6 +190,90 @@ def _place_rooted(
         )
         degrees[name] = n
     return degrees
+
+
+def _clone_vectors(
+    spec: OperatorSpec,
+    n: int,
+    comm: CommunicationModel,
+    policy: CoordinatorPolicy,
+    vectors: dict | None,
+) -> Sequence[WorkVector]:
+    """:func:`clone_work_vectors`, reused by content when ``vectors`` is a memo.
+
+    ``vectors`` holds the clone vectors of one ``(comm, policy)`` pair;
+    they depend on the spec only through its work and data volume.
+    """
+    if vectors is None:
+        return clone_work_vectors(spec, n, comm, policy)
+    key = (spec.work.components, spec.data_volume, n)
+    clones = vectors.get(key)
+    if clones is None:
+        vectors[key] = clones = tuple(clone_work_vectors(spec, n, comm, policy))
+    return clones
+
+
+#: The memo of the innermost :func:`use_pack_memo` scope, if any: stored
+#: packings by content, and clone vectors by ``(comm, policy)``.
+_PACK_MEMO: ContextVar[tuple[dict, dict] | None] = ContextVar(
+    "repro_pack_memo", default=None
+)
+
+_by_name = attrgetter("spec.name")
+_name = attrgetter("name")
+
+
+@contextmanager
+def use_pack_memo() -> Iterator[None]:
+    """Reuse :func:`operator_schedule` packings by content in the ``with`` body.
+
+    Inside the scope each distinct packing problem is packed once; a
+    later call with the same content, under any operator names that
+    keep the floating operators' name order, gets a fresh schedule
+    rebuilt from the stored one with the names mapped position by
+    position (see :func:`operator_schedule` for the key and why it is
+    exact).  A pack that does run reuses the clone work vectors of
+    operators already cloned in the scope at the same degree.  Only
+    successful results are stored, so a failing call raises every time,
+    and a call given a ``metrics`` recorder always packs from scratch.
+    Scopes nest (an inner one starts empty), and the memo is dropped
+    when the scope exits, however it exits.  Outside every scope the
+    function packs as if no memo existed.
+    """
+    token = _PACK_MEMO.set(({}, {}))
+    try:
+        yield
+    finally:
+        _PACK_MEMO.reset(token)
+
+
+def _pack_key(
+    ordered: Sequence[OperatorSpec],
+    rooted: Sequence[RootedPlacement],
+    degrees: Mapping[str, int] | None,
+    settings: tuple,
+) -> tuple:
+    """The content of one packing problem, with every operator name left out.
+
+    A floating operator contributes ``(components, data volume)``, plus
+    its forced degree when ``degrees`` names it (the longer tuple never
+    equals the shorter); a rooted one ``(components, data volume,
+    sites)``.
+    """
+    forced = degrees or {}
+    return (
+        settings,
+        tuple(
+            (r.spec.work.components, r.spec.data_volume, r.site_indices)
+            for r in rooted
+        ),
+        tuple(
+            (s.work.components, s.data_volume, forced[s.name])
+            if s.name in forced
+            else (s.work.components, s.data_volume)
+            for s in ordered
+        ),
+    )
 
 
 def operator_schedule(
@@ -239,6 +331,24 @@ def operator_schedule(
     OperatorScheduleResult
         Schedule, chosen degrees, and Equation (3) makespan.
 
+    Notes
+    -----
+    Inside a :func:`use_pack_memo` scope (plan search opens one), a call
+    without ``metrics`` is keyed on its content: ``p``, ``f``, ``comm``,
+    ``overlap``, ``policy`` and ``capacities``; each rooted operator's
+    ``(work components, data volume, sites)`` in the given order; each
+    floating operator's ``(work components, data volume)``, plus its
+    forced degree if ``degrees`` names it, in name order.  A call whose
+    key was packed before gets that schedule with the operator names
+    mapped position by position.  This is exact: the steps above use
+    names only for equality (constraint (A), dict keys, the uniqueness
+    check) and for step 3's ``(-length, name, clone)`` tie-break among
+    floating clones, and a renaming that keeps the floating operators'
+    name order keeps both.  The floating input order does not matter:
+    step 3 sorts every clone.  The result is a fresh schedule, so no
+    caller can change what a later call gets, and ``degrees`` follows
+    this call's order.
+
     Raises
     ------
     InfeasibleScheduleError
@@ -248,12 +358,91 @@ def operator_schedule(
         On duplicate names or inconsistent dimensionalities.
     """
     _check_unique_names(floating, rooted)
+    scope = _PACK_MEMO.get() if metrics is None else None
+    memo = vectors = None
+    if scope is not None:
+        ordered = sorted(floating, key=_name)
+        settings = (
+            p, f, comm, overlap, policy,
+            None if capacities is None else tuple(capacities),
+        )
+        key = _pack_key(ordered, rooted, degrees, settings)
+        memo, by_model = scope
+        try:
+            entry = memo.get(key)
+        except TypeError:  # an unhashable model: pack without the memo
+            memo = None
+        else:
+            if entry is not None:
+                return _reuse(entry, floating, ordered, rooted)
+            vectors = by_model.setdefault((comm, policy), {})
+    result = _pack(
+        floating, rooted, p, comm, overlap, f, degrees, policy, metrics,
+        capacities, vectors,
+    )
+    if memo is not None:
+        memo[key] = _entry(result, ordered, rooted)
+    return result
+
+
+def _entry(
+    result: OperatorScheduleResult,
+    ordered: Sequence[OperatorSpec],
+    rooted: Sequence[RootedPlacement],
+) -> tuple:
+    """What the pack memo keeps of one result: no caller can reach it."""
+    degrees = result.degrees
+    return (
+        (*map(_by_name, rooted), *map(_name, ordered)),
+        result.schedule.snapshot(),
+        tuple(degrees[spec.name] for spec in ordered),
+        result.makespan,
+    )
+
+
+def _reuse(
+    entry: tuple,
+    floating: Sequence[OperatorSpec],
+    ordered: Sequence[OperatorSpec],
+    rooted: Sequence[RootedPlacement],
+) -> OperatorScheduleResult:
+    """A fresh result from a memo entry, under this call's operator names."""
+    stored_names, snapshot, floating_degrees, makespan = entry
+    names = (*map(_by_name, rooted), *map(_name, ordered))
+    schedule = Schedule.from_snapshot(
+        snapshot, None if names == stored_names else dict(zip(stored_names, names))
+    )
+    by_name = dict(zip(names[len(rooted):], floating_degrees))
+    chosen = {placement.spec.name: placement.degree for placement in rooted}
+    for spec in floating:
+        chosen[spec.name] = by_name[spec.name]
+    return OperatorScheduleResult(schedule=schedule, degrees=chosen, makespan=makespan)
+
+
+def _pack(
+    floating: Sequence[OperatorSpec],
+    rooted: Sequence[RootedPlacement],
+    p: int,
+    comm: CommunicationModel,
+    overlap: OverlapModel,
+    f: float,
+    degrees: Mapping[str, int] | None,
+    policy: CoordinatorPolicy,
+    metrics,
+    capacities: Sequence[float] | None,
+    vectors: dict | None,
+) -> OperatorScheduleResult:
+    """Figure 3 proper: steps 1-3 of :func:`operator_schedule`.
+
+    ``vectors`` is the scope's clone-vector memo for ``(comm, policy)``,
+    or ``None``.
+    """
     d = _common_dimensionality(floating, rooted)
     schedule = Schedule(p, d, capacities)
 
     # Step 1: place the work vectors of all rooted operators at their
     # respective sites.
-    chosen = _place_rooted(schedule, rooted, comm, overlap, policy)
+    chosen = _place_rooted(schedule, rooted, comm, overlap, policy, vectors)
 
     # Step 2: degree of coarse-grain parallelism for every floating
     # operator, and the clone lists L_i.
@@ -272,7 +461,7 @@ def operator_schedule(
         else:
             n = coarse_grain_degree(spec, p, f, comm, overlap, policy)
         chosen[spec.name] = n
-        for k, work in enumerate(clone_work_vectors(spec, n, comm, policy)):
+        for k, work in enumerate(_clone_vectors(spec, n, comm, policy, vectors)):
             pending.append((spec.name, k, work))
 
     # Step 3: list scheduling in non-increasing order of l(w̄); ties in the

@@ -19,15 +19,18 @@ makespans.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from operator import add
+from itertools import accumulate, chain, islice
+from operator import add, itemgetter
 
 from repro.exceptions import SchedulingError
 from repro.core.site import PlacedClone, Site
 from repro.core.work_vector import WorkVector
 
 __all__ = ["Schedule", "PhasedSchedule", "OperatorHome"]
+
+_operator = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -346,6 +349,82 @@ class Schedule:
         )
         dup._disabled = set(self._disabled)
         return dup
+
+    def snapshot(self) -> tuple:
+        """An immutable, compact record of this schedule's whole state.
+
+        :meth:`from_snapshot` rebuilds an independent schedule from it
+        with identical statistics.  Whatever ``P`` and the clone count,
+        the record is a few flat tuples: the (immutable, shared) clones,
+        site after site; the site statistics; the homes' ``(clone, site)``
+        pairs.  No site, list or set is kept, so a store of many records
+        (the pack memo of
+        :func:`~repro.core.operator_schedule.use_pack_memo`) holds few
+        objects for the garbage collector to track.
+        """
+        sites = self._sites
+        stats: list[float] = []
+        for site in sites:
+            stats += (site._length, site._total_load, site._max_t_seq, *site._load)
+        homes = self._homes
+        return (
+            self._d,
+            None if self.is_uniform_capacity() else self.capacities(),
+            tuple(chain.from_iterable(s._clones for s in sites)),
+            tuple(accumulate(len(site._clones) for site in sites)),
+            tuple(stats),
+            tuple(homes),
+            tuple(map(len, homes.values())),
+            tuple(chain.from_iterable(chain.from_iterable(homes.values()))),
+            tuple(self._total_work),
+            self._clone_count,
+            tuple(self._disabled),
+        )
+
+    @classmethod
+    def from_snapshot(
+        cls, snapshot: tuple, names: Mapping[str, str] | None = None
+    ) -> "Schedule":
+        """A fresh schedule from a :meth:`snapshot`, operators renamed by ``names``.
+
+        ``names`` (if given) must map every operator to a distinct name.
+        Loads do not depend on names, so nothing is re-folded: sites,
+        clone order, homes order and every statistic are the snapshot's.
+        """
+        (
+            d, capacities, clones, ends, stats, operators, counts, pairs,
+            total_work, clone_count, disabled,
+        ) = snapshot
+        if names is not None:
+            operators = map(names.__getitem__, operators)
+        width = 3 + d
+        sites = []
+        start = 0
+        for j, end in enumerate(ends):
+            if names is None:
+                run = list(clones[start:end])
+            else:
+                run = [
+                    PlacedClone(names[op], k, work, t)
+                    for op, k, work, t in clones[start:end]
+                ]
+            base = j * width
+            sites.append(
+                Site._adopt(
+                    j, d, 1.0 if capacities is None else capacities[j], run,
+                    set(map(_operator, run)), list(stats[base + 3 : base + width]),
+                    stats[base], stats[base + 1], stats[base + 2],
+                )
+            )
+            start = end
+        flat = iter(pairs)
+        homes = {
+            op: list(islice(zip(flat, flat), count))
+            for op, count in zip(operators, counts)
+        }
+        schedule = cls._adopt(d, sites, homes, list(total_work), clone_count)
+        schedule._disabled = set(disabled)
+        return schedule
 
     # ------------------------------------------------------------------
     # Homes

@@ -59,6 +59,7 @@ from repro.core.cloning import (
     CoordinatorPolicy,
     OperatorSpec,
     ParallelTimeCurve,
+    minimum_parallel_time,
 )
 from repro.core.granularity import CommunicationModel
 from repro.core.resource_model import OverlapModel
@@ -167,7 +168,7 @@ class ScreenContext:
             self.comm,
             self.policy,
         )
-        t_min = min(curve.t_par(n, self.overlap) for n in range(1, self.p + 1))
+        t_min = minimum_parallel_time(curve, self.p, self.overlap)
         total = curve.total(1).components
         self._operators[key] = cached = (t_min, total)
         return cached

@@ -34,9 +34,16 @@ search whose scoring function is the scheduled response time:
    memoized in the content-addressed artifact store, so a repeated
    search schedules zero cold candidates.  Candidates share most of
    their operators, so for the duration of the search operator costs
-   (:func:`~repro.cost.annotate.use_operator_cost_memo`) and degrees
-   (:func:`~repro.core.cloning.use_degree_memo`) are memoized by
-   content: a scored plan costs little more than its packing.  The
+   (:func:`~repro.cost.annotate.use_operator_cost_memo`), degrees
+   (:func:`~repro.core.cloning.use_degree_memo`) and shelf packs
+   (:func:`~repro.core.operator_schedule.use_pack_memo`) are memoized
+   by content.  A shelf's pack is keyed on its operators' work, data
+   volume, degree or home, never their names, so a shelf that recurs
+   in another plan under other operator names (mirror images, shared
+   subplans, tied plans) is packed once and relabelled; the key and
+   why relabelling is exact are in
+   :func:`~repro.core.operator_schedule.operator_schedule`.  A scored
+   plan costs little more than packing its new shelves.  The
    schedule of the best candidate scored inline is kept
    (:func:`~repro.search.score.use_schedule_sink`) and becomes the
    winner's, so the winner is not scheduled twice; a winner scored in a
@@ -68,6 +75,7 @@ from repro.core.cloning import (
 )
 from repro.core.cluster import ClusterSpec
 from repro.core.granularity import CommunicationModel
+from repro.core.operator_schedule import use_pack_memo
 from repro.core.resource_model import ConvexCombinationOverlap, OverlapModel
 from repro.cost.annotate import use_operator_cost_memo
 from repro.cost.params import PAPER_PARAMETERS, SystemParameters
@@ -463,6 +471,7 @@ def search_plans(
         current_tracer().span(SPAN_PLAN_SEARCH, p=p, f=f, workers=workers, pareto=pareto),
         use_degree_memo(),
         use_operator_cost_memo(params),
+        use_pack_memo(),
         use_schedule_sink(keep),
         runner.shared_pool(),
     ):

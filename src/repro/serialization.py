@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import struct
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.exceptions import ConfigurationError, ModelValidationError, ReproError
 from repro.core.cloning import OperatorSpec
@@ -38,9 +38,13 @@ from repro.core.site import PlacedClone, Site
 from repro.core.work_vector import WorkVector
 from repro.cost.params import SystemParameters
 from repro.engine.result import Instrumentation, ScheduleResult
-from repro.experiments.figures import FigureData, Series
 from repro.obs.names import COUNTER_STORE_HITS, COUNTER_STORE_MISSES
-from repro.sim.faults import FaultReport, FaultSpec
+
+if TYPE_CHECKING:
+    # The figure and fault codecs import these when called, so decoding a
+    # stored schedule loads neither the experiments nor the simulator.
+    from repro.experiments.figures import FigureData
+    from repro.sim.faults import FaultReport, FaultSpec
 
 __all__ = [
     "work_vector_to_dict",
@@ -301,6 +305,15 @@ def schedule_from_dict(payload: dict[str, Any]) -> Schedule:
     a second clone of one operator on a site raises
     :class:`~repro.exceptions.SchedulingError`.
     """
+    return _schedule_from_dict(payload)[0]
+
+
+def _schedule_from_dict(payload: dict[str, Any]) -> tuple[Schedule, float]:
+    """:func:`schedule_from_dict` plus the schedule's makespan, from the same pass.
+
+    Each site's ``T_site`` is folded as its row is read, so the makespan
+    equals :meth:`Schedule.makespan` without a second walk over the sites.
+    """
     _check_schema(payload)
     p = int(_expect(payload, "p"))
     d = int(_expect(payload, "d"))
@@ -321,6 +334,7 @@ def schedule_from_dict(payload: dict[str, Any]) -> Schedule:
     homes: dict[str, list[tuple[int, int]]] = {}
     total_work = [0.0] * d
     clone_count = 0
+    makespan = 0.0
     sites = []
     for j, row in enumerate(rows):
         if type(row) is not list or len(row) % 3:
@@ -367,13 +381,19 @@ def schedule_from_dict(payload: dict[str, Any]) -> Schedule:
             if t_seq > max_t:
                 max_t = t_seq
         clone_count += len(clones)
+        capacity = float(capacities[j])
         sites.append(
-            Site._adopt(j, d, float(capacities[j]), clones, operators, load, length, total, max_t)
+            Site._adopt(j, d, capacity, clones, operators, load, length, total, max_t)
         )
+        if clones:
+            # Equation (2), as Site.t_site computes it.
+            t_site = max(max_t, length) / capacity
+            if t_site > makespan:
+                makespan = t_site
     schedule = Schedule._adopt(d, sites, homes, total_work, clone_count)
     for j in payload.get("disabled_sites", []):
         schedule.disable_site(int(j))
-    return schedule
+    return schedule, makespan
 
 
 def phased_schedule_to_dict(phased: PhasedSchedule) -> dict[str, Any]:
@@ -387,14 +407,24 @@ def phased_schedule_to_dict(phased: PhasedSchedule) -> dict[str, Any]:
 
 def phased_schedule_from_dict(payload: dict[str, Any]) -> PhasedSchedule:
     """Deserialize a phased schedule."""
+    return _phased_schedule_from_dict(payload)[0]
+
+
+def _phased_schedule_from_dict(
+    payload: dict[str, Any],
+) -> tuple[PhasedSchedule, list[float]]:
+    """:func:`phased_schedule_from_dict` plus each phase's makespan, in order."""
     _check_schema(payload)
     phased = PhasedSchedule()
+    makespans: list[float] = []
     labels = list(payload.get("labels", []))
     phases = _expect(payload, "phases")
     for i, item in enumerate(phases):
         label = labels[i] if i < len(labels) else ""
-        phased.append(schedule_from_dict(item), label)
-    return phased
+        schedule, makespan = _schedule_from_dict(item)
+        phased.append(schedule, label)
+        makespans.append(makespan)
+    return phased, makespans
 
 
 def instrumentation_to_dict(inst: Instrumentation) -> dict[str, Any]:
@@ -510,19 +540,26 @@ def schedule_result_from_dict(payload: dict[str, Any]) -> ScheduleResult:
 
     Every way a malformed payload can fail — a model error such as a
     negative work component or a duplicated clone, an index or degree
-    that is not an int, or a ``ValueError``/``TypeError`` from a
-    mistyped field — raises :class:`~repro.exceptions.ConfigurationError`,
-    so store readers need catch only that one error to treat a corrupt
-    entry as a miss.
+    that is not an int, a ``ValueError``/``TypeError`` from a mistyped
+    field, or a stored ``response_time`` that is not exactly the sum of
+    the decoded phases' makespans — raises
+    :class:`~repro.exceptions.ConfigurationError`, so store readers need
+    catch only that one error to treat a corrupt entry as a miss.
     """
     try:
         _check_schema(payload)
         phased_payload = _expect(payload, "phased_schedule")
-        phased = (
-            None
-            if phased_payload is None
-            else phased_schedule_from_dict(phased_payload)
-        )
+        response_time = float(_expect(payload, "response_time"))
+        phased = None
+        if phased_payload is not None:
+            phased, makespans = _phased_schedule_from_dict(phased_payload)
+            # The same sum, in the same order, as PhasedSchedule.response_time.
+            phases_time = sum(makespans)
+            if response_time != phases_time:
+                raise ConfigurationError(
+                    f"malformed schedule result payload: response_time "
+                    f"{response_time!r} is not its phases' {phases_time!r}"
+                )
         homes = {
             op: _home(op, sites) for op, sites in payload.get("homes", {}).items()
         }
@@ -534,7 +571,7 @@ def schedule_result_from_dict(payload: dict[str, Any]) -> ScheduleResult:
                 op: _degree(op, v) for op, v in payload.get("degrees", {}).items()
             },
             phase_labels=[str(x) for x in payload.get("phase_labels", [])],
-            response_time=float(_expect(payload, "response_time")),
+            response_time=response_time,
             instrumentation=instrumentation_from_dict(
                 payload.get("instrumentation", {})
             ),
@@ -566,6 +603,8 @@ def fault_spec_to_dict(spec: FaultSpec) -> dict[str, Any]:
 
 def fault_spec_from_dict(payload: dict[str, Any]) -> FaultSpec:
     """Deserialize a fault-injection spec (re-validates on construction)."""
+    from repro.sim.faults import FaultSpec
+
     _check_schema(payload)
 
     def pair(key: str, default: tuple[float, float]) -> tuple[float, float]:
@@ -609,6 +648,8 @@ def fault_report_to_dict(report: FaultReport) -> dict[str, Any]:
 
 def fault_report_from_dict(payload: dict[str, Any]) -> FaultReport:
     """Deserialize a fault report (all fields optional, default zero)."""
+    from repro.sim.faults import FaultReport
+
     _check_schema(payload)
     return FaultReport(
         slowdowns=int(payload.get("slowdowns", 0)),
@@ -641,6 +682,8 @@ def figure_to_dict(figure: FigureData) -> dict[str, Any]:
 
 def figure_from_dict(payload: dict[str, Any]) -> FigureData:
     """Deserialize a figure."""
+    from repro.experiments.figures import FigureData, Series
+
     _check_schema(payload)
     return FigureData(
         figure_id=_expect(payload, "figure_id"),

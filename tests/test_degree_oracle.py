@@ -14,6 +14,7 @@ within the bisection's ``O(log p)`` evaluation bound, exact ties included.
 from __future__ import annotations
 
 import math
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from repro.core.cloning import (
     ParallelTimeCurve,
     clone_work_vectors,
     coarse_grain_degree,
+    minimum_parallel_time,
     parallel_time,
     response_optimal_degree,
     total_work_vector,
@@ -261,3 +263,81 @@ def test_paper_operator_stops_after_the_optimum():
     assert len(overlap.calls) == 22
     # Each degree's T_par is evaluated at most once.
     assert len({w.components for w in overlap.calls}) == 22
+
+
+# ----------------------------------------------------------------------
+# The screen's t_min: the smallest T_par over 1..p, to the bit.
+# ----------------------------------------------------------------------
+#: Window probes beyond the bisection's budget.  The window's stop probes
+#: are mostly degrees the bisection has already evaluated: over 3,000
+#: draws each of :func:`problems` and :func:`exact_ties` no call needed
+#: more than ``2*ceil(log2(p + 1))`` evaluations in all.  Two more admit a
+#: stretch of two degrees within ``1e-9`` of the minimum.
+WINDOW = 2
+
+
+def check_minimum_against_full_scan(spec, p, comm, epsilon, policy):
+    overlap = CountingOverlap(epsilon)
+    t_min = minimum_parallel_time(ParallelTimeCurve(spec, comm, policy), p, overlap)
+    times = reference_times(spec, p, comm, ConvexCombinationOverlap(epsilon), policy)
+    assert bits([t_min]) == bits([min(times)])
+    assert len(overlap.calls) <= 2 * math.ceil(math.log2(p + 1)) + WINDOW
+    return times
+
+
+@settings(max_examples=80, deadline=None)
+@given(problems())
+def test_minimum_parallel_time_matches_full_scan(problem):
+    check_minimum_against_full_scan(*problem)
+
+
+@settings(max_examples=80, deadline=None)
+@given(exact_ties())
+def test_minimum_at_exact_and_near_ties_matches_full_scan(problem):
+    check_minimum_against_full_scan(*problem)
+
+
+@settings(max_examples=30, deadline=None)
+@given(problems())
+def test_minimum_of_a_flat_curve(problem):
+    """No work and no startup: every degree is 0.0; a falling curve ends at p."""
+    spec, p, _, epsilon, policy = problem
+    no_startup = CommunicationModel(alpha=0.0, beta=0.0)
+    idle = OperatorSpec(name="idle", work=WorkVector([0.0] * spec.d))
+    assert set(check_minimum_against_full_scan(idle, p, no_startup, epsilon, policy)) == {0.0}
+    check_minimum_against_full_scan(spec, p, no_startup, epsilon, policy)
+
+
+class NoisyPlateau:
+    """A convex ``T_par`` curve with a flat bottom, computed with ulp noise.
+
+    ``max(floor, a/n + b*n)`` plus ``-2..2`` ulps drawn per ``n``: on
+    the plateau the smallest computed value can sit at any degree, not
+    where a bisection lands, so only the window finds it.  Stands in for
+    :class:`ParallelTimeCurve` (``minimum_parallel_time`` calls ``t_par``).
+    """
+
+    def __init__(self, a: float, b: float, floor: float, seed: int) -> None:
+        self.a, self.b, self.floor, self.seed = a, b, floor, seed
+        self.calls = 0
+
+    def t_par(self, n: int, overlap) -> float:
+        self.calls += 1
+        exact = max(self.floor, self.a / n + self.b * n)
+        noise = random.Random(self.seed * 65537 + n).randint(-2, 2)
+        return exact + noise * math.ulp(exact)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    a=magnitude(-2.0, 4.0),
+    b=magnitude(-4.0, 0.0),
+    lift=st.one_of(st.just(1.0), st.floats(min_value=1.0, max_value=1.5)),
+    seed=st.integers(min_value=0, max_value=10**6),
+    p=st.integers(min_value=1, max_value=512),
+)
+def test_minimum_on_a_noisy_plateau_matches_full_scan(a, b, lift, seed, p):
+    floor = lift * min(a / n + b * n for n in range(1, p + 1))
+    curve = NoisyPlateau(a, b, floor, seed)
+    expected = min(curve.t_par(n, None) for n in range(1, p + 1))
+    assert bits([minimum_parallel_time(curve, p, None)]) == bits([expected])

@@ -106,6 +106,20 @@ class TestSurface:
             assert name not in loaded
         assert {"repro.core.malleable", "repro.core.reschedule"} <= loaded
 
+    def test_serialization_loads_no_figure_or_fault_module(self):
+        # The store path decodes schedules; the figure and fault codecs
+        # import their types only when called.
+        surface = set(_loaded_after(*SURFACE)["repro"])
+        loaded = set(_loaded_after(*SURFACE, "repro.serialization")["repro"])
+        assert loaded - surface == {"repro.serialization"}
+        for name in (
+            "repro.experiments.config",
+            "repro.experiments.figures",
+            "repro.sim",
+            "repro.sim.faults",
+        ):
+            assert name not in loaded
+
     def test_import_repro_runs_no_submodule(self):
         loaded = _loaded_after("repro")
         assert loaded == {"repro": ["repro", "repro._lazy"], "numpy": False}

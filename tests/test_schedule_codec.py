@@ -15,7 +15,9 @@ These tests hold it to three contracts:
   lies outside ``[l(W), sum(W)]`` is rejected;
 * every malformed payload raises
   :class:`~repro.exceptions.ConfigurationError` from the result decoder,
-  including the old one-object-per-placement layout.
+  including the old one-object-per-placement layout and a stored
+  ``response_time`` that is not the sum of the decoded phases'
+  makespans.
 """
 
 from __future__ import annotations
@@ -262,6 +264,14 @@ def _float_degree(payload):
     payload["degrees"]["a"] = 3.0
 
 
+def _stale_response_time(payload):
+    payload["response_time"] = 1.0
+
+
+def _one_ulp_response_time(payload):
+    payload["response_time"] = math.nextafter(payload["response_time"], math.inf)
+
+
 REJECTIONS = {
     # Site 0's row is ``[0, 0, 0, 1, 0, 0]``: a#0 variant 0, then b#0.
     # A wrapped -1 would name b, so only the range check rejects it.
@@ -285,6 +295,8 @@ REJECTIONS = {
     "negative_home": _negative_home,
     "bool_degree": _bool_degree,
     "float_degree": _float_degree,
+    "stale_response_time": _stale_response_time,
+    "one_ulp_response_time": _one_ulp_response_time,
 }
 
 
@@ -464,3 +476,23 @@ def test_stored_t_seq_within_tolerance_of_the_bound_decodes():
     _schedule(payload)["operators"][0][1][0][1] = 3.0 + 1e-12
     schedule = schedule_from_dict(_schedule(payload))
     assert schedule.site(0).max_t_seq() == 3.0 + 1e-12
+
+
+def test_treeschedule_result_with_a_stale_response_time_is_rejected():
+    pytest.importorskip("numpy")
+    from repro.experiments.runner import prepare_workload, schedule_query
+    from repro.store import NO_STORE
+
+    (query,) = prepare_workload(10, 1, 1996, store=NO_STORE)
+    result = schedule_query(
+        "treeschedule", query, p=16, f=0.7, epsilon=0.5, store=NO_STORE
+    )
+    payload = json.loads(json.dumps(schedule_result_to_dict(result)))
+    assert schedule_result_from_dict(payload).response_time == 50.185004711538454
+    payload["response_time"] = 1.0
+    with pytest.raises(ConfigurationError) as raised:
+        schedule_result_from_dict(payload)
+    assert str(raised.value) == (
+        "malformed schedule result payload: response_time 1.0 is not its "
+        "phases' 50.185004711538454"
+    )

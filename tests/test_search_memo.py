@@ -1,13 +1,15 @@
 """A scored plan costs one pack: the search-scoped memos and the kept schedule.
 
 Inside one :func:`repro.search.search_plans` call, degrees
-(:func:`~repro.core.cloning.coarse_grain_degree`) and operator costs
-(:func:`~repro.cost.annotate.compute_operator_spec`) are memoized by
-content, and the best candidate scored inline keeps its schedule, which
-becomes the winner's.  The oracle for every search below is the same
-search with those three scopes replaced by no-ops: every candidate is
-then expanded, annotated and degree-selected from scratch, and the
-winner is scheduled again by :func:`~repro.search.score.schedule_candidate`.
+(:func:`~repro.core.cloning.coarse_grain_degree`), operator costs
+(:func:`~repro.cost.annotate.compute_operator_spec`) and shelf packs
+(:func:`~repro.core.operator_schedule.operator_schedule`) are memoized
+by content, and the best candidate scored inline keeps its schedule,
+which becomes the winner's.  The oracle for every search below is the
+same search with those four scopes replaced by no-ops: every candidate
+is then expanded, annotated, degree-selected and packed from scratch,
+and the winner is scheduled again by
+:func:`~repro.search.score.schedule_candidate`.
 Both must agree on the winner, the full ranking (objectives by
 ``float.hex``), the frontier, :class:`~repro.search.PlanSearchStats` and
 the winner's serialized schedule, which must also equal an independent
@@ -17,6 +19,7 @@ TREESCHEDULE run of the winner plan.  No numpy required.
 from __future__ import annotations
 
 import contextlib
+import sys
 from dataclasses import dataclass, replace
 
 import pytest
@@ -36,6 +39,7 @@ from repro.core.cloning import (
     use_degree_memo,
 )
 from repro.core.granularity import CommunicationModel
+from repro.core.operator_schedule import operator_schedule, use_pack_memo
 from repro.core.resource_model import ConvexCombinationOverlap, OverlapModel
 from repro.core.schedule import PhasedSchedule, Schedule
 from repro.core.site import PlacedClone
@@ -57,6 +61,9 @@ from repro.search import candidate_point, evaluate_candidate, search_plans
 from repro.search.score import _plan_store_payload, max_site_load, use_schedule_sink
 from repro.serialization import schedule_result_to_dict
 from repro.store import KIND_POINT, NO_STORE, ArtifactStore, point_key_payload
+
+#: The module itself: ``repro.core`` re-exports a function of the same name.
+pack_module = sys.modules[operator_schedule.__module__]
 
 PARAMS = PAPER_PARAMETERS
 COMM = PARAMS.communication_model()
@@ -96,8 +103,13 @@ def _no_scope(*args):
 
 
 def unmemoized(monkeypatch):
-    """Replace the three search scopes by no-ops (the pre-memo pipeline)."""
-    for name in ("use_degree_memo", "use_operator_cost_memo", "use_schedule_sink"):
+    """Replace the four search scopes by no-ops (the pre-memo pipeline)."""
+    for name in (
+        "use_degree_memo",
+        "use_operator_cost_memo",
+        "use_pack_memo",
+        "use_schedule_sink",
+    ):
         monkeypatch.setattr(search_module, name, _no_scope)
 
 
@@ -338,6 +350,7 @@ def active_scopes():
         cloning._DEGREE_MEMO.get(),
         annotate._COST_MEMO.get(),
         score_module._SCHEDULE_SINK.get(),
+        pack_module._PACK_MEMO.get(),
     )
 
 
@@ -353,7 +366,7 @@ def test_scopes_are_open_only_inside_the_search(monkeypatch):
     graph, catalog = QUERIES["chain5"]
     search(graph, catalog)
     assert seen and all(seen)
-    assert active_scopes() == (None, None, None)
+    assert active_scopes() == (None, None, None, None)
 
 
 def test_scopes_are_reset_when_the_search_raises(monkeypatch):
@@ -364,18 +377,19 @@ def test_scopes_are_reset_when_the_search_raises(monkeypatch):
     graph, catalog = QUERIES["chain5"]
     with pytest.raises(RuntimeError, match="scorer failed"):
         search(graph, catalog)
-    assert active_scopes() == (None, None, None)
+    assert active_scopes() == (None, None, None, None)
 
 
 def test_scopes_nest_and_restore():
-    with use_degree_memo(), use_schedule_sink(print):
+    with use_degree_memo(), use_schedule_sink(print), use_pack_memo():
         outer = active_scopes()
-        with use_degree_memo(), use_operator_cost_memo(PARAMS):
+        with use_degree_memo(), use_operator_cost_memo(PARAMS), use_pack_memo():
             inner = active_scopes()
             assert inner[0] is not outer[0] and inner[0] == {}
             assert inner[1] == (PARAMS, {})
+            assert inner[3] is not outer[3] and inner[3] == ({}, {})
         assert active_scopes() == outer
-    assert active_scopes() == (None, None, None)
+    assert active_scopes() == (None, None, None, None)
 
 
 # ----------------------------------------------------------------------

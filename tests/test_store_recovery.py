@@ -3,7 +3,8 @@
 The store's own envelope checks catch truncated or foreign entries; a
 payload that parses as JSON but fails to rebuild a schedule — a negative
 work component, a ``T_seq`` outside ``[l(W), sum(W)]``, a clone placed
-twice on one site, a mistyped field —
+twice on one site, a mistyped field, a ``response_time`` its phases do
+not sum to —
 only shows up when :func:`repro.serialization.schedule_result_from_dict`
 rebuilds it.  That function reports every such failure as
 :class:`~repro.exceptions.ConfigurationError`, and each of its two
@@ -61,6 +62,11 @@ def _mistyped_float(value):
     value["response_time"] = [1.0]
 
 
+def _stale_response_time(value):
+    """A parseable ``response_time`` that its decoded phases do not sum to."""
+    value["response_time"] = 1.0
+
+
 CORRUPTIONS = {
     "negative_work": _negative_work,
     "duplicated_clone": _duplicated_clone,
@@ -69,6 +75,7 @@ CORRUPTIONS = {
     "mistyped_int": _mistyped_int,
     "mistyped_float": _mistyped_float,
     "mistyped_home": _mistyped_home,
+    "stale_response_time": _stale_response_time,
 }
 
 
