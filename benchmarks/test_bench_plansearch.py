@@ -20,7 +20,9 @@ from collections import Counter
 import pytest
 
 import repro.engine.driver as driver_module
+import repro.search.enumerator as enumerator_module
 import repro.search.score as score_module
+import repro.search.screen as screen_module
 import repro.search.search as search_module
 from repro.core.resource_model import OverlapModel
 from repro.core.operator_schedule import operator_schedule
@@ -45,12 +47,16 @@ P = 16
 #: Smaller-than-default chunks tighten the incumbent earlier, which
 #: prunes harder on this instance (the winner is chunk-size-invariant).
 SEARCH_KW = {"chunk_size": 8}
+#: Two more relations make perfbench's unjittered 10-relation chain
+#: (``perfbench/workloads.py``): Catalan(9) = 4862 plans, beyond the
+#: exhaustive cap, so the search runs the seeded local search.
+LONG_CHAIN_CARDS = {**CARDS, "I": 26_000, "J": 5_400}
 
 
-def make_query() -> tuple[QueryGraph, Catalog]:
-    names = list(CARDS)
+def make_query(cards: dict[str, int] = CARDS) -> tuple[QueryGraph, Catalog]:
+    names = list(cards)
     joins = [(names[i], names[i + 1]) for i in range(len(names) - 1)]
-    catalog = Catalog([Relation(name, tuples) for name, tuples in CARDS.items()])
+    catalog = Catalog([Relation(name, tuples) for name, tuples in cards.items()])
     return QueryGraph(names, joins), catalog
 
 
@@ -131,7 +137,8 @@ def counting(monkeypatch) -> Counter[str]:
     "packs" counts the shelf packs the driver requests
     (``operator_schedule``), "packed" the ones actually computed: inside
     a search, a shelf whose content was packed before is answered from
-    the search's pack memo.
+    the search's pack memo.  Plan-space counts and the tree-level moves
+    and screen are counted wherever the search could look them up.
     """
     calls: Counter[str] = Counter()
 
@@ -156,6 +163,16 @@ def counting(monkeypatch) -> Counter[str]:
         counted("packs", driver_module.operator_schedule),
     )
     monkeypatch.setattr(pack_module, "_pack", counted("packed", pack_module._pack))
+    for module, name in (
+        (enumerator_module, "count_exhaustive_plans"),
+        (enumerator_module, "greedy_plan"),
+        (enumerator_module, "random_plan"),
+        (enumerator_module, "mutate_plan"),
+        (screen_module, "candidate_lower_bounds"),
+    ):
+        fn = counted(name, getattr(module, name))
+        monkeypatch.setattr(module, name, fn)
+        monkeypatch.setattr(search_module, name, fn, raising=False)
     return calls
 
 
@@ -169,7 +186,8 @@ def test_plansearch_work_counts_are_pinned(monkeypatch):
     the winner's schedule is the one kept from scoring, so there is no
     run beyond the 8.  The 8 runs request 40 shelf packs, but only 16
     distinct shelves: the rest are answered by the search's pack memo.
-    A change that moves these counts must say why.
+    The plan space is counted once, to choose the regime.  A change that
+    moves these counts must say why.
     """
     calls = counting(monkeypatch)
     graph, catalog = make_query()
@@ -179,6 +197,40 @@ def test_plansearch_work_counts_are_pinned(monkeypatch):
     )
     assert calls == {
         "plan_key": 8, "built": 8, "tree_schedule": 8, "packs": 40, "packed": 16,
+        "count_exhaustive_plans": 1,
+    }
+
+
+def test_local_search_work_counts_are_pinned(monkeypatch):
+    """Exact work of one local search on perfbench's 10-relation chain.
+
+    The greedy start, 16 random starts and 72 mutations are 89 plans,
+    50 of them distinct.  The moves build root structure keys, so plans
+    are deduped and bounded without a tree: only the 9 scored plans are
+    built (``ScreenContext.plan``) and hashed (``plan_key``), and no
+    tree-level move or tree screen runs.  A change that moves these
+    counts must say why.
+    """
+    calls = counting(monkeypatch)
+    graph, catalog = make_query(LONG_CHAIN_CARDS)
+    result = search_plans(graph, catalog, p=P, seed=0, store=NO_STORE, **SEARCH_KW)
+    stats = result.stats
+    assert not stats.exhaustive
+    assert (stats.enumerated, stats.unique, stats.pruned, stats.scored) == (
+        89, 50, 41, 9,
+    )
+    assert result.winner.key.startswith("455496ed")
+    assert result.winner.response_time == 57.95641666666667
+    assert {
+        name: calls[name]
+        for name in (
+            "plan_key", "built", "tree_schedule", "greedy_plan", "random_plan",
+            "mutate_plan", "candidate_lower_bounds", "count_exhaustive_plans",
+        )
+    } == {
+        "plan_key": 9, "built": 9, "tree_schedule": 9, "greedy_plan": 0,
+        "random_plan": 0, "mutate_plan": 0, "candidate_lower_bounds": 0,
+        "count_exhaustive_plans": 1,
     }
 
 

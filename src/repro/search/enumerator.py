@@ -12,23 +12,25 @@ Two regimes, selected by the candidate count:
   rule), sharing subplans between candidates.  A counting pass
   (:func:`count_exhaustive_plans`) runs first so enumeration is only
   materialized when the space fits under the cap — a chain of ``n``
-  relations has Catalan(``n-1``) shapes, so the count grows fast.  One
-  DP serves two fragment types: :func:`enumerate_exhaustive_plans`
-  builds plan trees, and :func:`exhaustive_candidates` yields each plan
-  as its root's :class:`~repro.search.screen.ScreenContext` structure
-  key, so the search can bound every plan and build only those it
-  scores.  The DP never yields two plans with the same structure.
+  relations has Catalan(``n-1``) shapes, so the count grows fast.  The
+  DP never yields two plans with the same structure.
 
 * **Seeded local search** (large graphs).  A deterministic greedy start
-  (:func:`greedy_plan`: always contract the edge with the smallest
-  joined cardinality) plus :func:`random_plan` /
-  :func:`mutate_plan` moves driven by a :class:`random.Random` — the
-  stdlib generator, so the search runs identically with or without
-  numpy and under any ``PYTHONHASHSEED`` (all tie-breaks go through
-  sorted edge lists, never set/dict iteration order).
+  (always contract the edge with the smallest joined cardinality) plus
+  random contractions and subtree-reshaping mutations driven by a
+  :class:`random.Random` — the stdlib generator, so the search runs
+  identically with or without numpy and under any ``PYTHONHASHSEED``
+  (all tie-breaks go through sorted edge lists, never set/dict
+  iteration order).
 
-Every public function returns plans in a deterministic order; callers
-dedupe local-search plans by :func:`~repro.search.canonical.plan_key`.
+Every move has one implementation, in :class:`KeyMoves`, on interned
+structure keys (:class:`~repro.search.screen.StructureKeys`): a plan is
+its root's key, so :func:`~repro.search.search.search_plans` dedupes,
+bounds and ranks plans without building a tree.
+:func:`enumerate_exhaustive_plans`, :func:`greedy_plan`,
+:func:`random_plan` and :func:`mutate_plan` are tree views of the same
+moves: they build the canonical tree of the move's key.  Every public
+function returns plans in a deterministic order.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ from collections import deque
 
 from repro.exceptions import PlanStructureError
 from repro.plans.join_tree import (
-    BaseRelationNode,
-    JoinNode,
     PlanNode,
     contract_join_edge,
     join_adjacency,
@@ -47,13 +47,13 @@ from repro.plans.join_tree import (
 )
 from repro.plans.query_graph import QueryGraph
 from repro.plans.relations import Catalog
-from repro.search.canonical import canonical_plan
-from repro.search.screen import ScreenContext
+from repro.search.screen import ScreenContext, StructureKeys
 
 __all__ = [
     "count_exhaustive_plans",
     "enumerate_exhaustive_plans",
     "exhaustive_candidates",
+    "KeyMoves",
     "greedy_plan",
     "random_plan",
     "mutate_plan",
@@ -140,47 +140,169 @@ def count_exhaustive_plans(graph: QueryGraph, *, limit: int) -> int:
     return count(frozenset(graph.relations))
 
 
-def _exhaustive(graph: QueryGraph, *, limit: int, leaf, join) -> list:
-    """Every distinct bushy plan of ``graph``, as the DP builds it.
-
-    ``leaf(name)`` makes the fragment of one relation and
-    ``join(left, right)`` joins two, ``left`` being the component of the
-    cut edge's smaller-named endpoint.  Fragments of every connected
-    subset are built once and shared; the result lists the root
-    fragments in DP order.  No two of them have the same structure: a
-    plan's root split fixes the cut edge, and the two sides recurse.
-
-    Raises
-    ------
-    PlanStructureError
-        If the plan space exceeds ``limit`` (check
-        :func:`count_exhaustive_plans` first).
-    """
-    total = count_exhaustive_plans(graph, limit=limit)
-    if total > limit:
+def _check_space(graph: QueryGraph, limit: int) -> None:
+    """Raise when the plan space of ``graph`` exceeds ``limit``."""
+    if count_exhaustive_plans(graph, limit=limit) > limit:
         raise PlanStructureError(
             f"plan space exceeds the exhaustive cap ({limit}); "
             "use the local-search regime"
         )
-    adj = _adjacency(graph)
-    memo: dict[frozenset[str], list] = {}
 
-    def plans(subset: frozenset[str]) -> list:
-        if len(subset) == 1:
-            (name,) = subset
-            return [leaf(name)]
-        if subset in memo:
-            return memo[subset]
-        out = [
-            join(left, right)
-            for left_set, right_set in _splits(adj, subset)
-            for left in plans(left_set)
-            for right in plans(right_set)
-        ]
-        memo[subset] = out
-        return out
 
-    return plans(frozenset(graph.relations))
+class KeyMoves:
+    """Every plan move of one query, on interned structure keys.
+
+    A plan is its root's structure key in ``keys``
+    (:class:`~repro.search.screen.StructureKeys`, or the search's
+    :class:`~repro.search.screen.ScreenContext`, which also summarizes
+    each interned subplan for its bound).  Joins are oriented by
+    :meth:`~repro.search.screen.StructureKeys.join_key`: the smaller
+    output builds, and on a tie the cut edge's smaller-named endpoint
+    builds.  No move builds a plan tree; the tree functions of this
+    module are views that build the canonical tree of a move's key.
+    """
+
+    def __init__(self, graph: QueryGraph, catalog: Catalog, keys: StructureKeys) -> None:
+        self._graph = graph
+        self._names = sorted(graph.relations)
+        self._edges = sorted(graph.joins)
+        self._catalog = catalog
+        self._keys = keys
+
+    def exhaustive(self) -> list[tuple]:
+        """Every distinct bushy plan, in DP order (the space is not counted).
+
+        Each connected subset's fragments are built once and shared; a
+        subset is joined from the two components of each cut edge of its
+        induced subtree, ``left`` being the component of the edge's
+        smaller-named endpoint.  No two plans have the same structure: a
+        plan's root split fixes the cut edge, and the two sides recurse.
+        """
+        adj = _adjacency(self._graph)
+        memo: dict[frozenset[str], list[tuple]] = {}
+        join = self._keys.join_key
+
+        def plans(subset: frozenset[str]) -> list[tuple]:
+            if len(subset) == 1:
+                (name,) = subset
+                return [self._leaf(name)]
+            if subset in memo:
+                return memo[subset]
+            out = [
+                join(left, right)
+                for left_set, right_set in _splits(adj, subset)
+                for left in plans(left_set)
+                for right in plans(right_set)
+            ]
+            memo[subset] = out
+            return out
+
+        return plans(frozenset(self._names))
+
+    def greedy(self) -> tuple:
+        """The greedy start: contract the cheapest edge first.
+
+        "Cheapest" is the smallest joined output cardinality, ties broken
+        by the canonical edge order.
+        """
+        tuples = self._keys.tuples
+
+        def pick(candidates, fragments):
+            return min(
+                candidates,
+                key=lambda e: (
+                    max(tuples(fragments[e[0]]), tuples(fragments[e[1]])), e
+                ),
+            )
+
+        return self._contract(self._names, self._edges, pick)
+
+    def random(self, rng: random.Random) -> tuple:
+        """One random contraction of the whole query tree."""
+        return self._contract(self._names, self._edges, _random_pick(rng))
+
+    def mutate(self, root: tuple, rng: random.Random) -> tuple:
+        """Re-shape one random join subtree of the plan with root ``root``.
+
+        Picks a join uniformly at random in post-order and rebuilds its
+        subtree by random contraction of the relations under it (always
+        a connected subset of the query tree).  Only the path from the
+        root to that subtree is re-interned, and every ancestor keeps its
+        build and probe sides: a key-join subtree's output cardinality is
+        the max over its leaves whatever its shape, so each ancestor's
+        orientation stays valid.  A plan without joins is returned as is,
+        drawing nothing.
+        """
+        joins = self._joins(root, ())
+        if not joins:
+            return root
+        path, target = joins[rng.randrange(len(joins))]
+        names = sorted(self._leaves(target))
+        member = set(names)
+        induced = [(a, b) for a, b in self._edges if a in member and b in member]
+        replacement = self._contract(names, induced, _random_pick(rng))
+        return self._splice(root, path, replacement)
+
+    def _leaf(self, name: str) -> tuple:
+        return StructureKeys.leaf_key(self._catalog.get(name))
+
+    def _contract(self, names: list[str], edges: list[tuple[str, str]], pick) -> tuple:
+        """Contract edges until one fragment is left: ``pick`` chooses each.
+
+        Mirrors :func:`~repro.plans.join_tree.random_bushy_plan` (sorted
+        canonical edge list, smaller-side-builds, contraction keeps the
+        first endpoint) under any edge-choice rule.
+        """
+        fragments = {name: self._leaf(name) for name in names}
+        contracted = join_adjacency(names, edges)
+        while candidates := sorted_join_edges(contracted):
+            u, v = pick(candidates, fragments)
+            fragments[u] = self._keys.join_key(fragments[u], fragments.pop(v))
+            contract_join_edge(contracted, u, v)
+        if len(fragments) != 1:
+            raise PlanStructureError(
+                f"contraction left {len(fragments)} fragments; graph not connected?"
+            )
+        (root,) = fragments.values()
+        return root
+
+    def _joins(self, key: tuple, path: tuple) -> list[tuple[tuple, tuple]]:
+        """``(path, key)`` of every join under ``key``, in post-order.
+
+        A path lists the child positions (2 build, 3 probe) from the
+        root down.
+        """
+        if len(key) == 2:
+            return []
+        child = self._keys.key
+        return (
+            self._joins(child(key[2]), path + (2,))
+            + self._joins(child(key[3]), path + (3,))
+            + [(path, key)]
+        )
+
+    def _leaves(self, key: tuple) -> list[str]:
+        if len(key) == 2:
+            return [key[0]]
+        child = self._keys.key
+        return self._leaves(child(key[2])) + self._leaves(child(key[3]))
+
+    def _splice(self, key: tuple, path: tuple, replacement: tuple) -> tuple:
+        """``key`` with the subtree at ``path`` replaced, sides kept."""
+        if not path:
+            return replacement
+        side = path[0]
+        child = self._splice(self._keys.key(key[side]), path[1:], replacement)
+        spliced = list(key)
+        spliced[side] = self._keys.intern(child)
+        return tuple(spliced)
+
+
+def _random_pick(rng: random.Random):
+    def pick(candidates, fragments):
+        return candidates[rng.randrange(len(candidates))]
+
+    return pick
 
 
 def enumerate_exhaustive_plans(
@@ -188,10 +310,10 @@ def enumerate_exhaustive_plans(
 ) -> list[PlanNode]:
     """Every distinct bushy plan of ``graph``, canonically labelled.
 
-    Uses the smaller-side-builds orientation (ties: the component of the
-    cut edge's smaller-named endpoint builds).  Subplans are shared
-    inside the DP; each *candidate* is materialized as an independent
-    canonical copy, so downstream annotation never aliases trees.
+    The tree view of :meth:`KeyMoves.exhaustive`: smaller-side-builds
+    orientation (ties: the component of the cut edge's smaller-named
+    endpoint builds), each plan an independent canonical tree, so
+    downstream annotation never aliases trees.
 
     Raises
     ------
@@ -199,13 +321,9 @@ def enumerate_exhaustive_plans(
         If the plan space exceeds ``limit`` (check
         :func:`count_exhaustive_plans` first).
     """
-    roots = _exhaustive(
-        graph,
-        limit=limit,
-        leaf=lambda name: BaseRelationNode(catalog.get(name)),
-        join=lambda left, right: _join(left, right, "X"),
-    )
-    return [canonical_plan(plan) for plan in roots]
+    _check_space(graph, limit)
+    keys = StructureKeys()
+    return [keys.plan(root) for root in KeyMoves(graph, catalog, keys).exhaustive()]
 
 
 def exhaustive_candidates(
@@ -215,68 +333,17 @@ def exhaustive_candidates(
 
     Each plan is its root's structure key in ``ctx``, in the same
     order: :meth:`ScreenContext.bound` bounds it and
-    :meth:`ScreenContext.plan` builds its canonical tree.  Every shared
-    non-root subplan is interned (and summarized) once, so no plan
-    tree is built or walked.
+    :meth:`~repro.search.screen.StructureKeys.plan` builds its canonical
+    tree.  Every shared non-root subplan is interned (and summarized)
+    once, so no plan tree is built or walked.
 
     Raises
     ------
     PlanStructureError
         If the plan space exceeds ``limit``.
     """
-    return _exhaustive(
-        graph,
-        limit=limit,
-        leaf=lambda name: ScreenContext.leaf_key(catalog.get(name)),
-        join=ctx.join_key,
-    )
-
-
-def _join(left: PlanNode, right: PlanNode, join_id: str) -> JoinNode:
-    """Join two fragments under the smaller-side-builds convention.
-
-    ``left`` must be the fragment of the canonical edge's smaller-named
-    endpoint — on a cardinality tie it builds, matching
-    :func:`~repro.plans.join_tree.random_bushy_plan`'s tie-break.
-    """
-    if left.output_tuples <= right.output_tuples:
-        build, probe = left, right
-    else:
-        build, probe = right, left
-    return JoinNode(join_id, build, probe)
-
-
-def _contract(
-    names: list[str],
-    edges: list[tuple[str, str]],
-    catalog: Catalog,
-    pick: "callable",
-) -> PlanNode:
-    """Shared contraction loop: ``pick(edges)`` chooses each next edge.
-
-    Mirrors :func:`~repro.plans.join_tree.random_bushy_plan` exactly
-    (sorted canonical edge list, smaller-side-builds, contraction keeps
-    the first endpoint) but takes any edge-choice rule, which is how the
-    greedy start and the stdlib-seeded sampler share one body.
-    """
-    fragments: dict[str, PlanNode] = {
-        name: BaseRelationNode(catalog.get(name)) for name in names
-    }
-    contracted = join_adjacency(names, edges)
-    counter = 0
-    while candidates := sorted_join_edges(contracted):
-        u, v = pick(candidates, fragments)
-        join = _join(fragments[u], fragments[v], f"X{counter}")
-        counter += 1
-        contract_join_edge(contracted, u, v)
-        fragments[u] = join
-        del fragments[v]
-    roots = [fragments[name] for name in sorted(fragments)]
-    if len(roots) != 1:
-        raise PlanStructureError(
-            f"contraction left {len(roots)} fragments; graph not connected?"
-        )
-    return roots[0]
+    _check_space(graph, limit)
+    return KeyMoves(graph, catalog, ctx).exhaustive()
 
 
 def greedy_plan(graph: QueryGraph, catalog: Catalog) -> PlanNode:
@@ -285,19 +352,10 @@ def greedy_plan(graph: QueryGraph, catalog: Catalog) -> PlanNode:
     "Cheapest" is the smallest joined output cardinality, ties broken by
     the canonical edge order — a classic minimum-intermediate-result
     heuristic that gives the local search a strong, reproducible start.
+    The canonical tree of :meth:`KeyMoves.greedy`.
     """
-
-    def pick(candidates, fragments):
-        return min(
-            candidates,
-            key=lambda e: (
-                max(fragments[e[0]].output_tuples, fragments[e[1]].output_tuples),
-                e,
-            ),
-        )
-
-    plan = _contract(sorted(graph.relations), sorted(graph.joins), catalog, pick)
-    return canonical_plan(plan)
+    keys = StructureKeys()
+    return keys.plan(KeyMoves(graph, catalog, keys).greedy())
 
 
 def random_plan(
@@ -308,13 +366,10 @@ def random_plan(
     The same contraction process as
     :func:`~repro.plans.join_tree.random_bushy_plan`, but seeded with
     :class:`random.Random` so the search regime has no numpy dependency.
+    The canonical tree of :meth:`KeyMoves.random`.
     """
-
-    def pick(candidates, fragments):
-        return candidates[rng.randrange(len(candidates))]
-
-    plan = _contract(sorted(graph.relations), sorted(graph.joins), catalog, pick)
-    return canonical_plan(plan)
+    keys = StructureKeys()
+    return keys.plan(KeyMoves(graph, catalog, keys).random(rng))
 
 
 def mutate_plan(
@@ -325,44 +380,11 @@ def mutate_plan(
 ) -> PlanNode:
     """Re-shape one random join subtree of ``plan`` (a local-search move).
 
-    Picks a join node uniformly at random, collects the base relations
-    of its subtree (always a connected subset of the query tree — joins
-    only ever merge adjacent fragments), rebuilds that subtree by random
-    contraction of the induced subgraph, and splices it back.  Because a
-    key-join subtree's output cardinality is the max over its leaves —
-    shape-invariant — the ancestors' build/probe orientations stay
-    valid.  Returns a canonical copy; the input plan is not modified.
+    Picks a join node uniformly at random (in post-order), rebuilds its
+    subtree by random contraction of the relations under it, and splices
+    it back; the ancestors keep their build/probe orientations.  Returns
+    the canonical tree of :meth:`KeyMoves.mutate` on ``plan``'s key; the
+    input plan is not modified.
     """
-    joins = plan.joins()
-    if not joins:
-        return canonical_plan(plan)
-    target = joins[rng.randrange(len(joins))]
-    names = sorted(leaf.relation.name for leaf in target.leaves())
-    member = set(names)
-    induced = [
-        (a, b) for a, b in sorted(graph.joins) if a in member and b in member
-    ]
-    replacement = _contract(names, induced, catalog, _random_pick(rng))
-
-    def rebuild(node: PlanNode) -> PlanNode:
-        if node is target:
-            return replacement
-        if isinstance(node, BaseRelationNode):
-            return node
-        assert isinstance(node, JoinNode)
-        return JoinNode(
-            node.join_id + "_",
-            rebuild(node.build_side),
-            rebuild(node.probe_side),
-            method=node.method,
-            materialize_output=node.materialize_output,
-        )
-
-    return canonical_plan(rebuild(plan))
-
-
-def _random_pick(rng: random.Random):
-    def pick(candidates, fragments):
-        return candidates[rng.randrange(len(candidates))]
-
-    return pick
+    keys = StructureKeys()
+    return keys.plan(KeyMoves(graph, catalog, keys).mutate(keys.root_key(plan), rng))

@@ -29,7 +29,8 @@ Both sides are computed bottom-up from **subplan summaries** without
 expanding the candidate into an operator tree.  Every subtree below the
 root has a *structure key* — a leaf ``(relation, tuples)``, a join
 ``(method, materialize, build_id, probe_id)`` — and is interned to a
-small id and summarized once per :class:`ScreenContext`: its operators'
+small id once per :class:`StructureKeys` (with its output cardinality)
+and, in a :class:`ScreenContext`, summarized once: its operators'
 ``n = 1`` total work vectors, its output operator's ``(closed, open)``
 pair and its internal ``h``.  None of these depend on what lies above
 the subtree, because its output always feeds a pipeline consumer.  A
@@ -38,14 +39,16 @@ candidate is its root's structure key, and its bound
 with the root join's own operators, which have no pipeline consumer and
 are never materialized.
 
-Keys come from two places.  :func:`candidate_lower_bounds` reads them
-off plan trees (:meth:`ScreenContext.root_key`), for the local search,
-whose mutations keep most of a plan.  The exhaustive DP
-(:func:`~repro.search.enumerator.exhaustive_candidates`) builds them
-directly with :meth:`ScreenContext.join_key`, so its plans are bounded
-without any tree being built or walked; :meth:`ScreenContext.plan`
-builds the canonical tree of the few that get scored.  Either way every
-shared subtree is summarized once per search.
+Keys come from one place: the plan enumerator
+(:mod:`repro.search.enumerator`) builds them with
+:meth:`StructureKeys.join_key` — the exhaustive DP, the greedy and random
+contractions, and mutations, which re-intern only the path from the
+root to the re-shaped subtree.  Plans are deduped and bounded as keys,
+and :meth:`StructureKeys.plan` builds the canonical tree of the few that
+get scored, so every shared subtree is summarized once per search and
+no tree is built or walked before scoring.  :meth:`StructureKeys.root_key`
+reads a key off an existing tree; :func:`candidate_lower_bounds` bounds
+plan trees that way, off the search path.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ from repro.plans.join_tree import BaseRelationNode, JoinMethod, JoinNode, PlanNo
 from repro.plans.physical_ops import OperatorKind
 from repro.plans.relations import Relation
 
-__all__ = ["ScreenContext", "candidate_lower_bounds"]
+__all__ = ["ScreenContext", "StructureKeys", "candidate_lower_bounds"]
 
 #: An operator's ``(closed, open)`` critical-path state.
 Segment = tuple[float, float]
@@ -79,8 +82,6 @@ Segment = tuple[float, float]
 class _Summary(NamedTuple):
     """What a candidate needs to know about one of its subplans."""
 
-    #: Output cardinality.
-    tuples: int
     #: ``(closed, open)`` of the operator producing the output.
     segment: Segment
     #: The best ``closed + open`` over the subplan's operators.
@@ -113,70 +114,32 @@ def _segment(t: float, blocking: Sequence[Segment], pipeline: Sequence[Segment])
     return closed, open_max
 
 
-class ScreenContext:
-    """Scheduling context plus the search-long subplan memo.
+class StructureKeys:
+    """Interned subplan structure keys and their output cardinalities.
 
-    One context serves one ``(p, params, comm, overlap, policy)``
-    setting for the whole search; reusing it across scoring rounds is
-    what makes shared subplans near-free to screen.
+    A leaf's key is ``(relation, tuples)``; a join's is ``(method,
+    materialize, build_id, probe_id)``, its children interned to ids in
+    the order they are first seen, so equal structures get equal keys
+    and a child's id is smaller than any id of a subplan holding it.
+    Keys need no cost context; :class:`ScreenContext` adds one.
     """
 
-    def __init__(
-        self,
-        *,
-        p: int,
-        params: SystemParameters,
-        comm: CommunicationModel,
-        overlap: OverlapModel,
-        policy: CoordinatorPolicy = DEFAULT_COORDINATOR_POLICY,
-        capacities: "Sequence[float] | None" = None,
-    ) -> None:
-        self.p = p
-        self.params = params
-        self.comm = comm
-        self.overlap = overlap
-        self.policy = policy
-        #: heterogeneous relaxation terms (``None`` keeps the historical
-        #: homogeneous bound byte-for-byte): congestion divides by the
-        #: total capacity instead of ``p``, the critical path by the
-        #: fastest site's speed — both sides stay valid lower bounds.
-        self.total_capacity = (
-            None if capacities is None else float(sum(capacities))
-        )
-        self.max_capacity = None if capacities is None else max(capacities)
-        #: ``(kind, input, output, has_pipeline_consumer)`` ->
-        #: ``(t_min, n = 1 total work components)``.
-        self._operators: dict[tuple, tuple[float, tuple[float, ...]]] = {}
-        #: subplan structure key -> id, and id -> summary and key.
+    def __init__(self) -> None:
+        #: subplan structure key -> id, and id -> key and output tuples.
         self._ids: dict[tuple, int] = {}
-        self._summaries: list[_Summary] = []
         self._keys: list[tuple] = []
-
-    def _operator(
-        self, kind: OperatorKind, input_tuples: int, output_tuples: int, consumer: bool
-    ) -> tuple[float, tuple[float, ...]]:
-        """``t_min`` and the ``n = 1`` total work of one operator, memoized."""
-        key = (kind, input_tuples, output_tuples, consumer)
-        cached = self._operators.get(key)
-        if cached is not None:
-            return cached
-        work, data_volume = operator_cost(
-            kind, input_tuples, output_tuples, consumer, self.params
-        )
-        curve = ParallelTimeCurve(
-            OperatorSpec(name=kind.value, work=work, data_volume=data_volume),
-            self.comm,
-            self.policy,
-        )
-        t_min = minimum_parallel_time(curve, self.p, self.overlap)
-        total = curve.total(1).components
-        self._operators[key] = cached = (t_min, total)
-        return cached
+        self._tuples: list[int] = []
 
     @staticmethod
     def leaf_key(relation: Relation) -> tuple:
         """The structure key of a base-relation subplan."""
         return (relation.name, relation.tuples)
+
+    def tuples(self, key: tuple) -> int:
+        """The output cardinality of the subplan with structure ``key``."""
+        if len(key) == 2:
+            return key[1]
+        return max(self._tuples[key[2]], self._tuples[key[3]])
 
     def join_key(self, left: tuple, right: tuple) -> tuple:
         """The structure key of a hash join of two subplans' keys.
@@ -184,11 +147,11 @@ class ScreenContext:
         ``left`` must be the key of the canonical edge's smaller-named
         endpoint's fragment: the smaller output builds and on a
         cardinality tie ``left`` builds, the orientation rule of the
-        plan enumerator.  Both inputs are interned (and summarized).
+        plan enumerator.  Both inputs are interned.
         """
-        left_id = self._intern(left)
-        right_id = self._intern(right)
-        if self._summaries[left_id].tuples <= self._summaries[right_id].tuples:
+        left_id = self.intern(left)
+        right_id = self.intern(right)
+        if self._tuples[left_id] <= self._tuples[right_id]:
             return (JoinMethod.HASH, False, left_id, right_id)
         return (JoinMethod.HASH, False, right_id, left_id)
 
@@ -200,23 +163,23 @@ class ScreenContext:
             return (
                 plan.method,
                 plan.materialize_output,
-                self._intern(self.root_key(plan.build_side)),
-                self._intern(self.root_key(plan.probe_side)),
+                self.intern(self.root_key(plan.build_side)),
+                self.intern(self.root_key(plan.probe_side)),
             )
         raise PlanStructureError(f"unknown plan node type {type(plan).__name__}")
 
-    def _intern(self, key: tuple) -> int:
-        """The id of a non-root subplan's structure key, summarizing it once."""
-        summary_id = self._ids.get(key)
-        if summary_id is None:
-            if len(key) == 2:
-                summary = self._scan(key[1], consumer=True)
-            else:
-                summary = self._join(*key, is_root=False)
-            summary_id = self._ids[key] = len(self._summaries)
-            self._summaries.append(summary)
+    def key(self, key_id: int) -> tuple:
+        """The structure key interned as ``key_id``."""
+        return self._keys[key_id]
+
+    def intern(self, key: tuple) -> int:
+        """The id of a non-root subplan's structure key."""
+        key_id = self._ids.get(key)
+        if key_id is None:
+            key_id = self._ids[key] = len(self._keys)
+            self._tuples.append(self.tuples(key))
             self._keys.append(key)
-        return summary_id
+        return key_id
 
     def plan(self, key: tuple) -> PlanNode:
         """The canonical plan whose root has structure ``key``.
@@ -246,10 +209,83 @@ class ScreenContext:
 
         return build(key)
 
+
+class ScreenContext(StructureKeys):
+    """Scheduling context plus the search-long subplan memo.
+
+    One context serves one ``(p, params, comm, overlap, policy)``
+    setting for the whole search; reusing it across scoring rounds is
+    what makes shared subplans near-free to screen.  Every interned
+    subplan is summarized once, when it is first interned.
+    """
+
+    def __init__(
+        self,
+        *,
+        p: int,
+        params: SystemParameters,
+        comm: CommunicationModel,
+        overlap: OverlapModel,
+        policy: CoordinatorPolicy = DEFAULT_COORDINATOR_POLICY,
+        capacities: "Sequence[float] | None" = None,
+    ) -> None:
+        super().__init__()
+        self.p = p
+        self.params = params
+        self.comm = comm
+        self.overlap = overlap
+        self.policy = policy
+        #: heterogeneous relaxation terms (``None`` keeps the historical
+        #: homogeneous bound byte-for-byte): congestion divides by the
+        #: total capacity instead of ``p``, the critical path by the
+        #: fastest site's speed — both sides stay valid lower bounds.
+        self.total_capacity = (
+            None if capacities is None else float(sum(capacities))
+        )
+        self.max_capacity = None if capacities is None else max(capacities)
+        #: ``(kind, input, output, has_pipeline_consumer)`` ->
+        #: ``(t_min, n = 1 total work components)``.
+        self._operators: dict[tuple, tuple[float, tuple[float, ...]]] = {}
+        #: id -> summary of the interned subplan.
+        self._summaries: list[_Summary] = []
+
+    def _operator(
+        self, kind: OperatorKind, input_tuples: int, output_tuples: int, consumer: bool
+    ) -> tuple[float, tuple[float, ...]]:
+        """``t_min`` and the ``n = 1`` total work of one operator, memoized."""
+        key = (kind, input_tuples, output_tuples, consumer)
+        cached = self._operators.get(key)
+        if cached is not None:
+            return cached
+        work, data_volume = operator_cost(
+            kind, input_tuples, output_tuples, consumer, self.params
+        )
+        curve = ParallelTimeCurve(
+            OperatorSpec(name=kind.value, work=work, data_volume=data_volume),
+            self.comm,
+            self.policy,
+        )
+        t_min = minimum_parallel_time(curve, self.p, self.overlap)
+        total = curve.total(1).components
+        self._operators[key] = cached = (t_min, total)
+        return cached
+
+    def intern(self, key: tuple) -> int:
+        """The id of a non-root subplan's structure key, summarizing it once."""
+        key_id = self._ids.get(key)
+        if key_id is None:
+            if len(key) == 2:
+                summary = self._scan(key[1], consumer=True)
+            else:
+                summary = self._join(*key, is_root=False)
+            key_id = super().intern(key)
+            self._summaries.append(summary)
+        return key_id
+
     def _scan(self, tuples: int, *, consumer: bool) -> _Summary:
         t, total = self._operator(OperatorKind.SCAN, 0, tuples, consumer)
         closed, open_max = segment = _segment(t, (), ())
-        return _Summary(tuples, segment, closed + open_max, tuple((c,) for c in total))
+        return _Summary(segment, closed + open_max, tuple((c,) for c in total))
 
     def _join(
         self,
@@ -268,7 +304,9 @@ class ScreenContext:
         """
         left = self._summaries[build_id]
         right = self._summaries[probe_id]
-        out = max(left.tuples, right.tuples)
+        left_tuples = self._tuples[build_id]
+        right_tuples = self._tuples[probe_id]
+        out = max(left_tuples, right_tuples)
         own: list[tuple[float, ...]] = []
         segments: list[Segment] = []
 
@@ -280,16 +318,16 @@ class ScreenContext:
             return segment
 
         if method is JoinMethod.HASH:
-            build = add(OperatorKind.BUILD, left.tuples, 0, False, (), (left.segment,))
+            build = add(OperatorKind.BUILD, left_tuples, 0, False, (), (left.segment,))
             output = add(
-                OperatorKind.PROBE, right.tuples, out, not is_root,
+                OperatorKind.PROBE, right_tuples, out, not is_root,
                 (build,), (right.segment,),
             )
         elif method is JoinMethod.SORT_MERGE:
-            sort_l = add(OperatorKind.SORT, left.tuples, left.tuples, False, (), (left.segment,))
-            sort_r = add(OperatorKind.SORT, right.tuples, right.tuples, False, (), (right.segment,))
+            sort_l = add(OperatorKind.SORT, left_tuples, left_tuples, False, (), (left.segment,))
+            sort_r = add(OperatorKind.SORT, right_tuples, right_tuples, False, (), (right.segment,))
             output = add(
-                OperatorKind.MERGE, left.tuples + right.tuples, out, not is_root,
+                OperatorKind.MERGE, left_tuples + right_tuples, out, not is_root,
                 (sort_l, sort_r),
             )
         else:
@@ -304,7 +342,7 @@ class ScreenContext:
                 left.columns, right.columns, zip(*own)
             )
         )
-        return _Summary(out, output, h, columns)
+        return _Summary(output, h, columns)
 
     def bound(self, key: tuple) -> float:
         """The valid response-time lower bound of the plan with root ``key``."""

@@ -4,29 +4,27 @@
 search whose scoring function is the scheduled response time:
 
 1. **Enumerate** (``plan_enumerate`` span).  Small plan spaces are
-   enumerated exhaustively by the connected-subset DP
-   (:func:`~repro.search.enumerator.exhaustive_candidates`), which
-   interns every shared subplan in the screen's memo and yields each
-   plan as its root's structure key, without building a tree.  Larger
-   spaces run a seeded beam-style local search (greedy + random
-   starts, subtree-reshape mutations) driven by :class:`random.Random`
-   — no numpy required — whose plans are collapsed by canonical plan
-   hash (:func:`~repro.search.canonical.plan_key`) before anything is
-   scheduled.
+   enumerated exhaustively by the connected-subset DP; larger spaces
+   run a seeded beam-style local search (greedy + random starts,
+   subtree-reshape mutations) driven by :class:`random.Random` — no
+   numpy required.  Both regimes' moves
+   (:class:`~repro.search.enumerator.KeyMoves`) intern every subplan in
+   the screen's memo and yield each plan as its root's structure key,
+   without building a tree; local-search plans are deduped on that key
+   before anything is bounded or scheduled.
 2. **Screen** (``plan_screen`` span).  Every pending candidate gets a
    valid response-time lower bound from the memoized screen
-   (:mod:`repro.search.screen`): an exhaustive candidate from its two
-   children's subplan summaries, a local-search plan by
-   :func:`~repro.search.screen.candidate_lower_bounds`.
+   (:mod:`repro.search.screen`), from its two children's subplan
+   summaries.
 3. **Rank.**  Candidates are taken best-first in ``(bound, key)``
-   order.  Sorting by bound needs no plan; an exhaustive candidate's
-   canonical tree is built, and its ``plan_key`` computed, only when
-   the scan reaches its bound (a run of equal bounds is keyed whole, so
-   ties break by key).  Once the next bound exceeds the incumbent's
-   exact score, every remaining candidate is pruned unbuilt.  Without
-   pruning (``prune=False`` or the Pareto mode) every bound is taken as
-   0, so all candidates form one run: each is built, keyed and scored,
-   in key order.
+   order.  Sorting by bound needs no plan; a candidate's canonical tree
+   is built, and its ``plan_key`` computed, only when the scan reaches
+   its bound (a run of equal bounds is keyed whole, so ties break by
+   key).  Once the next bound exceeds the incumbent's exact score,
+   every remaining candidate is pruned unbuilt.  Without pruning
+   (``prune=False`` or the Pareto mode) every bound is taken as 0, so
+   all candidates form one run: each is built, keyed and scored, in key
+   order.  A mutation re-shapes a scored parent's root key.
 4. **Score** (``plan_score`` spans).  Ranked candidates are scheduled in
    fixed-size chunks through a
    :class:`~repro.experiments.parallel.ParallelRunner` — bit-identical
@@ -102,13 +100,7 @@ from repro.plans.join_tree import PlanNode
 from repro.plans.query_graph import QueryGraph
 from repro.plans.relations import Catalog
 from repro.search.canonical import plan_key
-from repro.search.enumerator import (
-    count_exhaustive_plans,
-    exhaustive_candidates,
-    greedy_plan,
-    mutate_plan,
-    random_plan,
-)
+from repro.search.enumerator import KeyMoves, count_exhaustive_plans
 from repro.search.pareto import epsilon_pareto_front
 from repro.search.score import (
     CandidatePoint,
@@ -117,7 +109,9 @@ from repro.search.score import (
     schedule_candidate,
     use_schedule_sink,
 )
-from repro.search.screen import ScreenContext, candidate_lower_bounds
+# candidate_lower_bounds is off the search path (plans are bounded as
+# structure keys), but perfbench's screen layer still resolves it here.
+from repro.search.screen import ScreenContext, candidate_lower_bounds  # noqa: F401
 from repro.store import ArtifactStore, resolve_store
 
 __all__ = [
@@ -155,7 +149,7 @@ class PlanSearchStats:
     """Where the candidates went: the search's accounting.
 
     ``enumerated`` counts every generated candidate (duplicates
-    included); ``unique`` the distinct structures after canonical-hash
+    included); ``unique`` the distinct structures after root-key
     dedupe (the exhaustive DP yields no duplicates, so both are its plan
     count); ``pruned`` the candidates eliminated by the lower-bound
     screen (exhaustive ones are never built); ``scored`` the exact
@@ -372,7 +366,10 @@ def search_plans(
     rng = random.Random(seed)
 
     scored: dict[str, ScoredPlan] = {}
-    seen: set[str] = set()
+    # Every distinct root structure key enumerated, and each built plan's
+    # root by plan key: the parent a mutation re-shapes.
+    seen: set[tuple] = set()
+    roots: dict[str, tuple] = {}
     # "kept" is the ((response time, key), schedule) of the best candidate
     # scored inline: the winner's, unless a store-served candidate won.
     state = {
@@ -395,47 +392,38 @@ def search_plans(
         if state["kept"] is None or rank < state["kept"][0]:
             state["kept"] = (rank, result)
 
-    def dedupe(plans: list[PlanNode]) -> list[tuple[str, PlanNode]]:
-        """First occurrence per canonical key, input order preserved."""
-        state["enumerated"] += len(plans)
-        fresh: list[tuple[str, PlanNode]] = []
-        for plan in plans:
-            key = plan_key(plan)
-            if key in seen:
-                continue
-            seen.add(key)
-            fresh.append((key, plan))
+    def dedupe(candidates: list[tuple]) -> list[tuple]:
+        """First occurrence per root structure key, input order preserved."""
+        state["enumerated"] += len(candidates)
+        fresh: list[tuple] = []
+        for root in candidates:
+            if root not in seen:
+                seen.add(root)
+                fresh.append(root)
         return fresh
-
-    def root_bounds(roots: list[tuple]) -> list[float]:
-        return [ctx.bound(root) for root in roots]
 
     def build_root(root: tuple) -> tuple[str, PlanNode]:
         plan = ctx.plan(root)
-        return plan_key(plan), plan
+        key = plan_key(plan)
+        roots[key] = root
+        return key, plan
 
-    def keyed_bounds(fresh: list[tuple[str, PlanNode]]) -> list[float]:
-        return candidate_lower_bounds([plan for _, plan in fresh], ctx)
-
-    def keyed(item: tuple[str, PlanNode]) -> tuple[str, PlanNode]:
-        return item
-
-    def score_round(candidates: list, bounds_of, build) -> None:
+    def score_round(candidates: list[tuple]) -> None:
         """Screen, rank, chunk-schedule; updates ``scored``/incumbent.
 
-        ``bounds_of(candidates)`` bounds them (pruning only) and
-        ``build(candidate)`` gives ``(key, plan)`` (see :class:`_Ranking`).
-        The incumbent moves only between chunks.  Once the next bound
-        exceeds it, so does every later one: the rest is pruned unbuilt.
+        Candidates are root structure keys; each is built and keyed only
+        when ranking reaches it (see :class:`_Ranking`).  The incumbent
+        moves only between chunks.  Once the next bound exceeds it, so
+        does every later one: the rest is pruned unbuilt.
         """
         if not candidates:
             return
         if prune:
             with current_tracer().span(SPAN_PLAN_SCREEN, candidates=len(candidates)):
-                bounds = bounds_of(candidates)
+                bounds = [ctx.bound(root) for root in candidates]
         else:
             bounds = [0.0] * len(candidates)
-        ranking = _Ranking(bounds, candidates, build)
+        ranking = _Ranking(bounds, candidates, build_root)
         while ranking:
             incumbent = state["incumbent"]
             chunk: list[tuple[float, str, PlanNode]] = []
@@ -475,39 +463,33 @@ def search_plans(
         use_schedule_sink(keep),
         runner.shared_pool(),
     ):
+        moves = KeyMoves(graph, catalog, ctx)
         space = count_exhaustive_plans(graph, limit=max_exhaustive)
         exhaustive = space <= max_exhaustive
         with current_tracer().span(
             SPAN_PLAN_ENUMERATE, exhaustive=exhaustive, space=space
         ):
             if exhaustive:
-                roots = exhaustive_candidates(
-                    graph, catalog, ctx, limit=max_exhaustive
-                )
+                initial = moves.exhaustive()
             else:
-                initial = [greedy_plan(graph, catalog)]
-                initial += [
-                    random_plan(graph, catalog, rng) for _ in range(init_samples)
-                ]
-        if exhaustive:
-            state["enumerated"] = len(roots)
-            score_round(roots, root_bounds, build_root)
-        else:
-            score_round(dedupe(initial), keyed_bounds, keyed)
+                initial = [moves.greedy()]
+                initial += [moves.random(rng) for _ in range(init_samples)]
+        score_round(dedupe(initial))
+        if not exhaustive:
             for _ in range(generations):
                 parents = sorted(
                     scored.values(),
                     key=lambda sp: (sp.response_time, sp.key),
                 )[:beam_width]
                 children = [
-                    mutate_plan(parent.plan, graph, catalog, rng)
+                    moves.mutate(roots[parent.key], rng)
                     for parent in parents
                     for _ in range(mutations_per_parent)
                 ]
                 fresh = dedupe(children)
                 if not fresh:
                     break
-                score_round(fresh, keyed_bounds, keyed)
+                score_round(fresh)
 
         if not scored:
             raise ConfigurationError(
@@ -544,7 +526,7 @@ def search_plans(
             store_misses += 1
     stats = PlanSearchStats(
         enumerated=state["enumerated"],
-        unique=state["enumerated"] if exhaustive else len(seen),
+        unique=len(seen),
         pruned=state["pruned"],
         scored=len(scored),
         store_hits=store_hits,
