@@ -26,6 +26,7 @@ import repro.search.screen as screen_module
 import repro.search.search as search_module
 from repro.core.resource_model import OverlapModel
 from repro.core.operator_schedule import operator_schedule
+from repro.plans.join_tree import PlanNode
 from repro.plans.query_graph import QueryGraph
 from repro.plans.relations import Catalog, Relation
 from repro.search import search_plans
@@ -137,8 +138,10 @@ def counting(monkeypatch) -> Counter[str]:
     "packs" counts the shelf packs the driver requests
     (``operator_schedule``), "packed" the ones actually computed: inside
     a search, a shelf whose content was packed before is answered from
-    the search's pack memo.  Plan-space counts and the tree-level moves
-    and screen are counted wherever the search could look them up.
+    the search's pack memo.  Plan-space counts, the tree-level moves and
+    the screen are counted wherever the search could look them up, and
+    "screened trees" counts plan trees (not root keys) handed to the
+    screen.
     """
     calls: Counter[str] = Counter()
 
@@ -173,6 +176,13 @@ def counting(monkeypatch) -> Counter[str]:
         fn = counted(name, getattr(module, name))
         monkeypatch.setattr(module, name, fn)
         monkeypatch.setattr(search_module, name, fn, raising=False)
+    screen = search_module.candidate_lower_bounds
+
+    def screen_counting_trees(candidates, ctx):
+        calls["screened trees"] += sum(isinstance(c, PlanNode) for c in candidates)
+        return screen(candidates, ctx)
+
+    monkeypatch.setattr(search_module, "candidate_lower_bounds", screen_counting_trees)
     return calls
 
 
@@ -186,8 +196,9 @@ def test_plansearch_work_counts_are_pinned(monkeypatch):
     the winner's schedule is the one kept from scoring, so there is no
     run beyond the 8.  The 8 runs request 40 shelf packs, but only 16
     distinct shelves: the rest are answered by the search's pack memo.
-    The plan space is counted once, to choose the regime.  A change that
-    moves these counts must say why.
+    The plan space is counted once, to choose the regime, and the 429
+    root keys are screened in one call.  A change that moves these
+    counts must say why.
     """
     calls = counting(monkeypatch)
     graph, catalog = make_query()
@@ -197,7 +208,7 @@ def test_plansearch_work_counts_are_pinned(monkeypatch):
     )
     assert calls == {
         "plan_key": 8, "built": 8, "tree_schedule": 8, "packs": 40, "packed": 16,
-        "count_exhaustive_plans": 1,
+        "count_exhaustive_plans": 1, "candidate_lower_bounds": 1, "screened trees": 0,
     }
 
 
@@ -206,10 +217,11 @@ def test_local_search_work_counts_are_pinned(monkeypatch):
 
     The greedy start, 16 random starts and 72 mutations are 89 plans,
     50 of them distinct.  The moves build root structure keys, so plans
-    are deduped and bounded without a tree: only the 9 scored plans are
-    built (``ScreenContext.plan``) and hashed (``plan_key``), and no
-    tree-level move or tree screen runs.  A change that moves these
-    counts must say why.
+    are deduped and bounded without a tree: the screen runs once per
+    round (the starts and three generations) on root keys alone, only
+    the 9 scored plans are built (``ScreenContext.plan``) and hashed
+    (``plan_key``), and no tree-level move runs.  A change that moves
+    these counts must say why.
     """
     calls = counting(monkeypatch)
     graph, catalog = make_query(LONG_CHAIN_CARDS)
@@ -225,12 +237,13 @@ def test_local_search_work_counts_are_pinned(monkeypatch):
         name: calls[name]
         for name in (
             "plan_key", "built", "tree_schedule", "greedy_plan", "random_plan",
-            "mutate_plan", "candidate_lower_bounds", "count_exhaustive_plans",
+            "mutate_plan", "candidate_lower_bounds", "screened trees",
+            "count_exhaustive_plans",
         )
     } == {
         "plan_key": 9, "built": 9, "tree_schedule": 9, "greedy_plan": 0,
-        "random_plan": 0, "mutate_plan": 0, "candidate_lower_bounds": 0,
-        "count_exhaustive_plans": 1,
+        "random_plan": 0, "mutate_plan": 0, "candidate_lower_bounds": 4,
+        "screened trees": 0, "count_exhaustive_plans": 1,
     }
 
 

@@ -46,9 +46,9 @@ contractions, and mutations, which re-intern only the path from the
 root to the re-shaped subtree.  Plans are deduped and bounded as keys,
 and :meth:`StructureKeys.plan` builds the canonical tree of the few that
 get scored, so every shared subtree is summarized once per search and
-no tree is built or walked before scoring.  :meth:`StructureKeys.root_key`
-reads a key off an existing tree; :func:`candidate_lower_bounds` bounds
-plan trees that way, off the search path.
+no tree is built or walked before scoring.  The search bounds its
+keys with :func:`candidate_lower_bounds`, which also accepts plan trees:
+:meth:`StructureKeys.root_key` reads a key off an existing tree.
 """
 
 from __future__ import annotations
@@ -359,13 +359,18 @@ class ScreenContext(StructureKeys):
 
 
 def candidate_lower_bounds(
-    plans: Sequence[PlanNode], ctx: ScreenContext
+    candidates: Sequence[PlanNode | tuple], ctx: ScreenContext
 ) -> list[float]:
-    """A valid response-time lower bound per candidate plan.
+    """A valid response-time lower bound per candidate.
 
-    Reads each candidate's bound off the context's subplan summaries
-    (the plan trees are not modified).  Bounds are deterministic
-    functions of the plan structure and the context, independent of
-    candidate order, worker count and store state.
+    A candidate is its root's structure key in ``ctx`` (as the plan
+    enumerator yields it) or a plan tree, whose root key is read off
+    with :meth:`StructureKeys.root_key` (the tree is not modified).
+    Bounds are deterministic functions of the plan structure and the
+    context, independent of candidate order, worker count and store
+    state.
     """
-    return [ctx.bound(ctx.root_key(plan)) for plan in plans]
+    return [
+        ctx.bound(ctx.root_key(c) if isinstance(c, PlanNode) else c)
+        for c in candidates
+    ]

@@ -12,10 +12,10 @@ search whose scoring function is the scheduled response time:
    the screen's memo and yield each plan as its root's structure key,
    without building a tree; local-search plans are deduped on that key
    before anything is bounded or scheduled.
-2. **Screen** (``plan_screen`` span).  Every pending candidate gets a
-   valid response-time lower bound from the memoized screen
-   (:mod:`repro.search.screen`), from its two children's subplan
-   summaries.
+2. **Screen** (``plan_screen`` span).  Every pending candidate's root
+   key gets a valid response-time lower bound from the memoized screen
+   (:func:`~repro.search.screen.candidate_lower_bounds`), from its two
+   children's subplan summaries.
 3. **Rank.**  Candidates are taken best-first in ``(bound, key)``
    order.  Sorting by bound needs no plan; a candidate's canonical tree
    is built, and its ``plan_key`` computed, only when the scan reaches
@@ -109,9 +109,7 @@ from repro.search.score import (
     schedule_candidate,
     use_schedule_sink,
 )
-# candidate_lower_bounds is off the search path (plans are bounded as
-# structure keys), but perfbench's screen layer still resolves it here.
-from repro.search.screen import ScreenContext, candidate_lower_bounds  # noqa: F401
+from repro.search.screen import ScreenContext, candidate_lower_bounds
 from repro.store import ArtifactStore, resolve_store
 
 __all__ = [
@@ -420,7 +418,7 @@ def search_plans(
             return
         if prune:
             with current_tracer().span(SPAN_PLAN_SCREEN, candidates=len(candidates)):
-                bounds = [ctx.bound(root) for root in candidates]
+                bounds = candidate_lower_bounds(candidates, ctx)
         else:
             bounds = [0.0] * len(candidates)
         ranking = _Ranking(bounds, candidates, build_root)

@@ -205,6 +205,15 @@ def test_memoized_bounds_equal_the_oracle(query, sites, seed, merge, materialize
     everything = [plan for plans in rounds for plan in plans]
     again = candidate_lower_bounds(everything[::-1], screen_context(p, cluster))
     assert again[::-1] == [reference_bound(plan, ctx) for plan in everything]
+    # Root structure keys, as the search screens them, bound the same;
+    # trees and keys may share one call.
+    fresh = screen_context(p, cluster)
+    mixed = [
+        fresh.root_key(plan) if i % 2 else plan for i, plan in enumerate(everything)
+    ]
+    assert candidate_lower_bounds(mixed, fresh) == [
+        reference_bound(plan, ctx) for plan in everything
+    ]
 
 
 @settings(max_examples=40, deadline=None)
