@@ -19,6 +19,7 @@ driver, so the ablation is available at the workload level too
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from itertools import repeat
 
 from repro.exceptions import InfeasibleScheduleError, SchedulingError
 from repro.core.cloning import (
@@ -32,8 +33,10 @@ from repro.core.granularity import CommunicationModel
 from repro.core.operator_schedule import (
     OperatorScheduleResult,
     RootedPlacement,
-    _place_rooted,
+    _check_degree_types,
+    _check_rooted_home,
 )
+from repro.core.placement_heap import clone_run
 from repro.core.resource_model import OverlapModel
 from repro.core.schedule import Schedule
 from repro.core.site import PlacedClone
@@ -46,6 +49,40 @@ from repro.plans.operator_tree import OperatorTree
 from repro.plans.task_tree import TaskTree
 
 __all__ = ["scalar_list_schedule", "one_dimensional_tree_schedule"]
+
+
+def _place_rooted(
+    schedule: Schedule,
+    rooted: Sequence[RootedPlacement],
+    comm: CommunicationModel,
+    overlap: OverlapModel,
+    policy: CoordinatorPolicy,
+) -> dict[str, int]:
+    """Place every rooted operator's clones at its fixed sites (Figure 3 step 1).
+
+    One checked :meth:`Schedule.place_operator` per operator, in order.
+    Returns each rooted operator's degree.
+
+    Raises
+    ------
+    InfeasibleScheduleError
+        If a rooted degree exceeds ``P`` or a home site lies outside
+        ``0..P-1``.
+    """
+    degrees: dict[str, int] = {}
+    for placement in rooted:
+        _check_rooted_home(placement, schedule.p)
+        name = placement.spec.name
+        n = placement.degree
+        clones = clone_work_vectors(placement.spec, n, comm, policy)
+        schedule.place_operator(
+            name,
+            clone_run(
+                placement.site_indices, zip(repeat(name), range(n), clones), overlap
+            ),
+        )
+        degrees[name] = n
+    return degrees
 
 
 def scalar_list_schedule(
@@ -82,6 +119,7 @@ def scalar_list_schedule(
     names = [spec.name for spec in specs]
     if len(set(names)) != len(names):
         raise SchedulingError("duplicate operator names")
+    _check_degree_types(floating, degrees)
 
     schedule = Schedule(p, d, capacities)
     caps = [site.capacity for site in schedule.sites]

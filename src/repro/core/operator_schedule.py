@@ -34,7 +34,7 @@ from collections.abc import Iterator, Mapping, Sequence
 from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import repeat
+from heapq import heapify, heappop, heappush
 from operator import attrgetter
 
 from repro.exceptions import InfeasibleScheduleError, SchedulingError
@@ -46,7 +46,6 @@ from repro.core.cloning import (
     coarse_grain_degree,
 )
 from repro.core.granularity import CommunicationModel
-from repro.core.placement_heap import SiteHeap, clone_run, place_runs
 from repro.core.resource_model import OverlapModel
 from repro.obs.names import (
     COUNTER_CLONES_PLACED,
@@ -55,7 +54,8 @@ from repro.obs.names import (
     TIMER_LIST_SCHEDULE,
 )
 from repro.obs.tracer import current_tracer
-from repro.core.schedule import Schedule
+from repro.core.schedule import Schedule, _site_capacities
+from repro.core.site import PlacedClone, Site
 from repro.core.work_vector import WorkVector
 
 __all__ = [
@@ -132,6 +132,35 @@ def _check_unique_names(
         seen.add(spec.name)
 
 
+def _check_degree_types(
+    floating: Sequence[OperatorSpec], degrees: Mapping[str, int] | None
+) -> None:
+    """Every forced degree is an ``int``; ``True`` is not a degree of 1."""
+    if not degrees:
+        return
+    for spec in floating:
+        if spec.name in degrees:
+            n = degrees[spec.name]
+            if isinstance(n, bool) or not isinstance(n, int):
+                raise SchedulingError(
+                    f"operator {spec.name!r}: requested degree {n!r} is not an int"
+                )
+
+
+def _check_rooted_home(placement: RootedPlacement, p: int) -> None:
+    """A rooted operator's home fits on ``p`` sites (Figure 3 step 1)."""
+    name = placement.spec.name
+    if placement.degree > p:
+        raise InfeasibleScheduleError(
+            f"rooted operator {name!r} has degree {placement.degree} > P={p}"
+        )
+    for site_index in placement.site_indices:
+        if not 0 <= site_index < p:
+            raise InfeasibleScheduleError(
+                f"rooted operator {name!r}: site {site_index} outside 0..{p - 1}"
+            )
+
+
 def _common_dimensionality(
     floating: Sequence[OperatorSpec], rooted: Sequence[RootedPlacement]
 ) -> int:
@@ -145,51 +174,6 @@ def _common_dimensionality(
                 f"operator {spec.name!r} has d={spec.d}; expected {d}"
             )
     return d
-
-
-def _place_rooted(
-    schedule: Schedule,
-    rooted: Sequence[RootedPlacement],
-    comm: CommunicationModel,
-    overlap: OverlapModel,
-    policy: CoordinatorPolicy,
-    vectors: dict | None = None,
-) -> dict[str, int]:
-    """Figure 3 step 1: place every rooted operator's clones at its fixed sites.
-
-    One checked :meth:`Schedule.place_operator` per operator, in order.
-    Returns each rooted operator's degree.
-
-    Raises
-    ------
-    InfeasibleScheduleError
-        If a rooted degree exceeds ``P`` or a home site lies outside
-        ``0..P-1``.
-    """
-    p = schedule.p
-    degrees: dict[str, int] = {}
-    for placement in rooted:
-        name = placement.spec.name
-        n = placement.degree
-        if n > p:
-            raise InfeasibleScheduleError(
-                f"rooted operator {name!r} has degree {n} > P={p}"
-            )
-        for site_index in placement.site_indices:
-            if not 0 <= site_index < p:
-                raise InfeasibleScheduleError(
-                    f"rooted operator {name!r}: site {site_index} "
-                    f"outside 0..{p - 1}"
-                )
-        clones = _clone_vectors(placement.spec, n, comm, policy, vectors)
-        schedule.place_operator(
-            name,
-            clone_run(
-                placement.site_indices, zip(repeat(name), range(n), clones), overlap
-            ),
-        )
-        degrees[name] = n
-    return degrees
 
 
 def _clone_vectors(
@@ -355,9 +339,11 @@ def operator_schedule(
         If a rooted placement or requested degree does not fit on ``p``
         sites.
     SchedulingError
-        On duplicate names or inconsistent dimensionalities.
+        On duplicate names, inconsistent dimensionalities, or a forced
+        degree below 1 or not an ``int`` (``bool`` included).
     """
     _check_unique_names(floating, rooted)
+    _check_degree_types(floating, degrees)
     scope = _PACK_MEMO.get() if metrics is None else None
     memo = vectors = None
     if scope is not None:
@@ -436,33 +422,102 @@ def _pack(
 
     ``vectors`` is the scope's clone-vector memo for ``(comm, policy)``,
     or ``None``.
+
+    The kernel runs on flat per-site state, one list entry per site: the
+    resident clones, operator set, load vector, length, total load and
+    maximum ``T_seq``.  Every clone is folded into them exactly as
+    :meth:`Schedule.place_operator` folds it (same checks, same order of
+    floating-point additions), and the sites and the schedule are built
+    once at the end through the trusted ``_adopt`` constructors.  The
+    schedule, its statistics and the makespan are bit-identical to
+    placing the clones one by one with :meth:`Schedule.place`.
     """
     d = _common_dimensionality(floating, rooted)
-    schedule = Schedule(p, d, capacities)
+    caps = _site_capacities(p, capacities)
+    clones: list[list[PlacedClone]] = [[] for _ in range(p)]
+    hosted: list[set[str]] = [set() for _ in range(p)]
+    loads = [[0.0] * d for _ in range(p)]
+    lengths = [0.0] * p
+    totals = [0.0] * p
+    max_t_seq = [0.0] * p
+    homes: dict[str, list[tuple[int, int]]] = {}
+    total_work = [0.0] * d
+    t_seq = overlap.t_seq
+
+    def fold(operator: str, sites: Sequence[int], run: Sequence[tuple]) -> None:
+        """Place ``run``'s ``(_, operator, clone, work)`` items on ``sites``, pairwise.
+
+        One ``T_seq`` per distinct work vector: under EA1 every clone
+        after the coordinator carries the same vector object.
+        """
+        home = homes.setdefault(operator, [])
+        last = None
+        t = 0.0
+        for j, (_, _, k, work) in zip(sites, run):
+            if work is not last:
+                if work.d != d:
+                    raise SchedulingError(
+                        f"site {j}: clone of {operator!r} has d={work.d}, "
+                        f"site has d={d}"
+                    )
+                t = t_seq(work)
+                last = work
+            resident = hosted[j]
+            if operator in resident:
+                raise Schedule._constraint_a(j, operator)
+            resident.add(operator)
+            clones[j].append(PlacedClone(operator, k, work, t))
+            home.append((k, j))
+            load = loads[j]
+            length = lengths[j]
+            total = totals[j]
+            for i, c in enumerate(work.components):
+                updated = load[i] + c
+                load[i] = updated
+                total += c
+                if updated > length:
+                    length = updated
+                total_work[i] += c
+            lengths[j] = length
+            totals[j] = total
+            if t > max_t_seq[j]:
+                max_t_seq[j] = t
 
     # Step 1: place the work vectors of all rooted operators at their
     # respective sites.
-    chosen = _place_rooted(schedule, rooted, comm, overlap, policy, vectors)
+    chosen: dict[str, int] = {}
+    for placement in rooted:
+        _check_rooted_home(placement, p)
+        name = placement.spec.name
+        n = placement.degree
+        works = _clone_vectors(placement.spec, n, comm, policy, vectors)
+        fold(
+            name,
+            placement.site_indices,
+            [(None, name, k, work) for k, work in enumerate(works)],
+        )
+        chosen[name] = n
 
     # Step 2: degree of coarse-grain parallelism for every floating
     # operator, and the clone lists L_i.
-    pending: list[tuple[str, int, WorkVector]] = []
+    pending: list[tuple[float, str, int, WorkVector]] = []
     for spec in floating:
-        if degrees is not None and spec.name in degrees:
-            n = degrees[spec.name]
+        name = spec.name
+        if degrees is not None and name in degrees:
+            n = degrees[name]
             if n < 1:
                 raise SchedulingError(
-                    f"operator {spec.name!r}: requested degree {n} < 1"
+                    f"operator {name!r}: requested degree {n} < 1"
                 )
             if n > p:
                 raise InfeasibleScheduleError(
-                    f"operator {spec.name!r}: requested degree {n} > P={p}"
+                    f"operator {name!r}: requested degree {n} > P={p}"
                 )
         else:
             n = coarse_grain_degree(spec, p, f, comm, overlap, policy)
-        chosen[spec.name] = n
+        chosen[name] = n
         for k, work in enumerate(_clone_vectors(spec, n, comm, policy, vectors)):
-            pending.append((spec.name, k, work))
+            pending.append((-work.length(), name, k, work))
 
     # Step 3: list scheduling in non-increasing order of l(w̄); ties in the
     # vector order are broken deterministically by operator name and clone
@@ -470,36 +525,77 @@ def _pack(
     # l(work(s)) (Figure 3); sites tied on length are distinguished by
     # total load, then index — the paper permits any minimizer, and the
     # total-load tie-break avoids piling work onto a site whose length
-    # happens to sit on a different resource.  The key ends in the site
-    # index, so a lazy min-heap's minimum is the exact site a linear scan
-    # would choose.  The order keeps each operator's equal-length clones
-    # (all but an EA1 coordinator carrying startup cost) in one run, and
-    # place_runs puts a run of k clones on the k smallest allowable keys
-    # at once: one heap pass, one T_seq and one checked bulk place per
-    # run, the same schedule as placing clone by clone.
-    def no_allowable_site(position: int) -> InfeasibleScheduleError:
-        op_name, k, _ = pending[position]
-        return InfeasibleScheduleError(
-            f"no allowable site left for clone {k} of {op_name!r} "
-            f"(degree {chosen[op_name]} on P={p} sites)"
-        )
-
+    # happens to sit on a different resource.  The heap holds one
+    # (length, total load, index) entry per site, capacity-normalized;
+    # the key ends in the site index, so its minimum is the exact site a
+    # linear scan would choose.  The order keeps each operator's
+    # equal-length clones (all but an EA1 coordinator carrying startup
+    # cost) in one run.  Placing a clone on a site makes that site
+    # unallowable for the rest of its run and leaves every other key
+    # alone, so a run of k clones lands on the k smallest allowable keys
+    # at once: one heap pass, whose popped sites hosting the operator are
+    # set aside and pushed back after it, and the run's sites re-keyed.
+    # A one-shot pack never re-keys a queued site, so every entry stays
+    # fresh and the heap needs no lazy deletion.
+    count = len(pending)
     timer = metrics.timer(TIMER_LIST_SCHEDULE) if metrics is not None else nullcontext()
-    with current_tracer().span(SPAN_LIST_PLACEMENT, clones=len(pending), p=p), timer:
-        pending.sort(key=lambda item: (-item[2].length(), item[0], item[1]))
-        heap = SiteHeap(
-            schedule.sites,
-            key=lambda s: (
-                s.normalized_length(),
-                s.normalized_total_load(),
-                s.index,
-            ),
-        )
-        place_runs(schedule, heap, pending, overlap, no_allowable_site)
+    with current_tracer().span(SPAN_LIST_PLACEMENT, clones=count, p=p), timer:
+        # (name, clone) pairs are unique: the sort never compares vectors.
+        pending.sort()
+        heap = [
+            (lengths[j] / caps[j], totals[j] / caps[j], j) for j in range(p)
+        ]
+        heapify(heap)
+        scans = 0
+        start = 0
+        while start < count:
+            name = pending[start][1]
+            end = start + 1
+            while end < count and pending[end][1] == name:
+                end += 1
+            want = end - start
+            sites: list[int] = []
+            skipped = []
+            while heap:
+                entry = heappop(heap)
+                scans += 1
+                if name in hosted[entry[2]]:
+                    skipped.append(entry)
+                    continue
+                sites.append(entry[2])
+                if len(sites) == want:
+                    break
+            if len(sites) < want:
+                _, name, k, _ = pending[start + len(sites)]
+                raise InfeasibleScheduleError(
+                    f"no allowable site left for clone {k} of {name!r} "
+                    f"(degree {chosen[name]} on P={p} sites)"
+                )
+            fold(name, sites, pending[start:end])
+            for j in sites:
+                heappush(heap, (lengths[j] / caps[j], totals[j] / caps[j], j))
+            for entry in skipped:
+                heappush(heap, entry)
+            start = end
         if metrics is not None:
-            metrics.count(COUNTER_PLACEMENT_SCANS, heap.scans)
-            metrics.count(COUNTER_CLONES_PLACED, len(pending))
+            metrics.count(COUNTER_PLACEMENT_SCANS, scans)
+            metrics.count(COUNTER_CLONES_PLACED, count)
 
-    return OperatorScheduleResult(
-        schedule=schedule, degrees=chosen, makespan=schedule.makespan()
+    schedule = Schedule._adopt(
+        d,
+        [
+            Site._adopt(
+                j, d, caps[j], clones[j], hosted[j], loads[j], lengths[j],
+                totals[j], max_t_seq[j],
+            )
+            for j in range(p)
+        ],
+        homes,
+        total_work,
+        sum(chosen.values()),
     )
+    makespan = max(
+        max(max_t_seq[j], lengths[j]) / caps[j] if clones[j] else 0.0
+        for j in range(p)
+    )
+    return OperatorScheduleResult(schedule=schedule, degrees=chosen, makespan=makespan)

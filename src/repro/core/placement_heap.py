@@ -16,13 +16,20 @@ replaces it with a heap using *lazy deletion*:
   (constraint (A): the site already hosts a clone of it) is set aside and
   re-pushed after the selection.
 
-Every heap placement — OPERATORSCHEDULE step 3, the shelf packer's
-least-loaded rule and schedule repair — places a *run* at a time, a
-maximal block of one operator's consecutive clones in placement order,
-through :func:`place_runs`: one :meth:`SiteHeap.take` pops the run's
-``k`` sites in one pass, so a site that hosts the operator is set aside
-once per run rather than once per clone, and a site the run fills is
-never re-popped within it.
+The least-loaded rule of :func:`~repro.core.vector_packing.pack_vectors`
+and schedule repair (both through ``vector_packing._place_sorted``)
+place a *run* at a time, a maximal block of one operator's consecutive
+clones in placement order, through :func:`place_runs`: one
+:meth:`SiteHeap.take` pops the run's ``k`` sites in one pass, so a site
+that hosts the operator is set aside once per run rather than once per
+clone, and a site the run fills is never re-popped within it.
+OPERATORSCHEDULE step 3 places runs the same way but does not use this
+module: a one-shot pack never re-keys a site that is still queued, so
+:func:`~repro.core.operator_schedule.operator_schedule` keeps its own
+heap of flat ``(length, total load, index)`` tuples over per-site
+arrays, with no key callable and no lazy deletion.  The repair heap is
+the caller that needs this class: it lives across deltas, and sites
+change and leave it between passes.
 
 Long-running incremental use (the serve pool keeps one heap alive
 across every repair delta of a run) adds three maintenance operations:
@@ -249,8 +256,8 @@ def place_runs(
 ) -> None:
     """Place ordered ``(operator, clone_index, work)`` items on least-key sites.
 
-    The list-scheduling kernel behind :func:`operator_schedule` step 3
-    and the ``LEAST_LOADED_LENGTH`` rule of :func:`pack_vectors`.  Its
+    The list-scheduling kernel behind the ``LEAST_LOADED_LENGTH`` rule
+    of :func:`pack_vectors` and schedule repair.  Its
     result equals placing each item in turn on the minimum-key allowable
     site, but it works one *run* at a time: a maximal block of
     consecutive items of one operator.  Placing a clone on site ``s``

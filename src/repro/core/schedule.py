@@ -25,12 +25,32 @@ from itertools import accumulate, chain, islice
 from operator import add, itemgetter
 
 from repro.exceptions import SchedulingError
-from repro.core.site import PlacedClone, Site
+from repro.core.site import PlacedClone, Site, _check_capacity
 from repro.core.work_vector import WorkVector
 
 __all__ = ["Schedule", "PhasedSchedule", "OperatorHome"]
 
 _operator = itemgetter(0)
+
+
+def _site_capacities(p: int, capacities: Sequence[float] | None) -> list[float]:
+    """The capacity of each of ``p`` sites, checked as :class:`Schedule` checks it.
+
+    ``P >= 1``, one entry per site, and each a positive finite number
+    (``1.0`` each when ``capacities`` is ``None``); the first failing
+    check raises :class:`SchedulingError`.
+    """
+    if p < 1:
+        raise SchedulingError(f"number of sites must be >= 1, got {p}")
+    if capacities is None:
+        return [1.0] * p
+    if len(capacities) != p:
+        raise SchedulingError(
+            f"capacities has {len(capacities)} entries; expected P={p}"
+        )
+    for j, capacity in enumerate(capacities):
+        _check_capacity(capacity, j)
+    return [float(capacity) for capacity in capacities]
 
 
 @dataclass(frozen=True)
@@ -78,16 +98,10 @@ class Schedule:
     """
 
     def __init__(self, p: int, d: int, capacities: "tuple[float, ...] | list[float] | None" = None):
-        if p < 1:
-            raise SchedulingError(f"number of sites must be >= 1, got {p}")
-        if capacities is None:
-            self._sites = [Site(j, d) for j in range(p)]
-        else:
-            if len(capacities) != p:
-                raise SchedulingError(
-                    f"capacities has {len(capacities)} entries; expected P={p}"
-                )
-            self._sites = [Site(j, d, capacities[j]) for j in range(p)]
+        self._sites = [
+            Site(j, d, capacity)
+            for j, capacity in enumerate(_site_capacities(p, capacities))
+        ]
         self._d = d
         self._homes: dict[str, list[tuple[int, int]]] = {}
         # Running totals maintained on every place() so the aggregate

@@ -39,19 +39,23 @@ import sys
 import time
 from collections.abc import Sequence
 
-from repro.core.cluster import parse_cluster_spec
-from repro.engine.registry import describe_algorithms
 from repro.exceptions import ConfigurationError
-from repro.experiments.config import PAPER_CONFIG, quick_config
-from repro.experiments.figures import FIGURES
-from repro.experiments.report import render_figure, render_parameters
-from repro.experiments.robustness import DEFAULT_INTENSITIES, robustness_sweep
-from repro.experiments.sensitivity import parameter_sensitivity
-from repro.obs.names import COUNTER_SLO_BREACHES
-from repro.sim.policies import SharingPolicy
-from repro.store import ENV_CACHE_DIR, NO_STORE, ArtifactStore
 
 __all__ = ["build_parser", "main"]
+
+# Each target imports its modules in its handler, so ``--help`` and a
+# mistyped option load almost nothing.  The parser's choices and help
+# text therefore spell out three names of modules it does not import;
+# tests/test_import_surface.py holds them equal to their sources.
+
+#: The figure targets: the keys of ``repro.experiments.figures.FIGURES``.
+FIGURE_TARGETS = ("fig5a", "fig5b", "fig6a", "fig6b")
+
+#: The ``--policy`` choices: the values of ``repro.sim.policies.SharingPolicy``.
+SHARING_POLICIES = ("optimal_stretch", "fair_share", "serial")
+
+#: ``repro.store.ENV_CACHE_DIR``, the cache-directory environment variable.
+ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 
 #: Sensitivity sweep targets: name -> (field, multipliers).
 SENSITIVITY_TARGETS = {
@@ -74,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "target",
         choices=[
-            *FIGURES,
+            *FIGURE_TARGETS,
             *SENSITIVITY_TARGETS,
             "robustness",
             "plansearch",
@@ -147,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--policy",
-        choices=[p.value for p in SharingPolicy],
-        default=SharingPolicy.FAIR_SHARE.value,
+        choices=SHARING_POLICIES,
+        default="fair_share",
         help="sharing policy simulated under fault injection",
     )
     parser.add_argument(
@@ -445,6 +449,7 @@ def _run_serve(args, config, store, session=None) -> int:
     off.  Wall-clock, telemetry accounting, and metric artifacts go to
     stderr and files.
     """
+    from repro.obs.names import COUNTER_SLO_BREACHES
     from repro.serve import (
         GovernorConfig,
         GovernorPolicy,
@@ -581,6 +586,10 @@ def _run_serve(args, config, store, session=None) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
+    from repro.core.cluster import parse_cluster_spec
+    from repro.experiments.config import PAPER_CONFIG, quick_config
+    from repro.store import NO_STORE, ArtifactStore
+
     if args.no_cache and args.cache_dir:
         print("--no-cache and --cache-dir are mutually exclusive", file=sys.stderr)
         return 2
@@ -660,6 +669,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
             print(json.dumps(figure_to_dict(figure), indent=2))
         else:
+            from repro.experiments.report import render_figure
+
             print(render_figure(figure))
             print(f"(regenerated in {elapsed:.1f}s)")
             print()
@@ -670,10 +681,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     def dispatch() -> int:
         if args.target == "table2":
+            from repro.experiments.report import render_parameters
+
             print(render_parameters(config.params))
             return 0
 
         if args.target == "algorithms":
+            from repro.engine.registry import describe_algorithms
+
             entries = describe_algorithms()
             width = max(len(name) for name in entries)
             for name, entry in entries.items():
@@ -682,6 +697,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0
 
         if args.target == "robustness":
+            from repro.experiments.robustness import (
+                DEFAULT_INTENSITIES,
+                robustness_sweep,
+            )
+            from repro.sim.policies import SharingPolicy
+
             intensities = (
                 DEFAULT_INTENSITIES
                 if args.intensities is None
@@ -701,6 +722,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0
 
         if args.target in SENSITIVITY_TARGETS:
+            from repro.experiments.sensitivity import parameter_sensitivity
+
             field, multipliers = SENSITIVITY_TARGETS[args.target]
             start = time.perf_counter()
             figure = parameter_sensitivity(
@@ -719,6 +742,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             code = _run_serve(args, config, store, session)
             cache_summary()
             return code
+
+        from repro.experiments.figures import FIGURES
 
         targets = list(FIGURES) if args.target == "all" else [args.target]
         for name in targets:

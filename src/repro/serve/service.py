@@ -371,9 +371,11 @@ class SchedulerService:
         self._capacity_event: asyncio.Event | None = None
         self._intake_closed = False
         self._finished_at = 0.0
-        # (template index, degree) -> ScheduleResult; the service's
-        # schedule-once-per-shape memo.
-        self._schedule_memo: dict[tuple[int, int], ScheduleResult] = {}
+        # (template index, degree) -> (ScheduleResult, its footprint);
+        # the service's schedule-once-per-shape memo.
+        self._schedule_memo: dict[
+            tuple[int, int], tuple[ScheduleResult, tuple[WorkVector, ...]]
+        ] = {}
         self._queries: dict[int, object] = {}
 
     # ------------------------------------------------------------------
@@ -432,13 +434,17 @@ class SchedulerService:
 
     def _schedule_template(
         self, template: QueryTemplate, degree: int
-    ) -> ScheduleResult:
-        """Schedule one template at a degree cap, memoized per pair."""
+    ) -> tuple[ScheduleResult, tuple[WorkVector, ...]]:
+        """Schedule one template at a degree cap, and its footprint.
+
+        Memoized per pair: each distinct schedule is built and collapsed
+        once, however many jobs place it.
+        """
         from repro.experiments.runner import schedule_query
 
         memo_key = (template.index, degree)
-        result = self._schedule_memo.get(memo_key)
-        if result is None:
+        entry = self._schedule_memo.get(memo_key)
+        if entry is None:
             cache_key = (
                 {
                     "workload": {
@@ -462,8 +468,8 @@ class SchedulerService:
                 store=self.store,
                 cache_key=cache_key,
             )
-            self._schedule_memo[memo_key] = result
-        return result
+            entry = self._schedule_memo[memo_key] = (result, self._footprint(result))
+        return entry
 
     @staticmethod
     def _footprint(result: ScheduleResult) -> tuple[WorkVector, ...]:
@@ -504,8 +510,7 @@ class SchedulerService:
             with current_tracer().span(
                 SPAN_SERVE_PLACE, job=job.job_id, degree=degree
             ) as span:
-                result = self._schedule_template(job.template, degree)
-                loads = self._footprint(result)
+                result, loads = self._schedule_template(job.template, degree)
                 if span is not None:
                     span.attributes["sites"] = len(loads)
             while not self.pool.has_capacity(len(loads)):

@@ -120,6 +120,28 @@ class TestSurface:
         ):
             assert name not in loaded
 
+    def test_cli_loads_no_target_module(self):
+        # ``--help`` and argument errors pay only for the parser: each
+        # target imports its modules in its handler.
+        loaded = _loaded_after("repro.experiments.cli")
+        assert loaded == {
+            "repro": [
+                "repro", "repro._lazy", "repro.exceptions", "repro.experiments",
+                "repro.experiments.cli",
+            ],
+            "numpy": False,
+        }
+
+    def test_cli_choices_match_their_sources(self):
+        from repro.experiments import cli
+        from repro.experiments.figures import FIGURES
+        from repro.sim.policies import SharingPolicy
+        from repro.store import ENV_CACHE_DIR
+
+        assert cli.FIGURE_TARGETS == tuple(FIGURES)
+        assert cli.SHARING_POLICIES == tuple(p.value for p in SharingPolicy)
+        assert cli.ENV_CACHE_DIR == ENV_CACHE_DIR
+
     def test_import_repro_runs_no_submodule(self):
         loaded = _loaded_after("repro")
         assert loaded == {"repro": ["repro", "repro._lazy"], "numpy": False}

@@ -50,6 +50,14 @@ class TestBasics:
                 degrees={"a": 3},
             )
 
+    @pytest.mark.parametrize("degree", [True, 2.5])
+    def test_non_int_degree_rejected(self, degree):
+        with pytest.raises(SchedulingError, match="is not an int"):
+            scalar_list_schedule(
+                [spec("a", 1.0, 1.0)], p=4, comm=COMM, overlap=OVERLAP,
+                degrees={"a": degree},
+            )
+
     def test_dimension_mismatch(self):
         a = OperatorSpec(name="a", work=WorkVector([1.0, 1.0]))
         b = OperatorSpec(name="b", work=WorkVector([1.0, 1.0, 0.0]))

@@ -24,6 +24,7 @@ from repro import (
     parallel_time,
     theorem51_fixed_degree_bound,
 )
+from repro.core.operator_schedule import use_pack_memo
 
 COMM = CommunicationModel(alpha=0.015, beta=0.6e-6)
 ZERO_COMM = CommunicationModel(alpha=0.0, beta=0.0)
@@ -127,6 +128,26 @@ class TestDegreesOverride:
                 overlap=OVERLAP,
                 degrees={"a": 0},
             )
+
+    @pytest.mark.parametrize("degree", [True, False, 2.5, 2.0, "2", None])
+    def test_non_int_degree_rejected(self, degree):
+        with pytest.raises(SchedulingError, match="is not an int"):
+            operator_schedule(
+                [spec("a", 8.0, 8.0)],
+                p=4,
+                comm=COMM,
+                overlap=OVERLAP,
+                degrees={"a": degree},
+            )
+
+    def test_bool_degree_is_not_a_pack_memo_hit(self):
+        """``True == 1``: the check runs before the memo lookup."""
+        kwargs = dict(p=4, comm=COMM, overlap=OVERLAP)
+        with use_pack_memo():
+            result = operator_schedule([spec("a", 8.0, 8.0)], degrees={"a": 1}, **kwargs)
+            assert result.degrees == {"a": 1}
+            with pytest.raises(SchedulingError, match="requested degree True"):
+                operator_schedule([spec("a", 8.0, 8.0)], degrees={"a": True}, **kwargs)
 
     def test_partial_override_mixes_with_coarse_grain(self):
         result = operator_schedule(

@@ -1,15 +1,20 @@
-"""Run placement: one heap pass, one ``T_seq`` and one bulk place per run.
+"""Run placement: one heap pass, one ``T_seq`` and one fold per run.
 
-``operator_schedule`` step 3 and the ``LEAST_LOADED_LENGTH`` rule of
-``pack_vectors`` and ``reschedule_schedule`` place each maximal run of
-one operator's consecutive clones at once
-(:func:`repro.core.placement_heap.place_runs`).  The oracle here places
-clone by clone, with no heap: a linear min-scan over the allowable sites
-with the kernel's own key, one ``T_seq`` and one checked
-``Schedule.place`` per clone.  Hypothesis holds the two equal bit for
-bit (``float.hex``) on clone order per site, loads, lengths,
-``max_t_seq``, homes and the schedule's total-work vector, and on the
-message of every infeasible case.  Repair's runs are held to
+``operator_schedule`` step 3 (the Figure 3 kernel, on flat per-site
+state) and the ``LEAST_LOADED_LENGTH`` rule of ``pack_vectors`` and
+``reschedule_schedule`` (:func:`repro.core.placement_heap.place_runs`)
+place each maximal run of one operator's consecutive clones at once.
+The oracle here places clone by clone, with no heap: a linear min-scan
+over the allowable sites with the kernel's own key, one ``T_seq`` and
+one checked ``Schedule.place`` per clone.  Hypothesis holds the two
+equal bit for bit (``float.hex``) on clone order per site, loads,
+lengths, ``max_t_seq``, homes and the schedule's total-work vector, and
+on the class and message of every failing case.  For
+``operator_schedule`` it also holds the degrees (order included), the
+makespan and the ``placement_scans``/``clones_placed`` counters equal,
+inside and outside a pack-memo scope; the reference counts a run's
+scans as the sites whose key is at most the run's last chosen key,
+which is what one heap pass pops.  Repair's runs are held to
 ``reschedule_reference`` by ``tests/test_reschedule.py``.
 
 The rejection table pins :meth:`Schedule.place_operator`'s checks: each
@@ -28,6 +33,7 @@ from repro import (
     CommunicationModel,
     ConvexCombinationOverlap,
     InfeasibleScheduleError,
+    MetricsRecorder,
     OperatorSpec,
     PlacementRule,
     RootedPlacement,
@@ -43,10 +49,18 @@ from repro.core.cloning import (
     clone_work_vectors,
     coarse_grain_degree,
 )
+from repro.core.operator_schedule import use_pack_memo
 from repro.core.placement_heap import least_loaded_key
 from repro.core.schedule import Schedule
 from repro.core.site import PlacedClone, Site
 from repro.core.vector_packing import _sorted_items
+from repro.obs.names import (
+    COUNTER_CLONES_PLACED,
+    COUNTER_PLACEMENT_SCANS,
+    SPAN_LIST_PLACEMENT,
+    TIMER_LIST_SCHEDULE,
+)
+from repro.obs.tracer import Tracer, use_tracer
 
 OVERLAP = ConvexCombinationOverlap(0.5)
 
@@ -63,8 +77,18 @@ def least_key_site(schedule, operator, key):
 def per_clone_operator_schedule(
     floating, rooted=(), *, p, comm, overlap, f=0.7, degrees=None, capacities=None
 ):
-    """``operator_schedule`` as it placed clones before run placement."""
+    """``operator_schedule`` as it placed clones before run placement.
+
+    Returns the schedule, the degrees and the heap scans of step 3.
+    """
     policy = DEFAULT_COORDINATOR_POLICY
+    for spec in floating:
+        if degrees is not None and spec.name in degrees:
+            n = degrees[spec.name]
+            if type(n) is not int:
+                raise SchedulingError(
+                    f"operator {spec.name!r}: requested degree {n!r} is not an int"
+                )
     d = [*floating, *(r.spec for r in rooted)][0].d
     schedule = Schedule(p, d, capacities)
     chosen = {}
@@ -104,19 +128,43 @@ def per_clone_operator_schedule(
         for k, work in enumerate(clone_work_vectors(spec, n, comm, policy)):
             pending.append((work.length(), spec.name, k, work))
     pending.sort(key=lambda item: (-item[0], item[1], item[2]))
-    for _, op_name, k, work in pending:
-        best = least_key_site(
-            schedule,
-            op_name,
-            lambda s: (s.normalized_length(), s.normalized_total_load(), s.index),
-        )
+    scans = 0
+    for position, (_, op_name, k, work) in enumerate(pending):
+        if position == 0 or pending[position - 1][1] != op_name:
+            scans += run_scans(schedule, op_name, pending, position)
+        best = least_key_site(schedule, op_name, figure3_key)
         if best is None:
             raise InfeasibleScheduleError(
                 f"no allowable site left for clone {k} of {op_name!r} "
                 f"(degree {chosen[op_name]} on P={p} sites)"
             )
         schedule.place(best.index, PlacedClone(op_name, k, work, overlap.t_seq(work)))
-    return schedule, chosen
+    return schedule, chosen, scans
+
+
+def figure3_key(site):
+    """Figure 3's site order: normalized length, then total load, then index."""
+    return (site.normalized_length(), site.normalized_total_load(), site.index)
+
+
+def run_scans(schedule, operator, pending, start):
+    """Sites one heap pass pops for the run of ``operator`` at ``start``.
+
+    Every site whose key is at most the key of the run's last chosen
+    site: the ``k`` smallest allowable keys, and the unallowable sites
+    set aside among them.  A run that does not fit counts nothing (the
+    pack fails).
+    """
+    k = 1
+    while start + k < len(pending) and pending[start + k][1] == operator:
+        k += 1
+    keys = [figure3_key(site) for site in schedule.sites]
+    allowable = sorted(
+        figure3_key(site) for site in schedule.sites if not site.hosts_operator(operator)
+    )
+    if len(allowable) < k:
+        return 0
+    return sum(1 for key in keys if key <= allowable[k - 1])
 
 
 def per_clone_pack(items, *, p, overlap, sort, rng=None, capacities=None):
@@ -206,9 +254,16 @@ operator_case = st.fixed_dictionaries(
             min_size=1,
             max_size=7,
         ),
+        # a rooted operator with a home site outside 0..p-1
+        "outside": st.integers(min_value=0, max_value=9).map(lambda n: n == 0),
+        # a forced degree that is not an int, on the first floating operator
+        "bad_degree": st.sampled_from([None] * 8 + [True, 2.5]),
         "capacities": st.one_of(
-            st.none(), st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0]), min_size=9, max_size=9)
+            st.none(),
+            st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0]), min_size=9, max_size=9),
         ),
+        # a bad capacity list: one entry short, or one zero or NaN entry
+        "bad_capacities": st.sampled_from([None] * 6 + ["short", 0.0, float("nan")]),
         "seed": st.integers(min_value=0, max_value=2**16),
     }
 )
@@ -229,7 +284,18 @@ def build_operator_case(case):
             floating.append(spec)
             if degree is not None:
                 degrees[spec.name] = degree
+    if floating and case["bad_degree"] is not None:
+        degrees[floating[0].name] = case["bad_degree"]
+    if rooted and case["outside"]:
+        last = rooted[-1]
+        rooted[-1] = RootedPlacement(last.spec, (*last.site_indices[:-1], p))
     capacities = None if case["capacities"] is None else case["capacities"][:p]
+    bad = case["bad_capacities"]
+    if bad == "short":
+        capacities = [1.0] * (p - 1)
+    elif bad is not None:
+        capacities = [*(capacities or [1.0] * p)]
+        capacities[rng.randrange(p)] = bad
     kwargs = dict(
         p=p,
         comm=CommunicationModel(alpha=case["alpha"], beta=case["beta"]),
@@ -241,17 +307,56 @@ def build_operator_case(case):
     return floating, rooted, kwargs
 
 
-@settings(max_examples=300, deadline=None)
+def kernel_outcome(call):
+    """``("ok", state, degrees, makespan, counters)`` or the error's class and message.
+
+    ``counters`` is ``(placement_scans, clones_placed)`` when the call
+    records metrics, else ``None``.
+    """
+    metrics = MetricsRecorder()
+    try:
+        schedule, degrees, makespan, scans = call(metrics)
+    except SchedulingError as exc:
+        return (type(exc).__name__, str(exc))
+    return ("ok", state(schedule), list(degrees.items()), makespan.hex(), scans)
+
+
+def check_kernel(floating, rooted, kwargs):
+    """``operator_schedule`` equals the per-clone loop, with and without the memo."""
+
+    def reference(metrics):
+        schedule, degrees, scans = per_clone_operator_schedule(floating, rooted, **kwargs)
+        return schedule, degrees, schedule.makespan(), scans
+
+    def recorded(metrics):
+        result = operator_schedule(floating, rooted, metrics=metrics, **kwargs)
+        assert TIMER_LIST_SCHEDULE in metrics.timers
+        counters = metrics.counters
+        assert counters[COUNTER_CLONES_PLACED] == result.schedule.clone_count() - sum(
+            r.degree for r in rooted
+        )
+        return (
+            result.schedule, result.degrees, result.makespan,
+            counters[COUNTER_PLACEMENT_SCANS],
+        )
+
+    def memoized(metrics):
+        result = operator_schedule(floating, rooted, **kwargs)
+        return result.schedule, result.degrees, result.makespan, None
+
+    expected = kernel_outcome(reference)
+    assert kernel_outcome(recorded) == expected
+    unscanned = expected[:4] + (None,) if expected[0] == "ok" else expected
+    assert kernel_outcome(memoized) == unscanned
+    with use_pack_memo():
+        assert kernel_outcome(memoized) == unscanned  # a miss
+        assert kernel_outcome(memoized) == unscanned  # a hit, if it packed
+
+
+@settings(max_examples=400, deadline=None)
 @given(operator_case)
 def test_operator_schedule_equals_per_clone_loop(case):
-    floating, rooted, kwargs = build_operator_case(case)
-
-    def runs():
-        result = operator_schedule(floating, rooted, **kwargs)
-        return result.schedule, result.degrees
-
-    expected = outcome(lambda: per_clone_operator_schedule(floating, rooted, **kwargs))
-    assert outcome(runs) == expected
+    check_kernel(*build_operator_case(case))
 
 
 def test_operator_schedule_oracle_covers_long_runs():
@@ -272,6 +377,79 @@ def test_operator_schedule_oracle_covers_long_runs():
     expected = per_clone_operator_schedule(specs, rooted, **kwargs)
     assert state(result.schedule) == state(expected[0])
     assert result.degrees == expected[1]
+    check_kernel(specs, rooted, kwargs)
+
+
+@pytest.mark.parametrize(
+    "name, floating, rooted, kwargs",
+    [
+        (
+            # Equal-length clones of different operators: name order only.
+            "tied lengths, alpha 0",
+            [OperatorSpec(f"t{i}", WorkVector([3.0, 3.0])) for i in (2, 0, 1)],
+            [],
+            dict(p=5, comm=CommunicationModel(alpha=0.0, beta=0.0)),
+        ),
+        (
+            "all-zero vectors",
+            [OperatorSpec(f"z{i}", WorkVector([0.0, 0.0, 0.0])) for i in range(3)],
+            [RootedPlacement(OperatorSpec("r", WorkVector([0.0, 0.0, 0.0])), (1, 2))],
+            dict(p=4, comm=CommunicationModel(alpha=0.0, beta=0.0), degrees={"z1": 4}),
+        ),
+        (
+            "forced degree above P",
+            [OperatorSpec("a", WorkVector([1.0, 2.0])), OperatorSpec("b", WorkVector([2.0, 1.0]))],
+            [],
+            dict(p=3, comm=CommunicationModel(alpha=0.015, beta=0.0), degrees={"b": 4}),
+        ),
+        (
+            "rooted degree above P",
+            [OperatorSpec("a", WorkVector([1.0]))],
+            [RootedPlacement(OperatorSpec("r", WorkVector([1.0])), (0, 1, 2))],
+            dict(p=2, comm=CommunicationModel(alpha=0.0, beta=0.0)),
+        ),
+        (
+            "capacities of the wrong length",
+            [OperatorSpec("a", WorkVector([1.0]))],
+            [],
+            dict(p=3, comm=CommunicationModel(alpha=0.0, beta=0.0), capacities=[1.0, 2.0]),
+        ),
+        (
+            "a zero capacity",
+            [OperatorSpec("a", WorkVector([1.0]))],
+            [RootedPlacement(OperatorSpec("r", WorkVector([1.0])), (5,))],
+            dict(p=3, comm=CommunicationModel(alpha=0.0, beta=0.0), capacities=[1.0, 0.0, 2.0]),
+        ),
+        (
+            "a NaN capacity",
+            [OperatorSpec("a", WorkVector([1.0]))],
+            [],
+            dict(
+                p=2, comm=CommunicationModel(alpha=0.0, beta=0.0),
+                capacities=[float("nan"), 1.0],
+            ),
+        ),
+    ],
+    ids=lambda value: value if isinstance(value, str) else "",
+)
+def test_operator_schedule_oracle_edge_cases(name, floating, rooted, kwargs):
+    check_kernel(floating, rooted, {"overlap": OVERLAP, **kwargs})
+
+
+def test_list_placement_span_and_timer():
+    specs = [OperatorSpec(f"op{i}", WorkVector([1.0 + i, 2.0])) for i in range(3)]
+    rooted = [RootedPlacement(OperatorSpec("r", WorkVector([1.0, 1.0])), (0, 2))]
+    metrics = MetricsRecorder()
+    with use_tracer(Tracer(enabled=True)) as tracer:
+        result = operator_schedule(
+            specs, rooted, p=6, comm=CommunicationModel(alpha=0.015, beta=0.0),
+            overlap=OVERLAP, degrees={"op1": 4}, metrics=metrics,
+        )
+    spans = [span for span in tracer.iter_spans() if span.name == SPAN_LIST_PLACEMENT]
+    floating_clones = result.schedule.clone_count() - 2
+    assert [span.attributes for span in spans] == [{"clones": floating_clones, "p": 6}]
+    assert set(metrics.timers) == {TIMER_LIST_SCHEDULE}
+    assert metrics.counters[COUNTER_CLONES_PLACED] == floating_clones
 
 
 # ----------------------------------------------------------------------

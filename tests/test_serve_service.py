@@ -155,6 +155,22 @@ class TestServiceBehavior:
         assert summary["mean_slowdown"] >= 1.0
         assert 0.0 < summary["pool"]["site_utilization"] <= 1.0
 
+    def test_each_memoized_schedule_is_collapsed_once(self, monkeypatch):
+        collapse = SchedulerService._footprint
+        calls = []
+
+        def counted(result):
+            calls.append(result)
+            return collapse(result)
+
+        monkeypatch.setattr(SchedulerService, "_footprint", staticmethod(counted))
+        service = SchedulerService(_config())
+        summary = service.run().summary()
+        memo = service._schedule_memo
+        assert summary["outcomes"]["completed"] > len(memo) > 1
+        assert len(calls) == len(memo)
+        assert [result for result, _ in memo.values()] == calls
+
 
 class TestServeCLI:
     ARGS = [
